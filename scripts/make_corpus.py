@@ -2,8 +2,7 @@
 """Write a deterministic benchmark corpus of .gr instances.
 
 Instances are connected with treewidth <= 3 and vertex cover <= 5, the range
-every solver here handles comfortably; pair with scripts/run_benchmarks.py or
-``sdgsolve bench``.
+every solver here handles comfortably; pair with ``sdgsolve bench``.
 """
 
 import argparse

@@ -9,7 +9,7 @@ open-tail ones; unreachable members always score minus infinity.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 class ResourceLimitError(RuntimeError):
@@ -169,6 +169,18 @@ class ScoringVector:
 def score_at(s: ScoringVector, d: "int | NegInfType") -> ExtInt:
     """Score of a coalition distance; NEG_INF for unreachable members."""
     return s.score(d)
+
+
+def finite_score(s: ScoringVector, d: Optional[int]) -> Optional[int]:
+    """Score of distance ``d`` as a plain int, or None when it is
+    inadmissible: ``d`` is None (unreachable) or beyond a closed tail."""
+    if d is None:
+        return None
+    scores = s.scores
+    if d <= len(scores):
+        return scores[d - 1]
+    # the field, not the is_closed property: the DPs call this per pair
+    return None if s.tail == "closed" else scores[-1]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -378,6 +390,27 @@ def coalition_distance(G: SocialNetwork, coalition: Iterable[int], i: int, j: in
     return dist.get(j, NEG_INF)
 
 
+def utility_from_distances(s: ScoringVector, dist: dict, size: int) -> ExtInt:
+    """Utility of a BFS source from its distances ``dist`` (itself at 0) in
+    a coalition of ``size`` members: NEG_INF if some member is unreachable
+    or beyond a closed tail, otherwise the sum of the scores."""
+    if len(dist) < size:
+        return NEG_INF
+    total = 0
+    for d in dist.values():
+        if d:
+            sc = finite_score(s, d)
+            if sc is None:
+                return NEG_INF
+            total += sc
+    return total
+
+
+def member_utility(s: ScoringVector, G: SocialNetwork, mask: int, i: int) -> ExtInt:
+    """Utility of member i of the coalition with member bitmask ``mask``."""
+    return utility_from_distances(s, G.distances_in(mask, i), mask.bit_count())
+
+
 def utility_in_coalition(s: ScoringVector, G: SocialNetwork, coalition: Iterable[int], i: int) -> ExtInt:
     """Utility of agent i inside one coalition; 0 in a singleton, NEG_INF if i cannot reach everyone."""
     members = frozenset(coalition)
@@ -385,10 +418,7 @@ def utility_in_coalition(s: ScoringVector, G: SocialNetwork, coalition: Iterable
         raise ValueError(f"agent {i} not in coalition")
     if len(members) == 1:
         return 0
-    dist = G.distances_in(G.mask_of(members), i)
-    if len(dist) < len(members):
-        return NEG_INF
-    return ext_sum(s.score(d) for j, d in dist.items() if j != i)
+    return member_utility(s, G, G.mask_of(members), i)
 
 
 def agent_utility(s: ScoringVector, G: SocialNetwork, outcome: Outcome, i: int) -> ExtInt:
@@ -404,10 +434,7 @@ def coalition_welfare(s: ScoringVector, G: SocialNetwork, coalition: Iterable[in
     total: ExtInt = 0
     mask = G.mask_of(members)
     for i in members:
-        dist = G.distances_in(mask, i)
-        if len(dist) < len(members):
-            return NEG_INF
-        u = ext_sum(s.score(d) for j, d in dist.items() if j != i)
+        u = member_utility(s, G, mask, i)
         if u is NEG_INF:
             return NEG_INF
         total += u

@@ -6,10 +6,12 @@ minus infinity), and stability never couples components either, because
 joining a coalition with no neighbor is never profitable.
 """
 
+from dataclasses import replace
 from typing import Optional
 
 from .core import (
     Outcome,
+    ResourceLimitError,
     ScoringVector,
     SocialNetwork,
     SolveResult,
@@ -25,6 +27,14 @@ AUTO_BRUTE_N = 10
 AUTO_TW_WIDTH = 4
 AUTO_VC_SIZE = 8
 
+# treewidth DP entry point per mode; each name is looked up in this module's
+# globals at call time, so wrappers rebound there (tracing) see the call
+_TW_SOLVERS = {
+    "welfare": lambda s, G, ntd: solve_tw_welfare(s, G, ntd),
+    "ir": lambda s, G, ntd: solve_tw_ir(s, G, ntd),
+    "ns": lambda s, G, ntd: solve_tw_ns(s, G, ntd),
+}
+
 
 def choose_algorithm(s: ScoringVector, G: SocialNetwork) -> str:
     """Deterministic automatic selection for one connected component."""
@@ -37,8 +47,8 @@ def choose_algorithm(s: ScoringVector, G: SocialNetwork) -> str:
     try:
         if len(compute_vertex_cover(G)) <= AUTO_VC_SIZE:
             return "vc"
-    except Exception:
-        pass
+    except ResourceLimitError:
+        pass  # the minimum cover is above the vc solver's limit
     return "brute-raised"
 
 
@@ -51,13 +61,9 @@ def _solve_component(s, G, mode, algo, sz, brute_cap):
         result = brute_force_solve(s, G, mode, cap=G.n)
         if result is None:
             return None
-        from dataclasses import replace
-
         return replace(result, algorithm="brute-raised")
     if algo == "twdp":
-        ntd = make_nice(compute_decomposition(G))
-        fn = {"welfare": solve_tw_welfare, "ir": solve_tw_ir, "ns": solve_tw_ns}[mode]
-        return fn(s, G, ntd)
+        return _TW_SOLVERS[mode](s, G, make_nice(compute_decomposition(G)))
     if algo == "fptdp":
         return solve_fpt(s, G, sz=sz, mode=mode)
     if algo == "vc":
@@ -82,8 +88,7 @@ def solve(
     if decomposition is not None:
         if algo not in ("auto", "twdp"):
             raise ValueError("a tree decomposition only drives the twdp algorithm")
-        fn = {"welfare": solve_tw_welfare, "ir": solve_tw_ir, "ns": solve_tw_ns}[mode]
-        return fn(s, G, decomposition)
+        return _TW_SOLVERS[mode](s, G, decomposition)
 
     components = G.components()
     if len(components) == 1:

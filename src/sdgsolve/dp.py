@@ -1,0 +1,144 @@
+"""Shared machinery of the dynamic programs over a nice tree decomposition.
+
+The treewidth DP (``solver_twdp``) and the coalition-topology DP
+(``solver_fptdp``) both walk a nice decomposition children first and keep,
+per node, a table from state keys to the best partial outcome reaching that
+state.  This module holds what they share: the postorder walk, the witness
+table with its budget counter, the helpers that grow and merge witness
+blocks, and the self-check every solver runs on its answer.
+"""
+
+from typing import Optional
+
+from .core import Outcome, ResourceLimitError, social_welfare
+from .stability import is_individually_rational, is_nash_stable
+
+
+def run_postorder(ntd, leaf, introduce, forget, join):
+    """Walk the nice decomposition children first and return the root's table.
+
+    Every node reachable from the root gets exactly one step call:
+    ``leaf(node)``, ``introduce(node, child_table)``, ``forget(node,
+    child_table)`` or ``join(node, left_table, right_table)``.  A child's
+    table is dropped once its parent's step has it.  The root bag must be
+    empty: only then does every root entry describe a whole outcome."""
+    if ntd.nodes[ntd.root].bag:
+        raise ValueError("the nice decomposition's root bag is not empty")
+    tables = {}
+    for idx in ntd.postorder():
+        node = ntd.nodes[idx]
+        if node.kind == "leaf":
+            table = leaf(node)
+        elif node.kind == "introduce":
+            table = introduce(node, tables.pop(node.children[0]))
+        elif node.kind == "forget":
+            table = forget(node, tables.pop(node.children[0]))
+        else:
+            left, right = node.children
+            table = join(node, tables.pop(left), tables.pop(right))
+        tables[idx] = table
+    return tables[ntd.root]
+
+
+class Budget:
+    """Count of table insertions over one solve; the insertion past
+    ``limit`` raises ResourceLimitError with ``message``."""
+
+    __slots__ = ("limit", "message", "seen")
+
+    def __init__(self, limit: int, message: str):
+        self.limit = limit
+        self.message = message
+        self.seen = 0
+
+
+def _witness_key(blocks):
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+class WitnessTable:
+    """key -> (welfare, witness_blocks, witness_key, state): maximum welfare,
+    then the lexicographically smallest witness.
+
+    ``add`` takes a state and keys it by ``canon(state)``, or by the state
+    itself when ``canon`` is None; every call is charged to the budget first.
+    """
+
+    __slots__ = ("budget", "canon", "data")
+
+    def __init__(self, budget: Budget, canon=None):
+        self.budget = budget
+        self.canon = canon
+        self.data: dict = {}
+
+    def add(self, state, welfare, blocks):
+        budget = self.budget
+        budget.seen += 1
+        if budget.seen > budget.limit:
+            raise ResourceLimitError(budget.message)
+        key = state if self.canon is None else self.canon(state)
+        old = self.data.get(key)
+        wk = None
+        if old is not None:
+            if welfare < old[0]:
+                return
+            if welfare == old[0]:
+                wk = _witness_key(blocks)
+                if wk >= old[2]:
+                    return
+        if wk is None:
+            wk = _witness_key(blocks)
+        self.data[key] = (welfare, blocks, wk, state)
+
+
+def best_outcome(table: WitnessTable) -> Optional[tuple[int, Outcome]]:
+    """(welfare, outcome) of the table's best entry, or None when it is empty."""
+    if not table.data:
+        return None
+    welfare, blocks, _, _ = min(table.data.values(), key=lambda e: (-e[0], e[2]))
+    return welfare, Outcome.from_blocks(blocks)
+
+
+def grow_block(blocks, mates, a):
+    """Witness blocks with agent ``a`` added to the block holding its mates,
+    or as a new singleton block when it has none."""
+    mates_set = set(mates)
+    out = []
+    grown = False
+    for b in blocks:
+        if b & mates_set:
+            out.append(b | {a})
+            grown = True
+        else:
+            out.append(b)
+    if not grown:
+        out.append(frozenset({a}))
+    return tuple(out)
+
+
+def merge_blocks(blocks_y, blocks_z):
+    """Union of two branches' witness blocks; blocks sharing an agent fuse."""
+    out = [set(b) for b in blocks_y]
+    for bz in blocks_z:
+        hit = None
+        for b in out:
+            if b & bz:
+                hit = b
+                break
+        if hit is None:
+            out.append(set(bz))
+        else:
+            hit |= bz
+    return tuple(frozenset(b) for b in out)
+
+
+def self_check(s, G, mode: str, welfare, outcome: Outcome, solver: str) -> None:
+    """Re-derive a solver's answer directly: its welfare must match, and the
+    outcome must be individually rational in ir mode and Nash stable in ns
+    mode.  Raises AssertionError naming the solver otherwise."""
+    if social_welfare(s, G, outcome) != welfare:
+        raise AssertionError(f"{solver} welfare disagrees with direct evaluation")
+    if mode == "ir" and not is_individually_rational(s, G, outcome):
+        raise AssertionError(f"{solver} produced a non-IR outcome")
+    if mode == "ns" and not is_nash_stable(s, G, outcome):
+        raise AssertionError(f"{solver} produced a non-NS outcome")

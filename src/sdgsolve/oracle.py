@@ -19,6 +19,7 @@ from .core import (
     check_mode,
     ext_sum,
     iter_bits,
+    member_utility,
 )
 
 DEFAULT_AGENT_CAP = 12
@@ -73,18 +74,8 @@ class _BlockCache:
         if len(members) == 1:
             result = (0, 0, {members[0]: 0})
         else:
-            utils: dict[int, ExtInt] = {}
-            total: ExtInt = 0
-            for i in members:
-                dist = self.G.distances_in(mask, i)
-                if len(dist) < len(members):
-                    u: ExtInt = NEG_INF
-                else:
-                    u = ext_sum(self.s.score(d) for j, d in dist.items() if j != i)
-                utils[i] = u
-                total = total + u if u is not NEG_INF and total is not NEG_INF else NEG_INF
-            worst = min(utils.values())
-            result = (total, worst, utils)
+            utils = {i: member_utility(self.s, self.G, mask, i) for i in members}
+            result = (ext_sum(utils.values()), min(utils.values()), utils)
         self._stats[mask] = result
         return result
 
@@ -94,12 +85,7 @@ class _BlockCache:
         cached = self._join.get(key)
         if cached is not None:
             return cached
-        joined = mask | (1 << i)
-        dist = self.G.distances_in(joined, i)
-        if len(dist) < bin(joined).count("1"):
-            u: ExtInt = NEG_INF
-        else:
-            u = ext_sum(self.s.score(d) for j, d in dist.items() if j != i)
+        u = member_utility(self.s, self.G, mask | (1 << i), i)
         self._join[key] = u
         return u
 

@@ -25,44 +25,49 @@ Works for closed and open tails alike.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from .canon import canonical_order
 from .core import (
     NEG_INF,
-    Outcome,
-    ResourceLimitError,
     ScoringVector,
     SocialNetwork,
     SolveResult,
     check_mode,
-    social_welfare,
+    utility_from_distances,
 )
 from .bounds import degree_coalition_bound, treewidth_coalition_bound
-from .stability import is_individually_rational, is_nash_stable
+from .dp import (
+    Budget,
+    WitnessTable,
+    best_outcome,
+    grow_block,
+    merge_blocks,
+    run_postorder,
+    self_check,
+)
 from .treedecomp import NiceTreeDecomposition, compute_decomposition, nice_decomposition
 
 DEFAULT_STATE_BUDGET = 3_000_000
 
 
 class _Ctx:
-    def __init__(self, s, G, ntd, sz, mode, budget):
+    def __init__(self, s, G, sz, mode, budget):
         self.s = s
         self.G = G
-        self.ntd = ntd
         self.sz = sz
         self.mode = mode
-        self.budget = budget
-        self.states_seen = 0
+        self.budget = Budget(budget, f"topology DP exceeded its state budget ({budget})")
         self.cutoff = s.cutoff
         self.sw_cache: dict = {}
+        self.tokens = 0
 
-    def bump(self, k: int = 1):
-        self.states_seen += k
-        if self.states_seen > self.budget:
-            raise ResourceLimitError(
-                f"topology DP exceeded its state budget ({self.budget})"
-            )
+    def fresh(self):
+        # tokens must never collide with agent ids: they share membership
+        # tests and adjacency maps with named agents
+        self.tokens += 1
+        return ("t", self.tokens)
 
 
 # ---------------------------------------------------------------- topologies
@@ -208,28 +213,10 @@ def _sw_clamped(ctx, topo):
     return result
 
 
-def _member_utilities(ctx, topo):
-    """True per-vertex utilities of a completed coalition (NEG_INF allowed)."""
-    adj = _topo_adjacency(topo, ctx.G)
-    m = len(adj)
-    out = []
-    for v in range(m):
-        dist = _distances(adj, v)
-        if len(dist) < m:
-            out.append(NEG_INF)
-            continue
-        total = 0
-        dead = False
-        for u, d in dist.items():
-            if u == v:
-                continue
-            sc = ctx.s.score(d)
-            if sc is NEG_INF:
-                dead = True
-                break
-            total += sc
-        out.append(NEG_INF if dead else total)
-    return out
+def _vertex_utility(s, adj, v):
+    """True utility of vertex v in the coalition with adjacency lists ``adj``
+    (NEG_INF when some vertex is unreachable or scores NEG_INF)."""
+    return utility_from_distances(s, _distances(adj, v), len(adj))
 
 
 def _anons_touch_named(topo, G):
@@ -251,146 +238,90 @@ def _anons_touch_named(topo, G):
 # ------------------------------------------------------- welfare / IR engine
 
 
-def _witness_key(blocks):
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+def _plain_leaf(ctx, node):
+    table = WitnessTable(ctx.budget)
+    table.add((), 0, ())
+    return table
 
 
-class _Table:
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.data: dict = {}
+def _plain_introduce(ctx, node, child):
+    table = WitnessTable(ctx.budget)
+    a = node.agent
+    for state, (wf, blocks, _, _) in child.data.items():
+        table.add(
+            tuple(sorted(state + (_singleton_topo(a),))),
+            wf,
+            blocks + (frozenset({a}),),
+        )
+        for i, topo in enumerate(state):
+            if _topo_size(topo) >= ctx.sz:
+                continue
+            new = _add_named(topo, a)
+            delta = _sw_clamped(ctx, new)[0] - _sw_clamped(ctx, topo)[0]
+            rest = state[:i] + state[i + 1 :]
+            table.add(
+                tuple(sorted(rest + (new,))),
+                wf + delta,
+                grow_block(blocks, topo[0], a),
+            )
+    return table
 
-    def add(self, key, welfare, blocks):
-        self.ctx.bump()
-        old = self.data.get(key)
-        wk = None
-        if old is not None:
-            if welfare < old[0]:
-                return
-            if welfare == old[0]:
-                wk = _witness_key(blocks)
-                if wk >= old[2]:
-                    return
-        if wk is None:
-            wk = _witness_key(blocks)
-        self.data[key] = (welfare, blocks, wk)
 
-
-def _grow_block(blocks, mates, a):
-    mates_set = set(mates)
-    out = []
-    grown = False
-    for b in blocks:
-        if b & mates_set:
-            out.append(b | {a})
-            grown = True
+def _plain_forget(ctx, node, child):
+    table = WitnessTable(ctx.budget)
+    w = node.agent
+    for state, (wf, blocks, _, _) in child.data.items():
+        i, topo = next(
+            (i, t) for i, t in enumerate(state) if w in t[0]
+        )
+        rest = state[:i] + state[i + 1 :]
+        if len(topo[0]) > 1:
+            new = _forget_named(topo, w, ctx.G)
+            if not _anons_touch_named(new, ctx.G):
+                continue
+            table.add(tuple(sorted(rest + (new,))), wf, blocks)
         else:
-            out.append(b)
-    if not grown:
-        out.append(frozenset({a}))
-    return tuple(out)
+            # the coalition completes: its clamped sum must be exact
+            if _sw_clamped(ctx, topo)[1]:
+                continue
+            if ctx.mode == "ir":
+                adj = _topo_adjacency(topo, ctx.G)
+                if any(_vertex_utility(ctx.s, adj, v) < 0 for v in range(len(adj))):
+                    continue
+            table.add(rest, wf, blocks)
+    return table
 
 
-def _merge_blocks(blocks_y, blocks_z):
-    out = [set(b) for b in blocks_y]
-    for bz in blocks_z:
-        hit = None
-        for b in out:
-            if b & bz:
-                hit = b
-                break
-        if hit is None:
-            out.append(set(bz))
-        else:
-            hit |= bz
-    return tuple(frozenset(b) for b in out)
-
-
-def _plain_run(ctx) -> Optional[tuple[int, Outcome]]:
-    ntd = ctx.ntd
-    ir = ctx.mode == "ir"
-    tables: dict[int, _Table] = {}
-    for idx in ntd.postorder():
-        node = ntd.nodes[idx]
-        table = _Table(ctx)
-        if node.kind == "leaf":
-            table.add((), 0, ())
-        elif node.kind == "introduce":
-            a = node.agent
-            child = tables.pop(node.children[0])
-            for state, (wf, blocks, _) in child.data.items():
-                table.add(
-                    tuple(sorted(state + (_singleton_topo(a),))),
-                    wf,
-                    blocks + (frozenset({a}),),
+def _plain_join(ctx, node, left, right):
+    table = WitnessTable(ctx.budget)
+    grouped: dict = {}
+    for state, val in right.data.items():
+        grouped.setdefault(tuple(t[0] for t in state), []).append((state, val))
+    for state_y, (wf_y, blocks_y, _, _) in left.data.items():
+        sig = tuple(t[0] for t in state_y)
+        for state_z, (wf_z, blocks_z, _, _) in grouped.get(sig, ()):
+            merged = []
+            delta = 0
+            ok = True
+            for topo_y, topo_z in zip(state_y, state_z):
+                if _topo_size(topo_y) + topo_z[1] > ctx.sz:
+                    ok = False
+                    break
+                m = _merge_topos(topo_y, topo_z)
+                delta += (
+                    _sw_clamped(ctx, m)[0]
+                    - _sw_clamped(ctx, topo_y)[0]
+                    - _sw_clamped(ctx, topo_z)[0]
                 )
-                for i, topo in enumerate(state):
-                    if _topo_size(topo) >= ctx.sz:
-                        continue
-                    new = _add_named(topo, a)
-                    delta = _sw_clamped(ctx, new)[0] - _sw_clamped(ctx, topo)[0]
-                    rest = state[:i] + state[i + 1 :]
-                    table.add(
-                        tuple(sorted(rest + (new,))),
-                        wf + delta,
-                        _grow_block(blocks, topo[0], a),
-                    )
-        elif node.kind == "forget":
-            w = node.agent
-            child = tables.pop(node.children[0])
-            for state, (wf, blocks, _) in child.data.items():
-                i, topo = next(
-                    (i, t) for i, t in enumerate(state) if w in t[0]
-                )
-                rest = state[:i] + state[i + 1 :]
-                if len(topo[0]) > 1:
-                    new = _forget_named(topo, w, ctx.G)
-                    if not _anons_touch_named(new, ctx.G):
-                        continue
-                    table.add(tuple(sorted(rest + (new,))), wf, blocks)
-                else:
-                    # the coalition completes: its clamped sum must be exact
-                    if _sw_clamped(ctx, topo)[1]:
-                        continue
-                    if ir and any(u < 0 for u in _member_utilities(ctx, topo)):
-                        continue
-                    table.add(rest, wf, blocks)
-        else:
-            left = tables.pop(node.children[0])
-            right = tables.pop(node.children[1])
-            grouped: dict = {}
-            for state, val in right.data.items():
-                grouped.setdefault(tuple(t[0] for t in state), []).append((state, val))
-            for state_y, (wf_y, blocks_y, _) in left.data.items():
-                sig = tuple(t[0] for t in state_y)
-                for state_z, (wf_z, blocks_z, _) in grouped.get(sig, ()):
-                    merged = []
-                    delta = 0
-                    ok = True
-                    for topo_y, topo_z in zip(state_y, state_z):
-                        if _topo_size(topo_y) + topo_z[1] > ctx.sz:
-                            ok = False
-                            break
-                        m = _merge_topos(topo_y, topo_z)
-                        delta += (
-                            _sw_clamped(ctx, m)[0]
-                            - _sw_clamped(ctx, topo_y)[0]
-                            - _sw_clamped(ctx, topo_z)[0]
-                        )
-                        merged.append(m)
-                    if not ok:
-                        continue
-                    table.add(
-                        tuple(sorted(merged)),
-                        wf_y + wf_z + delta,
-                        _merge_blocks(blocks_y, blocks_z),
-                    )
-        tables[idx] = table
-    root = tables[ntd.root].data
-    if not root:
-        return None
-    welfare, blocks, _ = root[()]
-    return welfare, Outcome.from_blocks(blocks)
+                merged.append(m)
+            if not ok:
+                continue
+            table.add(
+                tuple(sorted(merged)),
+                wf_y + wf_z + delta,
+                merge_blocks(blocks_y, blocks_z),
+            )
+    return table
 
 
 # ------------------------------------------------------------------ NS engine
@@ -425,6 +356,17 @@ class _NsState:
     devs: tuple  # (agent, dev) for named agents
 
 
+def _ns_state(parts, anons, ghosts, devmap) -> _NsState:
+    """State in its sorted layout: parts by smallest named member, anons and
+    ghosts by token, deviation values by agent."""
+    return _NsState(
+        tuple(sorted(parts, key=lambda p: min(p[1]))),
+        tuple(sorted(anons, key=lambda x: x.token)),
+        tuple(sorted(ghosts, key=lambda x: x.token)),
+        tuple(sorted(devmap.items())),
+    )
+
+
 def _ns_canonical(state: _NsState):
     part_index = {ptok: i for i, (ptok, _) in enumerate(state.parts)}
     colors = {}
@@ -455,74 +397,30 @@ def _ns_canonical(state: _NsState):
     )
 
 
-class _NsTable:
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.data: dict = {}
-
-    def add(self, state: _NsState, welfare, blocks):
-        self.ctx.bump()
-        key = _ns_canonical(state)
-        old = self.data.get(key)
-        wk = None
-        if old is not None:
-            if welfare < old[0]:
-                return
-            if welfare == old[0]:
-                wk = _witness_key(blocks)
-                if wk >= old[3]:
-                    return
-        if wk is None:
-            wk = _witness_key(blocks)
-        self.data[key] = (welfare, state, blocks, wk)
+def _ns_table(ctx):
+    return WitnessTable(ctx.budget, canon=_ns_canonical)
 
 
 def _part_members(state: _NsState, ptok):
     return [a for a in state.anons if a.part == ptok]
 
 
-def _coalition_utilities(ctx, named_members, anon_members):
-    """True utilities inside a completed coalition given explicitly."""
-    verts = list(named_members) + [a.token for a in anon_members]
-    vi = {v: i for i, v in enumerate(verts)}
-    adj = [set() for _ in verts]
-    G = ctx.G
-    for x in range(len(named_members)):
-        for y in range(x + 1, len(named_members)):
-            if G.has_edge(named_members[x], named_members[y]):
-                adj[x].add(y)
-                adj[y].add(x)
-    for a in anon_members:
+def _coalition_utilities(ctx, w, members):
+    """True utilities inside a coalition completed by forgetting its last
+    named agent ``w``; its other members are the anonymous ``members``."""
+    vi = {v: i for i, v in enumerate([w] + [a.token for a in members])}
+    adj = [set() for _ in vi]
+    for a in members:
         i = vi[a.token]
-        for u in a.nset:
+        for u in a.nset | a.tset:
             if u in vi:
                 adj[i].add(vi[u])
                 adj[vi[u]].add(i)
-        for t in a.tset:
-            if t in vi:
-                adj[i].add(vi[t])
-                adj[vi[t]].add(i)
-    utils = {}
-    m = len(verts)
-    for v, i in vi.items():
-        dist = _distances(adj, i)
-        if len(dist) < m:
-            utils[v] = NEG_INF
-            continue
-        total = 0
-        for j, d in dist.items():
-            if j == i:
-                continue
-            sc = ctx.s.score(d)
-            if sc is NEG_INF:
-                total = NEG_INF
-                break
-            total += sc
-        utils[v] = total
+    utils = {v: _vertex_utility(ctx.s, adj, i) for v, i in vi.items()}
     return utils, vi, adj
 
 
-def _join_utility(ctx, vi, adj, attach):
+def _join_utility(ctx, adj, attach):
     """Utility of an outside vertex joining the completed coalition, given
     the indices of its neighbors inside (empty attach means unreachable)."""
     if not attach:
@@ -532,250 +430,187 @@ def _join_utility(ctx, vi, adj, attach):
     for i in attach:
         adj2[i].add(m)
         adj2[m].add(i)
-    dist = _distances(adj2, m)
-    if len(dist) < m + 1:
-        return NEG_INF
-    total = 0
-    for j, d in dist.items():
-        if j == m:
-            continue
-        sc = ctx.s.score(d)
-        if sc is NEG_INF:
-            return NEG_INF
-        total += sc
-    return total
+    return _vertex_utility(ctx.s, adj2, m)
 
 
-def _ns_run(ctx) -> Optional[tuple[int, Outcome]]:
+def _ns_leaf(ctx, node):
+    table = _ns_table(ctx)
+    table.add(_NsState((), (), (), ()), 0, ())
+    return table
+
+
+def _ns_introduce(ctx, node, child):
+    table = _ns_table(ctx)
+    a = node.agent
+    for wf, blocks, _, st in child.data.values():
+        devmap = dict(st.devs)
+        devmap[a] = 0
+        parts = st.parts + ((ctx.fresh(), frozenset({a})),)
+        table.add(
+            _ns_state(parts, st.anons, st.ghosts, devmap),
+            wf,
+            blocks + (frozenset({a}),),
+        )
+        for (pt, named) in st.parts:
+            if len(named) + len(_part_members(st, pt)) >= ctx.sz:
+                continue
+            parts = [(q, nm | {a}) if q == pt else (q, nm) for (q, nm) in st.parts]
+            table.add(
+                _ns_state(parts, st.anons, st.ghosts, devmap),
+                wf,
+                grow_block(blocks, named, a),
+            )
+    return table
+
+
+def _ns_forget(ctx, node, child):
     G = ctx.G
-    ntd = ctx.ntd
-    counter = [0]
+    table = _ns_table(ctx)
+    w = node.agent
+    for wf, blocks, _, st in child.data.values():
+        pt, named = next(p for p in st.parts if w in p[1])
+        devmap = dict(st.devs)
+        w_dev = devmap.pop(w)
+        if len(named) > 1:
+            # named -> anonymous; record its edges explicitly
+            tok = ctx.fresh()
+            other_named = [
+                u
+                for (_, nm) in st.parts
+                for u in nm
+                if u != w
+            ]
+            nset = frozenset(u for u in other_named if G.has_edge(w, u))
+            tset = set()
+            anons = []
+            for x in st.anons:
+                if w in x.nset:
+                    tset.add(x.token)
+                    anons.append(
+                        replace(x, nset=x.nset - {w}, tset=x.tset | {tok})
+                    )
+                else:
+                    anons.append(x)
+            ghosts = []
+            for g in st.ghosts:
+                if w in g.nset:
+                    tset.add(g.token)
+                    ghosts.append(
+                        replace(g, nset=g.nset - {w}, tset=g.tset | {tok})
+                    )
+                else:
+                    ghosts.append(g)
+            anons.append(_Anon(tok, pt, w_dev, nset, frozenset(tset)))
+            parts = [(q, nm - {w}) if q == pt else (q, nm) for (q, nm) in st.parts]
+            table.add(_ns_state(parts, anons, ghosts, devmap), wf, blocks)
+            continue
+        # the coalition completes
+        members = _part_members(st, pt)
+        utils, vi, adj = _coalition_utilities(ctx, w, members)
+        if utils[w] < 0 or utils[w] < w_dev:
+            continue
+        if any(utils[a.token] < 0 or utils[a.token] < a.dev for a in members):
+            continue
+        member_tokens = set(vi) - {w}
+        alive = True
+        new_ghosts = []
+        # trackers: named agents, other parts' anons, settled ghosts
+        for t in list(devmap):
+            attach = [vi[w]] if G.has_edge(t, w) else []
+            attach += [
+                vi[x.token] for x in members if t in x.nset
+            ]
+            jut = _join_utility(ctx, adj, attach)
+            if jut > devmap[t]:
+                devmap[t] = jut
+        others = [x for x in st.anons if x.part != pt]
+        open_tokens = {x.token for x in others}
+        remaining_named = set(
+            u for (q, nm) in st.parts if q != pt for u in nm
+        )
+        for g in st.ghosts:
+            attach = [vi[w]] if w in g.nset else []
+            attach += [vi[t] for t in g.tset if t in member_tokens]
+            jut = _join_utility(ctx, adj, attach)
+            if jut > g.util:
+                alive = False
+                break
+            # settled agents only keep edges into still-open coalitions
+            kept_n = g.nset - {w}
+            kept_t = g.tset & open_tokens
+            if kept_n or kept_t:
+                new_ghosts.append(replace(g, nset=kept_n, tset=kept_t))
+        if not alive:
+            continue
+        # completed members settle while still attached to open parts
+        for x in members:
+            kept_n = x.nset & frozenset(remaining_named)
+            kept_t = x.tset & open_tokens
+            if kept_n or kept_t:
+                new_ghosts.append(_Ghost(x.token, utils[x.token], kept_n, kept_t))
+        w_n = frozenset(u for u in remaining_named if G.has_edge(w, u))
+        w_t = frozenset(x.token for x in others if w in x.nset)
+        if w_n or w_t:
+            new_ghosts.append(_Ghost(ctx.fresh(), utils[w], w_n, w_t))
+        live = open_tokens | {g.token for g in new_ghosts}
+        new_anons = []
+        for x in others:
+            attach = [vi[w]] if w in x.nset else []
+            attach += [vi[t] for t in x.tset if t in member_tokens]
+            jut = _join_utility(ctx, adj, attach)
+            new_anons.append(
+                replace(
+                    x,
+                    dev=max(x.dev, jut) if jut is not NEG_INF else x.dev,
+                    nset=x.nset - {w},
+                    tset=x.tset & live,
+                )
+            )
+        parts = [p for p in st.parts if p[0] != pt]
+        table.add(
+            _ns_state(parts, new_anons, new_ghosts, devmap),
+            wf + sum(utils.values()),
+            blocks,
+        )
+    return table
 
-    def fresh():
-        # tokens must never collide with agent ids: they share membership
-        # tests and adjacency maps with named agents
-        counter[0] += 1
-        return ("t", counter[0])
 
-    tables: dict[int, _NsTable] = {}
-    for idx in ntd.postorder():
-        node = ntd.nodes[idx]
-        table = _NsTable(ctx)
-        if node.kind == "leaf":
-            table.add(_NsState((), (), (), ()), 0, ())
-        elif node.kind == "introduce":
-            a = node.agent
-            child = tables.pop(node.children[0])
-            for _, (wf, st, blocks, _) in child.data.items():
-                devs = tuple(sorted(st.devs + ((a, 0),)))
-                ptok = fresh()
-                parts = tuple(
-                    sorted(st.parts + ((ptok, frozenset({a})),), key=lambda p: min(p[1]))
-                )
-                table.add(
-                    replace(st, parts=parts, devs=devs),
-                    wf,
-                    blocks + (frozenset({a}),),
-                )
-                for (pt, named) in st.parts:
-                    size = len(named) + sum(1 for x in st.anons if x.part == pt)
-                    if size >= ctx.sz:
-                        continue
-                    parts = tuple(
-                        sorted(
-                            [
-                                (q, nm | {a}) if q == pt else (q, nm)
-                                for (q, nm) in st.parts
-                            ],
-                            key=lambda p: min(p[1]),
-                        )
-                    )
-                    table.add(
-                        replace(st, parts=parts, devs=devs),
-                        wf,
-                        _grow_block(blocks, named, a),
-                    )
-        elif node.kind == "forget":
-            w = node.agent
-            child = tables.pop(node.children[0])
-            for _, (wf, st, blocks, _) in child.data.items():
-                pt, named = next(p for p in st.parts if w in p[1])
-                devmap = dict(st.devs)
-                w_dev = devmap.pop(w)
-                if len(named) > 1:
-                    # named -> anonymous; record its edges explicitly
-                    tok = fresh()
-                    other_named = [
-                        u
-                        for (_, nm) in st.parts
-                        for u in nm
-                        if u != w
-                    ]
-                    nset = frozenset(u for u in other_named if G.has_edge(w, u))
-                    tset = set()
-                    anons = []
-                    for x in st.anons:
-                        if w in x.nset:
-                            tset.add(x.token)
-                            anons.append(
-                                replace(x, nset=x.nset - {w}, tset=x.tset | {tok})
-                            )
-                        else:
-                            anons.append(x)
-                    ghosts = []
-                    for g in st.ghosts:
-                        if w in g.nset:
-                            tset.add(g.token)
-                            ghosts.append(
-                                replace(g, nset=g.nset - {w}, tset=g.tset | {tok})
-                            )
-                        else:
-                            ghosts.append(g)
-                    anons.append(_Anon(tok, pt, w_dev, nset, frozenset(tset)))
-                    parts = tuple(
-                        sorted(
-                            [
-                                (q, nm - {w}) if q == pt else (q, nm)
-                                for (q, nm) in st.parts
-                            ],
-                            key=lambda p: min(p[1]),
-                        )
-                    )
-                    table.add(
-                        _NsState(
-                            parts,
-                            tuple(sorted(anons, key=lambda x: x.token)),
-                            tuple(sorted(ghosts, key=lambda x: x.token)),
-                            tuple(sorted(devmap.items())),
-                        ),
-                        wf,
-                        blocks,
-                    )
-                    continue
-                # the coalition completes
-                members = _part_members(st, pt)
-                utils, vi, adj = _coalition_utilities(ctx, [w], members)
-                if utils[w] < 0 or utils[w] < w_dev:
-                    continue
-                if any(utils[a.token] < 0 or utils[a.token] < a.dev for a in members):
-                    continue
-                member_tokens = set(vi) - {w}
-                alive = True
-                new_ghosts = []
-                # trackers: named agents, other parts' anons, settled ghosts
-                for t in list(devmap):
-                    attach = [vi[w]] if G.has_edge(t, w) else []
-                    attach += [
-                        vi[x.token] for x in members if t in x.nset
-                    ]
-                    jut = _join_utility(ctx, vi, adj, attach)
-                    if jut > devmap[t]:
-                        devmap[t] = jut
-                others = [x for x in st.anons if x.part != pt]
-                open_tokens = {x.token for x in others}
-                remaining_named = set(
-                    u for (q, nm) in st.parts if q != pt for u in nm
-                )
-                for g in st.ghosts:
-                    attach = [vi[w]] if w in g.nset else []
-                    attach += [vi[t] for t in g.tset if t in member_tokens]
-                    jut = _join_utility(ctx, vi, adj, attach)
-                    if jut > g.util:
-                        alive = False
-                        break
-                    # settled agents only keep edges into still-open coalitions
-                    kept_n = g.nset - {w}
-                    kept_t = g.tset & open_tokens
-                    if kept_n or kept_t:
-                        new_ghosts.append(replace(g, nset=kept_n, tset=kept_t))
-                if not alive:
-                    continue
-                # completed members settle while still attached to open parts
-                for x in members:
-                    kept_n = x.nset & frozenset(remaining_named)
-                    kept_t = x.tset & open_tokens
-                    if kept_n or kept_t:
-                        new_ghosts.append(_Ghost(x.token, utils[x.token], kept_n, kept_t))
-                w_n = frozenset(u for u in remaining_named if G.has_edge(w, u))
-                w_t = frozenset(x.token for x in others if w in x.nset)
-                if w_n or w_t:
-                    new_ghosts.append(_Ghost(fresh(), utils[w], w_n, w_t))
-                live = open_tokens | {g.token for g in new_ghosts}
-                new_anons = []
-                for x in others:
-                    attach = [vi[w]] if w in x.nset else []
-                    attach += [vi[t] for t in x.tset if t in member_tokens]
-                    jut = _join_utility(ctx, vi, adj, attach)
-                    new_anons.append(
-                        replace(
-                            x,
-                            dev=max(x.dev, jut) if jut is not NEG_INF else x.dev,
-                            nset=x.nset - {w},
-                            tset=x.tset & live,
-                        )
-                    )
-                parts = tuple(p for p in st.parts if p[0] != pt)
-                table.add(
-                    _NsState(
-                        parts,
-                        tuple(sorted(new_anons, key=lambda x: x.token)),
-                        tuple(sorted(new_ghosts, key=lambda x: x.token)),
-                        tuple(sorted(devmap.items())),
-                    ),
-                    wf + sum(utils.values()),
-                    blocks,
-                )
-        else:
-            left = tables.pop(node.children[0])
-            right = tables.pop(node.children[1])
-            grouped: dict = {}
-            for _, (wf, st, blocks, _) in right.data.items():
-                sig = tuple(named for (_, named) in st.parts)
-                grouped.setdefault(sig, []).append((wf, st, blocks))
-            for _, (wf_y, st_y, blocks_y, _) in left.data.items():
-                sig = tuple(named for (_, named) in st_y.parts)
-                for wf_z, st_z, blocks_z in grouped.get(sig, ()):
-                    token_map = {
-                        pt_z: pt_y
-                        for (pt_y, _), (pt_z, _) in zip(st_y.parts, st_z.parts)
-                    }
-                    sizes = {}
-                    for (pt, named) in st_y.parts:
-                        sizes[pt] = len(named)
-                    for x in st_y.anons:
-                        sizes[x.part] = sizes.get(x.part, 0) + 1
-                    for x in st_z.anons:
-                        sizes[token_map[x.part]] = sizes.get(token_map[x.part], 0) + 1
-                    if any(v > ctx.sz for v in sizes.values()):
-                        continue
-                    devmap = dict(st_y.devs)
-                    for t, d in st_z.devs:
-                        devmap[t] = max(devmap[t], d)
-                    anons = tuple(
-                        sorted(
-                            list(st_y.anons)
-                            + [replace(x, part=token_map[x.part]) for x in st_z.anons],
-                            key=lambda x: x.token,
-                        )
-                    )
-                    ghosts = tuple(
-                        sorted(st_y.ghosts + st_z.ghosts, key=lambda x: x.token)
-                    )
-                    table.add(
-                        _NsState(st_y.parts, anons, ghosts, tuple(sorted(devmap.items()))),
-                        wf_y + wf_z,
-                        _merge_blocks(blocks_y, blocks_z),
-                    )
-        tables[idx] = table
-    root = tables[ntd.root].data
-    best = None
-    for _, (wf, st, blocks, wk) in root.items():
-        assert not st.parts and not st.anons and not st.devs
-        if best is None or wf > best[0] or (wf == best[0] and wk < best[2]):
-            best = (wf, blocks, wk)
-    if best is None:
-        return None
-    return best[0], Outcome.from_blocks(best[1])
+def _ns_join(ctx, node, left, right):
+    table = _ns_table(ctx)
+    grouped: dict = {}
+    for wf, blocks, _, st in right.data.values():
+        sig = tuple(named for (_, named) in st.parts)
+        grouped.setdefault(sig, []).append((wf, st, blocks))
+    for wf_y, blocks_y, _, st_y in left.data.values():
+        sig = tuple(named for (_, named) in st_y.parts)
+        for wf_z, st_z, blocks_z in grouped.get(sig, ()):
+            token_map = {
+                pt_z: pt_y
+                for (pt_y, _), (pt_z, _) in zip(st_y.parts, st_z.parts)
+            }
+            sizes = {}
+            for (pt, named) in st_y.parts:
+                sizes[pt] = len(named)
+            for x in st_y.anons:
+                sizes[x.part] = sizes.get(x.part, 0) + 1
+            for x in st_z.anons:
+                sizes[token_map[x.part]] = sizes.get(token_map[x.part], 0) + 1
+            if any(v > ctx.sz for v in sizes.values()):
+                continue
+            devmap = dict(st_y.devs)
+            for t, d in st_z.devs:
+                devmap[t] = max(devmap[t], d)
+            anons = st_y.anons + tuple(replace(x, part=token_map[x.part]) for x in st_z.anons)
+            table.add(
+                _ns_state(st_y.parts, anons, st_y.ghosts + st_z.ghosts, devmap),
+                wf_y + wf_z,
+                merge_blocks(blocks_y, blocks_z),
+            )
+    return table
+
+
+_PLAIN = (_plain_leaf, _plain_introduce, _plain_forget, _plain_join)
+_STEPS = {"welfare": _PLAIN, "ir": _PLAIN, "ns": (_ns_leaf, _ns_introduce, _ns_forget, _ns_join)}
 
 
 # ------------------------------------------------------------------ frontend
@@ -825,16 +660,12 @@ def solve_fpt(
         raise ValueError("sz must be at least 1")
     if decomposition is None:
         decomposition = nice_decomposition(G)
-    ctx = _Ctx(s, G, decomposition, sz, mode, budget)
-    solved = _ns_run(ctx) if mode == "ns" else _plain_run(ctx)
+    ctx = _Ctx(s, G, sz, mode, budget)
+    steps = (partial(step, ctx) for step in _STEPS[mode])
+    solved = best_outcome(run_postorder(decomposition, *steps))
     if solved is None:
         return None
     welfare, outcome = solved
-    if social_welfare(s, G, outcome) != welfare:
-        raise AssertionError("topology DP welfare disagrees with direct evaluation")
-    if mode == "ir" and not is_individually_rational(s, G, outcome):
-        raise AssertionError("topology DP produced a non-IR outcome")
-    if mode == "ns" and not is_nash_stable(s, G, outcome):
-        raise AssertionError("topology DP produced a non-NS outcome")
+    self_check(s, G, mode, welfare, outcome, "fptdp")
     optimal = sz >= G.n or sz_certified
     return SolveResult(outcome, welfare, mode, optimal, "fptdp", size_limited=not optimal)

@@ -29,20 +29,27 @@ utility) pairs, exactly while they still neighbor an open coalition they
 could later want to join.
 """
 
+from functools import partial
 from itertools import product
 from typing import Optional
 
 from .core import (
-    Outcome,
-    ResourceLimitError,
     ScoringVector,
     SocialNetwork,
     SolveResult,
     UnsupportedInputError,
-    social_welfare,
+    finite_score,
     utility_in_coalition,
 )
-from .stability import is_individually_rational, is_nash_stable
+from .dp import (
+    Budget,
+    WitnessTable,
+    best_outcome,
+    grow_block,
+    merge_blocks,
+    run_postorder,
+    self_check,
+)
 from .treedecomp import NiceTreeDecomposition, nice_decomposition
 
 _INF = 10**9
@@ -55,26 +62,15 @@ class _Ctx:
         self.G = G
         self.ntd = ntd
         self.mode = mode
-        self.budget = budget
-        self.records_seen = 0
+        self.budget = Budget(budget, f"treewidth DP exceeded its record budget ({budget})")
         self.cutoff = s.cutoff
         # distances in the full network lower-bound every coalition distance
         self.gdist: list[dict[int, int]] = [
             G.distances_in(G.full_mask, v) for v in range(G.n)
         ]
 
-    def bump(self, k: int = 1):
-        self.records_seen += k
-        if self.records_seen > self.budget:
-            raise ResourceLimitError(
-                f"treewidth DP exceeded its record budget ({self.budget})"
-            )
-
-    def score(self, d: int) -> Optional[int]:
-        """Finite score or None when the distance is inadmissible."""
-        if d > self.cutoff:
-            return None
-        return self.s.scores[d - 1]
+    def child_bag(self, node):
+        return tuple(sorted(self.ntd.nodes[node.children[0]].bag))
 
 
 def _canon_part(part: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -153,34 +149,6 @@ def _consistent(bag, part, promises, cells, G) -> bool:
     return all(closure[p] == d for p, d in promises.items())
 
 
-def _witness_key(blocks):
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-class _Table:
-    """sig -> (welfare, witness_blocks, witness_key), max welfare then
-    lexicographically smallest witness."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.data: dict = {}
-
-    def add(self, sig, welfare, blocks):
-        self.ctx.bump()
-        old = self.data.get(sig)
-        key = None
-        if old is not None:
-            if welfare < old[0]:
-                return
-            if welfare == old[0]:
-                key = _witness_key(blocks)
-                if key >= old[2]:
-                    return
-        if key is None:
-            key = _witness_key(blocks)
-        self.data[sig] = (welfare, blocks, key)
-
-
 def _insert(tup, pos, value):
     return tup[:pos] + (value,) + tup[pos:]
 
@@ -193,55 +161,40 @@ def _replace(tup, pos, value):
     return tup[:pos] + (value,) + tup[pos + 1 :]
 
 
-def _freeze_promises(promises: dict) -> tuple:
-    return tuple(sorted(promises.items()))
+def _sig(part, promises, cells):
+    """Record signature, coalition labels renumbered by first appearance."""
+    part, relabel = _canon_part(part)
+    cells = tuple(sorted((relabel[c[0]],) + c[1:] for c in cells))
+    return part, tuple(sorted(promises.items())), cells
 
 
-def _grow_block(blocks, mates, a):
-    mates_set = set(mates)
-    out = []
-    grown = False
-    for b in blocks:
-        if b & mates_set:
-            out.append(b | {a})
-            grown = True
-        else:
-            out.append(b)
-    if not grown:
-        out.append(frozenset({a}))
-    return tuple(out)
-
-
-def _compressed_leaf(ctx):
-    table = _Table(ctx)
+def _compressed_leaf(ctx, node):
+    table = WitnessTable(ctx.budget)
     table.add(((), (), ()), 0, ())
     return table
 
 
-def _compressed_introduce(ctx, bag, child_bag, a, child_table):
+def _compressed_introduce(ctx, node, child_table):
     mode = ctx.mode
     G = ctx.G
-    table = _Table(ctx)
+    s = ctx.s
+    table = WitnessTable(ctx.budget)
+    bag = tuple(sorted(node.bag))
+    child_bag = ctx.child_bag(node)
+    a = node.agent
     pos_a = bag.index(a)
     NEW = -1
-    for sig, (w_c, blocks_c, _) in child_table.data.items():
+    for sig, (w_c, blocks_c, _, _) in child_table.data.items():
         part_c, prom_c, cells_c = sig
         promises_c = dict(prom_c)
+        cells_shift = [(c[0], _insert(c[1], pos_a, None)) + c[2:] for c in cells_c]
         for L in sorted(set(part_c)) + [NEW]:
             if L == NEW:
                 part = _insert(part_c, pos_a, max(part_c, default=-1) + 1)
-                part, relabel = _canon_part(part)
-                cells = tuple(
-                    sorted((relabel[c[0]], _insert(c[1], pos_a, None)) + c[2:] for c in cells_c)
-                )
-                prom = tuple(sorted(promises_c.items()))
-                table.add((part, prom, cells), w_c, blocks_c + (frozenset({a}),))
+                table.add(_sig(part, promises_c, cells_shift), w_c, blocks_c + (frozenset({a}),))
                 continue
             mates = [child_bag[p] for p in range(len(child_bag)) if part_c[p] == L]
             part = _insert(part_c, pos_a, L)
-            cells_shift = [
-                (c[0], _insert(c[1], pos_a, None)) + c[2:] for c in cells_c
-            ]
             # candidate committed distances per new pair
             options = []
             feasible = True
@@ -265,7 +218,7 @@ def _compressed_introduce(ctx, bag, child_bag, a, child_table):
                 delta = 0
                 dead = False
                 for b, d in zip(mates, choice):
-                    v = ctx.score(d)
+                    v = finite_score(s, d)
                     if v is None:
                         dead = True
                         break
@@ -282,7 +235,7 @@ def _compressed_introduce(ctx, bag, child_bag, a, child_table):
                         vec[bag.index(b)] + promises[_pkey(a, b)] for b in mates
                         if vec[bag.index(b)] is not None
                     )
-                    v = ctx.score(entry)
+                    v = finite_score(s, entry)
                     if v is None:
                         dead = True
                         break
@@ -294,17 +247,15 @@ def _compressed_introduce(ctx, bag, child_bag, a, child_table):
                         cells_new.append((cell[0], vec2, cell[2]))
                 if dead:
                     continue
-                part_cn, relabel = _canon_part(part)
-                cells_cn = tuple(sorted((relabel[c[0]],) + c[1:] for c in cells_new))
                 table.add(
-                    (part_cn, _freeze_promises(promises), cells_cn),
+                    _sig(part, promises, cells_new),
                     w_c + delta,
-                    _grow_block(blocks_c, mates, a),
+                    grow_block(blocks_c, mates, a),
                 )
     return table
 
 
-def _bag_utilities(bag, part, promises, cells, ctx):
+def _bag_utilities(bag, part, promises, cells, s):
     utils = {}
     for pos, agent in enumerate(bag):
         label = part[pos]
@@ -312,7 +263,7 @@ def _bag_utilities(bag, part, promises, cells, ctx):
         for pos2, other in enumerate(bag):
             if pos2 == pos or part[pos2] != label:
                 continue
-            v = ctx.score(promises[_pkey(agent, other)])
+            v = finite_score(s, promises[_pkey(agent, other)])
             if v is None:
                 return None
             total += v
@@ -322,7 +273,7 @@ def _bag_utilities(bag, part, promises, cells, ctx):
             ent = cell[1][pos]
             if ent is None:
                 return None
-            v = ctx.score(ent)
+            v = finite_score(s, ent)
             if v is None:
                 return None
             total += cell[2] * v
@@ -330,12 +281,30 @@ def _bag_utilities(bag, part, promises, cells, ctx):
     return utils
 
 
-def _compressed_forget(ctx, bag, child_bag, w, child_table):
+def _tally(cells, ir):
+    """Tally cells merged per (label, distance vector): counts add up and, in
+    IR mode, the worst utility is the minimum of the merged ones."""
+    merged: dict = {}
+    for cell in cells:
+        key = cell[:2]
+        if ir:
+            count, worst = merged.get(key, (0, _INF))
+            merged[key] = (count + cell[2], min(worst, cell[3]))
+        else:
+            merged[key] = merged.get(key, 0) + cell[2]
+    if ir:
+        return tuple(sorted(k + v for k, v in merged.items()))
+    return tuple(sorted(k + (v,) for k, v in merged.items()))
+
+
+def _compressed_forget(ctx, node, child_table):
     mode = ctx.mode
     G = ctx.G
-    table = _Table(ctx)
+    table = WitnessTable(ctx.budget)
+    child_bag = ctx.child_bag(node)
+    w = node.agent
     pos_w = child_bag.index(w)
-    for sig, (w_c, blocks_c, _) in child_table.data.items():
+    for sig, (w_c, blocks_c, _, _) in child_table.data.items():
         part_c, prom_c, cells_c = sig
         promises_c = dict(prom_c)
         L = part_c[pos_w]
@@ -356,7 +325,7 @@ def _compressed_forget(ctx, bag, child_bag, w, child_table):
         if not realized:
             continue
         if mode == "ir":
-            utils = _bag_utilities(child_bag, part_c, promises_c, cells_c, ctx)
+            utils = _bag_utilities(child_bag, part_c, promises_c, cells_c, ctx.s)
             if utils is None:
                 continue
             w_util = utils[w]
@@ -368,28 +337,13 @@ def _compressed_forget(ctx, bag, child_bag, w, child_table):
                 for p in range(len(child_bag))
             )
             vec_w = _remove(vec_w, pos_w)
-            merged: dict = {}
-            for cell in cells_c:
-                key = (cell[0], _remove(cell[1], pos_w))
-                if mode == "ir":
-                    count, worst = merged.get(key, (0, _INF))
-                    merged[key] = (count + cell[2], min(worst, cell[3]))
-                else:
-                    merged[key] = merged.get(key, 0) + cell[2]
-            wkey = (L, vec_w)
-            if mode == "ir":
-                count, worst = merged.get(wkey, (0, _INF))
-                merged[wkey] = (count + 1, min(worst, w_util))
-                cells = tuple(sorted((k[0], k[1], v[0], v[1]) for k, v in merged.items()))
-            else:
-                merged[wkey] = merged.get(wkey, 0) + 1
-                cells = tuple(sorted((k[0], k[1], v) for k, v in merged.items()))
+            shifted = [(c[0], _remove(c[1], pos_w)) + c[2:] for c in cells_c]
+            shifted.append((L, vec_w, 1, w_util) if mode == "ir" else (L, vec_w, 1))
+            cells = _tally(shifted, mode == "ir")
             promises = {
                 p: d for p, d in promises_c.items() if w not in p
             }
-            part, relabel = _canon_part(_remove(part_c, pos_w))
-            cells = tuple(sorted((relabel[c[0]],) + c[1:] for c in cells))
-            table.add((part, _freeze_promises(promises), cells), w_c, blocks_c)
+            table.add(_sig(_remove(part_c, pos_w), promises, cells), w_c, blocks_c)
         else:
             # the coalition completes; only the IR screen remains
             if mode == "ir":
@@ -400,9 +354,7 @@ def _compressed_forget(ctx, bag, child_bag, w, child_table):
             remaining = [
                 (c[0], _remove(c[1], pos_w)) + c[2:] for c in cells_c if c[0] != L
             ]
-            part, relabel = _canon_part(_remove(part_c, pos_w))
-            cells = tuple(sorted((relabel[c[0]],) + c[1:] for c in remaining))
-            table.add((part, _freeze_promises(promises_c), cells), w_c, blocks_c)
+            table.add(_sig(_remove(part_c, pos_w), promises_c, remaining), w_c, blocks_c)
     return table
 
 
@@ -414,34 +366,21 @@ def _vdist(vec_y, vec_z):
     return best
 
 
-def _merge_blocks(blocks_y, blocks_z):
-    out = [set(b) for b in blocks_y]
-    for bz in blocks_z:
-        hit = None
-        for b in out:
-            if b & bz:
-                hit = b
-                break
-        if hit is None:
-            out.append(set(bz))
-        else:
-            hit |= bz
-    return tuple(frozenset(b) for b in out)
-
-
-def _compressed_join(ctx, bag, left_table, right_table):
+def _compressed_join(ctx, node, left_table, right_table):
     mode = ctx.mode
-    table = _Table(ctx)
+    s = ctx.s
+    table = WitnessTable(ctx.budget)
+    bag = tuple(sorted(node.bag))
     grouped: dict = {}
     for sig, val in right_table.data.items():
         grouped.setdefault((sig[0], sig[1]), []).append((sig[2], val))
-    for sig_y, (w_y, blocks_y, _) in left_table.data.items():
+    for sig_y, (w_y, blocks_y, _, _) in left_table.data.items():
         part, prom, cells_y = sig_y
         matches = grouped.get((part, prom))
         if not matches:
             continue
         promises = dict(prom)
-        for cells_z, (w_z, blocks_z, _) in matches:
+        for cells_z, (w_z, blocks_z, _, _) in matches:
             # cross contributions between the two sides' forgotten agents
             delta = 0
             dead = False
@@ -451,7 +390,7 @@ def _compressed_join(ctx, bag, left_table, right_table):
                 for j, cz in enumerate(cells_z):
                     if cy[0] != cz[0]:
                         continue
-                    v = ctx.score(_vdist(cy[1], cz[1]))
+                    v = finite_score(s, _vdist(cy[1], cz[1]))
                     if v is None:
                         dead = True
                         break
@@ -462,25 +401,18 @@ def _compressed_join(ctx, bag, left_table, right_table):
                     break
             if dead:
                 continue
-            merged: dict = {}
-            for inc, cell in list(zip(cross_y, cells_y)) + list(zip(cross_z, cells_z)):
-                key = (cell[0], cell[1])
-                if mode == "ir":
-                    count, worst = merged.get(key, (0, _INF))
-                    merged[key] = (count + cell[2], min(worst, cell[3] + inc))
-                else:
-                    merged[key] = merged.get(key, 0) + cell[2]
             if mode == "ir":
-                cells = tuple(sorted((k[0], k[1], v[0], v[1]) for k, v in merged.items()))
+                both = [c[:3] + (c[3] + inc,) for inc, c in zip(cross_y + cross_z, cells_y + cells_z)]
             else:
-                cells = tuple(sorted((k[0], k[1], v) for k, v in merged.items()))
+                both = cells_y + cells_z
+            cells = _tally(both, mode == "ir")
             # the united structure must not undercut any commitment
             if not _consistent(bag, part, promises, cells, ctx.G):
                 continue
             # subtract the bag pairs counted by both sides
             over = 0
             for (u, v), d in promises.items():
-                sc = ctx.score(d)
+                sc = finite_score(s, d)
                 if sc is None:
                     dead = True
                     break
@@ -490,58 +422,12 @@ def _compressed_join(ctx, bag, left_table, right_table):
             table.add(
                 (part, prom, cells),
                 w_y + w_z + delta - over,
-                _merge_blocks(blocks_y, blocks_z),
+                merge_blocks(blocks_y, blocks_z),
             )
     return table
 
 
-def _run_compressed(ctx) -> Optional[tuple[int, Outcome]]:
-    ntd = ctx.ntd
-    tables: dict[int, _Table] = {}
-    for idx in ntd.postorder():
-        node = ntd.nodes[idx]
-        bag = tuple(sorted(node.bag))
-        if node.kind == "leaf":
-            tables[idx] = _compressed_leaf(ctx)
-        elif node.kind == "introduce":
-            child = node.children[0]
-            child_bag = tuple(sorted(ntd.nodes[child].bag))
-            tables[idx] = _compressed_introduce(
-                ctx, bag, child_bag, node.agent, tables.pop(child)
-            )
-        elif node.kind == "forget":
-            child = node.children[0]
-            child_bag = tuple(sorted(ntd.nodes[child].bag))
-            tables[idx] = _compressed_forget(
-                ctx, bag, child_bag, node.agent, tables.pop(child)
-            )
-        else:
-            left, right = node.children
-            tables[idx] = _compressed_join(ctx, bag, tables.pop(left), tables.pop(right))
-    root = tables[ntd.root]
-    if not root.data:
-        return None
-    (welfare, blocks, _) = root.data[((), (), ())]
-    return welfare, Outcome.from_blocks(blocks)
-
-
 # --- Nash-stable mode: explicit open coalitions, exact closure-time checks ---
-
-
-class _NsTable:
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.data: dict = {}
-
-    def add(self, key, closed_welfare, closed_blocks):
-        self.ctx.bump()
-        old = self.data.get(key)
-        if old is not None:
-            if closed_welfare < old[0]:
-                return
-            if closed_welfare == old[0] and _witness_key(closed_blocks) >= old[2]:
-                return
-        self.data[key] = (closed_welfare, closed_blocks, _witness_key(closed_blocks))
 
 
 def _ns_key(open_blocks, pending, devs):
@@ -552,109 +438,117 @@ def _ns_key(open_blocks, pending, devs):
     )
 
 
-def _ns_run(ctx) -> Optional[tuple[int, Outcome]]:
+def _ns_leaf(ctx, node):
+    table = WitnessTable(ctx.budget)
+    table.add(_ns_key((), (), {}), 0, ())
+    return table
+
+
+def _ns_introduce(ctx, node, child):
+    table = WitnessTable(ctx.budget)
+    a = node.agent
+    for (opens, pending, devs), (wf, closed, _, _) in child.data.items():
+        devmap = dict(devs)
+        devmap[a] = 0
+        for i, block in enumerate(opens):
+            grown = opens[:i] + (block | {a},) + opens[i + 1 :]
+            table.add(_ns_key(grown, pending, devmap), wf, closed)
+        table.add(_ns_key(opens + (frozenset({a}),), pending, devmap), wf, closed)
+    return table
+
+
+def _ns_forget(ctx, node, child):
     G, s = ctx.G, ctx.s
-    ntd = ctx.ntd
-    tables: dict[int, _NsTable] = {}
-    for idx in ntd.postorder():
-        node = ntd.nodes[idx]
-        bag = node.bag
-        table = _NsTable(ctx)
-        if node.kind == "leaf":
-            table.add(_ns_key((), (), {}), 0, ())
-        elif node.kind == "introduce":
-            a = node.agent
-            child = tables.pop(node.children[0])
-            for (opens, pending, devs), (wf, closed, _) in child.data.items():
-                devmap = dict(devs)
-                devmap[a] = 0
-                for i, block in enumerate(opens):
-                    grown = opens[:i] + (block | {a},) + opens[i + 1 :]
-                    table.add(_ns_key(grown, pending, devmap), wf, closed)
-                table.add(_ns_key(opens + (frozenset({a}),), pending, devmap), wf, closed)
-        elif node.kind == "forget":
-            w = node.agent
-            child = tables.pop(node.children[0])
-            for (opens, pending, devs), (wf, closed, _) in child.data.items():
-                block = next(b for b in opens if w in b)
-                if block & bag:
-                    # coalition stays open; nothing changes structurally
-                    table.add((opens, pending, devs), wf, closed)
-                    continue
-                # the coalition completes: run every check on the real subgraph
-                rest = tuple(b for b in opens if b is not block)
-                utils = {u: utility_in_coalition(s, G, block, u) for u in block}
-                devmap = dict(devs)
-                if any(utils[u] < 0 or utils[u] < devmap[u] for u in block):
-                    continue
-                alive = True
-                pend_util = dict(pending)
-                block_mask = G.mask_of(block)
-                others = set(u for b in rest for u in b) | set(pend_util)
-                for t in others:
-                    if not (G.adj_mask[t] & block_mask):
-                        continue
-                    jut = utility_in_coalition(s, G, set(block) | {t}, t)
-                    if t in pend_util:
-                        if jut > pend_util[t]:
-                            alive = False
-                            break
-                    elif jut > devmap.get(t, 0):
-                        devmap[t] = jut
-                if not alive:
-                    continue
-                rest_mask = G.mask_of(u for b in rest for u in b)
-                new_pending = [
-                    (t, ut) for t, ut in pending if G.adj_mask[t] & rest_mask
-                ]
-                for u in sorted(block):
-                    devmap.pop(u, None)
-                    if G.adj_mask[u] & rest_mask:
-                        new_pending.append((u, utils[u]))
-                table.add(
-                    _ns_key(rest, new_pending, devmap),
-                    wf + sum(utils.values()),
-                    closed + (block,),
-                )
-        else:
-            left = tables.pop(node.children[0])
-            right = tables.pop(node.children[1])
-            grouped: dict = {}
-            for key_z, val_z in right.data.items():
-                sig = tuple(sorted((frozenset(b & bag) for b in key_z[0]), key=min))
-                grouped.setdefault(sig, []).append((key_z, val_z))
-            for (opens_y, pending_y, devs_y), (wf_y, closed_y, _) in left.data.items():
-                sig = tuple(sorted((frozenset(b & bag) for b in opens_y), key=min))
-                for (opens_z, pending_z, devs_z), (wf_z, closed_z, _) in grouped.get(sig, ()):
-                    by_bagpart = {frozenset(b & bag): b for b in opens_z}
-                    merged = tuple(b | by_bagpart[frozenset(b & bag)] for b in opens_y)
-                    devmap = dict(devs_y)
-                    for t, d in devs_z:
-                        devmap[t] = max(devmap.get(t, 0), d)
-                    pending = tuple(set(pending_y) | set(pending_z))
-                    table.add(
-                        _ns_key(merged, pending, devmap),
-                        wf_y + wf_z,
-                        closed_y + closed_z,
-                    )
-        tables[idx] = table
-    root = tables[ntd.root]
-    best = None
-    for (opens, pending, devs), (wf, closed, wkey) in root.data.items():
-        assert not opens and not pending and not devs
-        if best is None or wf > best[0] or (wf == best[0] and wkey < best[2]):
-            best = (wf, closed, wkey)
-    if best is None:
-        return None
-    return best[0], Outcome.from_blocks(best[1])
+    bag = node.bag
+    table = WitnessTable(ctx.budget)
+    w = node.agent
+    for (opens, pending, devs), (wf, closed, _, _) in child.data.items():
+        block = next(b for b in opens if w in b)
+        if block & bag:
+            # coalition stays open; nothing changes structurally
+            table.add((opens, pending, devs), wf, closed)
+            continue
+        # the coalition completes: run every check on the real subgraph
+        rest = tuple(b for b in opens if b is not block)
+        utils = {u: utility_in_coalition(s, G, block, u) for u in block}
+        devmap = dict(devs)
+        if any(utils[u] < 0 or utils[u] < devmap[u] for u in block):
+            continue
+        alive = True
+        pend_util = dict(pending)
+        block_mask = G.mask_of(block)
+        others = set(u for b in rest for u in b) | set(pend_util)
+        for t in others:
+            if not (G.adj_mask[t] & block_mask):
+                continue
+            jut = utility_in_coalition(s, G, set(block) | {t}, t)
+            if t in pend_util:
+                if jut > pend_util[t]:
+                    alive = False
+                    break
+            elif jut > devmap.get(t, 0):
+                devmap[t] = jut
+        if not alive:
+            continue
+        rest_mask = G.mask_of(u for b in rest for u in b)
+        new_pending = [
+            (t, ut) for t, ut in pending if G.adj_mask[t] & rest_mask
+        ]
+        for u in sorted(block):
+            devmap.pop(u, None)
+            if G.adj_mask[u] & rest_mask:
+                new_pending.append((u, utils[u]))
+        table.add(
+            _ns_key(rest, new_pending, devmap),
+            wf + sum(utils.values()),
+            closed + (block,),
+        )
+    return table
 
 
-def _prepare(s, G, decomposition):
+def _ns_join(ctx, node, left, right):
+    bag = node.bag
+    table = WitnessTable(ctx.budget)
+    grouped: dict = {}
+    for key_z, val_z in right.data.items():
+        sig = tuple(sorted((frozenset(b & bag) for b in key_z[0]), key=min))
+        grouped.setdefault(sig, []).append((key_z, val_z))
+    for (opens_y, pending_y, devs_y), (wf_y, closed_y, _, _) in left.data.items():
+        sig = tuple(sorted((frozenset(b & bag) for b in opens_y), key=min))
+        for (opens_z, pending_z, devs_z), (wf_z, closed_z, _, _) in grouped.get(sig, ()):
+            by_bagpart = {frozenset(b & bag): b for b in opens_z}
+            merged = tuple(b | by_bagpart[frozenset(b & bag)] for b in opens_y)
+            devmap = dict(devs_y)
+            for t, d in devs_z:
+                devmap[t] = max(devmap.get(t, 0), d)
+            pending = tuple(set(pending_y) | set(pending_z))
+            table.add(
+                _ns_key(merged, pending, devmap),
+                wf_y + wf_z,
+                closed_y + closed_z,
+            )
+    return table
+
+
+_COMPRESSED = (_compressed_leaf, _compressed_introduce, _compressed_forget, _compressed_join)
+_STEPS = {"welfare": _COMPRESSED, "ir": _COMPRESSED, "ns": (_ns_leaf, _ns_introduce, _ns_forget, _ns_join)}
+
+
+def _solve_tw(s, G, decomposition, budget, mode) -> Optional[SolveResult]:
     if not s.is_closed:
         raise UnsupportedInputError("the treewidth DP handles closed-tail vectors only")
     if decomposition is None:
         decomposition = nice_decomposition(G)
-    return decomposition
+    ctx = _Ctx(s, G, decomposition, mode, budget)
+    steps = (partial(step, ctx) for step in _STEPS[mode])
+    solved = best_outcome(run_postorder(decomposition, *steps))
+    if solved is None:
+        # all-singletons is an IR lineage, so only NS mode can come back empty
+        assert mode == "ns"
+        return None
+    welfare, outcome = solved
+    self_check(s, G, mode, welfare, outcome, "twdp")
+    return SolveResult(outcome, welfare, mode, True, "twdp")
 
 
 def solve_tw_welfare(
@@ -664,14 +558,7 @@ def solve_tw_welfare(
     budget: int = DEFAULT_RECORD_BUDGET,
 ) -> SolveResult:
     """Welfare-optimal outcome by dynamic programming over a nice decomposition."""
-    decomposition = _prepare(s, G, decomposition)
-    ctx = _Ctx(s, G, decomposition, "welfare", budget)
-    solved = _run_compressed(ctx)
-    assert solved is not None  # the all-singletons lineage always survives
-    welfare, outcome = solved
-    if social_welfare(s, G, outcome) != welfare:
-        raise AssertionError("DP welfare disagrees with direct evaluation")
-    return SolveResult(outcome, welfare, "welfare", True, "twdp")
+    return _solve_tw(s, G, decomposition, budget, "welfare")
 
 
 def solve_tw_ir(
@@ -683,16 +570,7 @@ def solve_tw_ir(
     """Maximum-welfare individually rational outcome; tallies carry the worst
     utility over the forgotten agents sharing a distance vector, and records
     whose completed coalition holds a negative-utility agent are dropped."""
-    decomposition = _prepare(s, G, decomposition)
-    ctx = _Ctx(s, G, decomposition, "ir", budget)
-    solved = _run_compressed(ctx)
-    assert solved is not None  # all-singletons is individually rational
-    welfare, outcome = solved
-    if social_welfare(s, G, outcome) != welfare or not is_individually_rational(
-        s, G, outcome
-    ):
-        raise AssertionError("IR DP produced an inconsistent record")
-    return SolveResult(outcome, welfare, "ir", True, "twdp")
+    return _solve_tw(s, G, decomposition, budget, "ir")
 
 
 def solve_tw_ns(
@@ -706,12 +584,4 @@ def solve_tw_ns(
     tested against their best earlier options, and every agent that could
     join the completed coalition is either re-checked (if settled) or has its
     pending best-deviation value raised (if its own coalition is still open)."""
-    decomposition = _prepare(s, G, decomposition)
-    ctx = _Ctx(s, G, decomposition, "ns", budget)
-    solved = _ns_run(ctx)
-    if solved is None:
-        return None
-    welfare, outcome = solved
-    if social_welfare(s, G, outcome) != welfare or not is_nash_stable(s, G, outcome):
-        raise AssertionError("NS DP produced an inconsistent record")
-    return SolveResult(outcome, welfare, "ns", True, "twdp")
+    return _solve_tw(s, G, decomposition, budget, "ns")

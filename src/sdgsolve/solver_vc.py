@@ -26,8 +26,9 @@ from .core import (
     SocialNetwork,
     SolveResult,
     check_mode,
-    social_welfare,
+    finite_score,
 )
+from .dp import self_check
 from .stability import is_individually_rational, is_nash_stable
 
 DEFAULT_COVER_LIMIT = 25
@@ -185,31 +186,23 @@ class QuadraticProgram:
     mode: str
 
 
-def _score(s: ScoringVector, d) -> Optional[int]:
-    if d is None:
-        return None
-    if d <= s.cutoff:
-        return s.scores[d - 1]
-    return None if s.is_closed else s.scores[-1]
-
-
 def _objective(s, structure, tables, assignment):
     """Welfare under the assignment, or None when a scored pair is
     inadmissible (unreachable, or beyond a closed tail's cutoff)."""
     total = 0
-    s2 = _score(s, 2)
+    s2 = finite_score(s, 2)
     for pi, (part, decl) in enumerate(zip(structure.parts, structure.declared)):
         dist = tables[pi]
         np_ = len(part)
         counts = [assignment[(pi, w)] for w in decl]
         for i in range(np_):
             for j in range(i + 1, np_):
-                sc = _score(s, dist[i][j])
+                sc = finite_score(s, dist[i][j])
                 if sc is None:
                     return None
                 total += 2 * sc
             for a, x in enumerate(counts):
-                sc = _score(s, dist[i][np_ + a])
+                sc = finite_score(s, dist[i][np_ + a])
                 if sc is None:
                     return None
                 total += 2 * sc * x
@@ -219,7 +212,7 @@ def _objective(s, structure, tables, assignment):
                     return None
                 total += s2 * x * (x - 1)
             for b in range(a + 1, len(counts)):
-                sc = _score(s, dist[np_ + a][np_ + b])
+                sc = finite_score(s, dist[np_ + a][np_ + b])
                 if sc is None:
                     return None
                 total += 2 * sc * x * counts[b]
@@ -330,10 +323,5 @@ def solve_vc(
     if best is None:
         return None
     welfare, outcome, _ = best
-    if social_welfare(s, G, outcome) != welfare:
-        raise AssertionError("structure objective disagrees with direct evaluation")
-    if mode == "ir" and not is_individually_rational(s, G, outcome):
-        raise AssertionError("vc solver produced a non-IR outcome")
-    if mode == "ns" and not is_nash_stable(s, G, outcome):
-        raise AssertionError("vc solver produced a non-NS outcome")
+    self_check(s, G, mode, welfare, outcome, "vc")
     return SolveResult(outcome, welfare, mode, True, "vc")

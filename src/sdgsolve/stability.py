@@ -10,7 +10,7 @@ from .core import (
     ScoringVector,
     SocialNetwork,
     agent_utility,
-    utility_in_coalition,
+    member_utility,
 )
 
 
@@ -44,7 +44,7 @@ def is_individually_rational(s: ScoringVector, G: SocialNetwork, outcome: Outcom
 
 
 def _joined_utility(s, G, block, i) -> ExtInt:
-    return utility_in_coalition(s, G, set(block) | {i}, i)
+    return member_utility(s, G, G.mask_of(block) | (1 << i), i)
 
 
 def is_nash_stable(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> bool:

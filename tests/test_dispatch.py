@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
+from sdgsolve import dispatch
+from sdgsolve.core import Outcome, ResourceLimitError, ScoringVector, SocialNetwork
 from sdgsolve.dispatch import choose_algorithm, solve
 from sdgsolve.generators import (
     random_bounded_degree,
@@ -55,6 +56,24 @@ class TestChoose:
         G = random_partial_ktree(14, 2, 3)
         algo = choose_algorithm(ScoringVector((1, -1), tail="open"), G)
         assert algo != "twdp"
+
+    def test_cover_errors_other_than_the_limit_propagate(self, monkeypatch):
+        def broken(G):
+            raise RuntimeError("cover search broke")
+
+        monkeypatch.setattr(dispatch, "compute_vertex_cover", broken)
+        G = random_partial_ktree(14, 2, 3)
+        # an open tail with score(2) >= 0 leaves only the cover step to try
+        with pytest.raises(RuntimeError, match="cover search broke"):
+            choose_algorithm(ScoringVector((1,), tail="open"), G)
+
+    def test_oversized_cover_falls_back_to_raised_brute(self, monkeypatch):
+        def oversized(G):
+            raise ResourceLimitError("minimum vertex cover too large")
+
+        monkeypatch.setattr(dispatch, "compute_vertex_cover", oversized)
+        G = random_partial_ktree(14, 2, 3)
+        assert choose_algorithm(ScoringVector((1,), tail="open"), G) == "brute-raised"
 
 
 class TestSolveFacade:

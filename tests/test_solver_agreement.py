@@ -29,6 +29,8 @@ def test_fpt_with_full_size_equals_twdp(seed):
         aw = None if a is None else a.welfare
         bw = None if b is None else b.welfare
         assert aw == bw
+        if a is not None:
+            assert a.outcome == b.outcome
 
 
 def test_record_budget_respected_on_small_instances():
