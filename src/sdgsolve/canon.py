@@ -1,14 +1,11 @@
-"""Canonical labeling of small vertex-colored graphs with a fixed vertex set.
+"""Refinement order of small vertex-colored graphs with a fixed vertex set.
 
 Used by the coalition-topology solver to deduplicate DP states: anonymous
 vertices may be permuted freely within equal colors, named vertices are fixed.
-Refinement narrows the candidate orders, then a branch-and-prune search picks
-the lexicographically smallest row encoding, which is a canonical form.
+The solver encodes each state exactly relative to the colour-refinement order,
+so equal encodings mean isomorphic states; isomorphic states that refinement
+cannot tell apart may keep different encodings and are then stored twice.
 """
-
-from .core import ResourceLimitError
-
-_BRANCH_BUDGET = 50_000
 
 
 def canonical_order(
@@ -17,60 +14,26 @@ def canonical_order(
     fixed_neighbors: dict,
     adjacency: dict,
 ) -> tuple:
-    """Canonical ordering of ``vertices``.
+    """``vertices`` sorted by their stable colour under refinement.
 
-    ``colors[v]`` is any hashable; ``fixed_neighbors[v]`` a frozenset of fixed
-    (named) ids; ``adjacency[v]`` the set of neighbors among ``vertices``.
-    Two inputs that differ by a color/edge-preserving permutation map to the
-    same ordering of structure.
+    ``colors[v]`` is any hashable, comparable within one call;
+    ``fixed_neighbors[v]`` a frozenset of fixed (named) ids; ``adjacency[v]``
+    the set of neighbors among ``vertices``.  Vertices that refinement leaves
+    in one colour keep their input order.  Whenever refinement makes every
+    colour distinct, two inputs that differ by a color/edge-preserving
+    permutation map to the same ordering of structure.
     """
-    if not vertices:
-        return ()
-    # iterative refinement against both the fixed boundary and internal edges
     color = {v: (colors[v], tuple(sorted(fixed_neighbors[v]))) for v in vertices}
-    while True:
+    classes = len(set(color.values()))
+    # a discrete colouring already fixes the order; refining it changes nothing
+    while classes < len(vertices):
         ranked = {c: i for i, c in enumerate(sorted(set(color.values())))}
-        refined = {
+        color = {
             v: (ranked[color[v]], tuple(sorted(ranked[color[u]] for u in adjacency[v])))
             for v in vertices
         }
-        if len(set(refined.values())) == len(set(color.values())):
-            color = refined
+        refined = len(set(color.values()))
+        if refined == classes:
             break
-        color = refined
-
-    best: list = [None]
-    budget = [_BRANCH_BUDGET]
-
-    def row(v, placed):
-        return (
-            color[v],
-            tuple(1 if u in adjacency[v] else 0 for u in placed),
-        )
-
-    def search(placed, remaining, rows):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("canonical labeling budget exceeded")
-        if not remaining:
-            key = tuple(rows)
-            if best[0] is None or key < best[0][0]:
-                best[0] = (key, tuple(placed))
-            return
-        candidates = {}
-        for v in remaining:
-            candidates.setdefault(row(v, placed), []).append(v)
-        min_row = min(candidates)
-        if best[0] is not None:
-            prefix = tuple(rows) + (min_row,)
-            if prefix > best[0][0][: len(prefix)]:
-                return
-        for v in candidates[min_row]:
-            search(
-                placed + [v],
-                [u for u in remaining if u is not v],
-                rows + [min_row],
-            )
-
-    search([], list(vertices), [])
-    return best[0][1]
+        classes = refined
+    return tuple(sorted(vertices, key=color.__getitem__))

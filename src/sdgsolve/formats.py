@@ -20,8 +20,7 @@ class GrParseError(ValueError):
 
 def read_gr(text: str) -> SocialNetwork:
     n = None
-    edges: list[tuple[int, int]] = []
-    raw_pairs: list[tuple[int, int]] = []
+    raw_pairs: list[tuple[int, int, int]] = []  # (line_no, u, v), 1-indexed
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -34,6 +33,8 @@ def read_gr(text: str) -> SocialNetwork:
                 n = int(parts[2])
             except ValueError:
                 raise GrParseError(line_no, f"non-integer vertex count in {line!r}")
+            if n < 1:
+                raise GrParseError(line_no, "network needs at least one agent")
             continue
         if len(parts) != 2:
             raise GrParseError(line_no, f"malformed edge line {line!r}")
@@ -43,16 +44,17 @@ def read_gr(text: str) -> SocialNetwork:
             raise GrParseError(line_no, f"non-integer edge endpoints {line!r}")
         if u < 1 or v < 1:
             raise GrParseError(line_no, "vertex ids are 1-indexed and positive")
-        raw_pairs.append((u, v))
+        if u == v:
+            raise GrParseError(line_no, f"self-loop at agent {u}")
+        raw_pairs.append((line_no, u, v))
     if n is None:
         if not raw_pairs:
             raise GrParseError(0, "empty graph file without a header")
-        n = max(max(u, v) for u, v in raw_pairs)
-    for u, v in raw_pairs:
+        n = max(max(u, v) for _, u, v in raw_pairs)
+    for line_no, u, v in raw_pairs:
         if u > n or v > n:
-            raise GrParseError(0, f"edge ({u},{v}) exceeds declared vertex count {n}")
-        edges.append((u - 1, v - 1))
-    return SocialNetwork(n, edges)
+            raise GrParseError(line_no, f"edge ({u},{v}) exceeds declared vertex count {n}")
+    return SocialNetwork(n, [(u - 1, v - 1) for _, u, v in raw_pairs])
 
 
 def write_gr(G: SocialNetwork) -> str:

@@ -74,8 +74,10 @@ class _Ctx:
 
 # A topology is (named: sorted agent tuple, k: anon count, an: frozenset of
 # (anon_index, named_agent) edges, aa: frozenset of (i, j) anon-anon edges).
-# Named-named edges are implied by the network.  Anonymous indices are
-# canonical, so equal keys mean isomorphic-over-named structures.
+# Named-named edges are implied by the network.  Anonymous indices follow the
+# refinement order, and the key encodes the structure exactly relative to it:
+# equal keys mean isomorphic-over-named structures, though isomorphic ones may
+# still get different keys.
 
 
 def _make_topo(named, tokens, nedges, adjacency):

@@ -8,6 +8,7 @@ import pytest
 from sdgsolve.cli import main
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
 from sdgsolve.formats import (
+    GrParseError,
     read_gr,
     read_outcome,
     report_from_json,
@@ -32,6 +33,25 @@ class TestFormats:
         with pytest.raises(ValueError) as err:
             read_gr("p tw 3 1\n1 x\n")
         assert "line 2" in str(err.value)
+
+    def test_gr_self_loop_reports_line_and_file_id(self, tmp_path, capsys):
+        with pytest.raises(GrParseError) as err:
+            read_gr("p tw 3 2\n1 2\n2 2\n")
+        assert str(err.value) == "line 3: self-loop at agent 2"
+        path = tmp_path / "loop.gr"
+        path.write_text("p tw 3 2\n1 2\n2 2\n")
+        assert main(["solve", "--graph", str(path), "--scores", "1"]) == 1
+        assert "line 3: self-loop at agent 2" in capsys.readouterr().err
+
+    def test_gr_endpoint_above_count_reports_line(self):
+        with pytest.raises(GrParseError) as err:
+            read_gr("p tw 3 2\n1 2\nc note\n2 4\n")
+        assert str(err.value) == "line 4: edge (2,4) exceeds declared vertex count 3"
+
+    def test_gr_empty_header_reports_line(self):
+        with pytest.raises(GrParseError) as err:
+            read_gr("c empty\np tw 0 0\n")
+        assert str(err.value) == "line 2: network needs at least one agent"
 
     def test_outcome_round_trip(self):
         o = Outcome.from_blocks([[0, 2], [1]])

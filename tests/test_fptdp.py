@@ -105,6 +105,7 @@ def test_oracle_equivalence_closed(seed):
             continue
         assert got is not None, f"seed={seed} mode={mode} G={G.edges}"
         assert got.welfare == expect.welfare, f"seed={seed} mode={mode} G={G.edges}"
+        assert got.outcome == expect.outcome, f"seed={seed} mode={mode} G={G.edges}"
         if mode == "ir":
             assert is_individually_rational(s, G, got.outcome)
         if mode == "ns":
@@ -120,6 +121,6 @@ def test_oracle_equivalence_open(seed):
     for mode in ("welfare", "ir", "ns"):
         expect = brute_force_solve(s, G, mode)
         got = solve_fpt(s, G, sz=n, mode=mode)
-        ew = None if expect is None else expect.welfare
-        gw = None if got is None else got.welfare
+        ew = None if expect is None else (expect.welfare, expect.outcome)
+        gw = None if got is None else (got.welfare, got.outcome)
         assert ew == gw, f"seed={seed} mode={mode} G={G.edges}"
