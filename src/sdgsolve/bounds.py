@@ -141,13 +141,13 @@ def certify_outcome(
     if not s.is_closed and s.max_score > 0 and s.scores[-1] < 0 and mode in ("ir", "ns"):
         limit = stable_diameter_limit(s)
         for block, diam in zip(outcome, diameters):
-            if diam is NEG_INF or diam > limit:
+            if diam == NEG_INF or diam > limit:
                 violations.append(
                     f"coalition {block} diameter {diam} exceeds stable limit {limit}"
                 )
     if s.is_closed and mode == "welfare":
         for block, diam in zip(outcome, diameters):
-            if diam is NEG_INF or diam > s.cutoff:
+            if diam == NEG_INF or diam > s.cutoff:
                 violations.append(
                     f"coalition {block} diameter {diam} exceeds scoring cutoff {s.cutoff}"
                 )

@@ -108,12 +108,12 @@ def cmd_check(args) -> int:
     report = certify_outcome(s, G, outcome, args.mode)
     payload = {
         "mode": report.mode,
-        "welfare": None if report.welfare is NEG_INF else int(report.welfare),
+        "welfare": None if report.welfare == NEG_INF else int(report.welfare),
         "individually_rational": report.individually_rational,
         "nash_stable": report.nash_stable,
         "mode_satisfied": report.mode_satisfied,
         "coalition_diameters": [
-            None if d is NEG_INF else int(d) for d in report.coalition_diameters
+            None if d == NEG_INF else int(d) for d in report.coalition_diameters
         ],
         "bound_violations": list(report.bound_violations),
     }

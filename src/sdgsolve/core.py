@@ -9,7 +9,7 @@ open-tail ones; unreachable members always score minus infinity.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 
 class ResourceLimitError(RuntimeError):
@@ -20,92 +20,13 @@ class UnsupportedInputError(ValueError):
     """The requested operation does not support this input combination."""
 
 
-class NegInfType:
-    """Absorbing negative infinity: NEG_INF + z = NEG_INF, NEG_INF < z for all ints."""
+# Minus infinity is IEEE -inf: absorbing under + and below every int.  Sums
+# make new -inf objects, so compare it by value; an identity test is safe only
+# on what ScoringVector.score returns.
+NEG_INF = float("-inf")
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        if isinstance(other, (int, NegInfType)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self
-        return NotImplemented
-
-    def __mul__(self, other):
-        # Scaling by a positive count keeps the value inadmissible.
-        if isinstance(other, int) and other > 0:
-            return self
-        if isinstance(other, int) and other == 0:
-            return 0
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, NegInfType):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (int, NegInfType)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, NegInfType)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            return False
-        if isinstance(other, NegInfType):
-            return True
-        return NotImplemented
-
-    def __eq__(self, other):
-        return other is self
-
-    def __ne__(self, other):
-        return other is not self
-
-    def __hash__(self):
-        return hash("NEG_INF")
-
-    def __repr__(self):
-        return "-inf"
-
-    def __bool__(self):
-        return True
-
-
-NEG_INF = NegInfType()
-
-ExtInt = Union[int, NegInfType]
-
-
-def ext_sum(values: Iterable[ExtInt]) -> ExtInt:
-    """Sum with NEG_INF absorption."""
-    total: ExtInt = 0
-    for v in values:
-        if v is NEG_INF:
-            return NEG_INF
-        total += v
-    return total
+# an int, or NEG_INF: the only float a utility, score or distance takes
+ExtInt = Union[int, float]
 
 
 @dataclass(frozen=True)
@@ -144,14 +65,18 @@ class ScoringVector:
     def is_closed(self) -> bool:
         return self.tail == "closed"
 
-    def score(self, d: "int | NegInfType") -> ExtInt:
-        if d is NEG_INF:
-            return NEG_INF
-        if not isinstance(d, int) or d < 1:
+    def score(self, d: ExtInt) -> ExtInt:
+        """Score of coalition distance ``d``: NEG_INF beyond a closed tail and
+        for the distance NEG_INF of an unreachable member."""
+        scores = self.scores
+        if d <= len(scores):
+            if d >= 1:
+                return scores[d - 1]
+            if d == NEG_INF:
+                return NEG_INF
             raise ValueError(f"distance must be a positive integer or NEG_INF, got {d!r}")
-        if d <= len(self.scores):
-            return self.scores[d - 1]
-        return NEG_INF if self.tail == "closed" else self.scores[-1]
+        # the field, not the is_closed property: the DPs call this per pair
+        return NEG_INF if self.tail == "closed" else scores[-1]
 
     @classmethod
     def parse(cls, text: str, tail: str = "closed") -> "ScoringVector":
@@ -166,21 +91,9 @@ class ScoringVector:
         return f"({body}){'' if self.is_closed else ' open'}"
 
 
-def score_at(s: ScoringVector, d: "int | NegInfType") -> ExtInt:
+def score_at(s: ScoringVector, d: ExtInt) -> ExtInt:
     """Score of a coalition distance; NEG_INF for unreachable members."""
     return s.score(d)
-
-
-def finite_score(s: ScoringVector, d: Optional[int]) -> Optional[int]:
-    """Score of distance ``d`` as a plain int, or None when it is
-    inadmissible: ``d`` is None (unreachable) or beyond a closed tail."""
-    if d is None:
-        return None
-    scores = s.scores
-    if d <= len(scores):
-        return scores[d - 1]
-    # the field, not the is_closed property: the DPs call this per pair
-    return None if s.tail == "closed" else scores[-1]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -396,11 +309,12 @@ def utility_from_distances(s: ScoringVector, dist: dict, size: int) -> ExtInt:
     or beyond a closed tail, otherwise the sum of the scores."""
     if len(dist) < size:
         return NEG_INF
+    score = s.score
     total = 0
     for d in dist.values():
         if d:
-            sc = finite_score(s, d)
-            if sc is None:
+            sc = score(d)
+            if sc is NEG_INF:
                 return NEG_INF
             total += sc
     return total
@@ -435,7 +349,7 @@ def coalition_welfare(s: ScoringVector, G: SocialNetwork, coalition: Iterable[in
     mask = G.mask_of(members)
     for i in members:
         u = member_utility(s, G, mask, i)
-        if u is NEG_INF:
+        if u == NEG_INF:
             return NEG_INF
         total += u
     return total
@@ -443,7 +357,7 @@ def coalition_welfare(s: ScoringVector, G: SocialNetwork, coalition: Iterable[in
 
 def social_welfare(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> ExtInt:
     """Sum of all agents' utilities; NEG_INF-absorbing."""
-    return ext_sum(coalition_welfare(s, G, block) for block in outcome)
+    return sum(coalition_welfare(s, G, block) for block in outcome)
 
 
 def coalition_diameter(G: SocialNetwork, coalition: Iterable[int]) -> ExtInt:

@@ -119,7 +119,7 @@ def result_report(
             "algorithm": result.algorithm,
             "welfare": int(result.welfare),
             "outcome": [[a + 1 for a in block] for block in result.outcome],
-            "utilities": [None if u is NEG_INF else int(u) for u in utilities],
+            "utilities": [None if u == NEG_INF else int(u) for u in utilities],
             "individually_rational": is_individually_rational(s, G, result.outcome),
             "nash_stable": is_nash_stable(s, G, result.outcome),
             "optimal": result.optimal,

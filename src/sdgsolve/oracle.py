@@ -17,7 +17,6 @@ from .core import (
     SocialNetwork,
     SolveResult,
     check_mode,
-    ext_sum,
     iter_bits,
     member_utility,
 )
@@ -75,7 +74,7 @@ class _BlockCache:
             result = (0, 0, {members[0]: 0})
         else:
             utils = {i: member_utility(self.s, self.G, mask, i) for i in members}
-            result = (ext_sum(utils.values()), min(utils.values()), utils)
+            result = (sum(utils.values()), min(utils.values()), utils)
         self._stats[mask] = result
         return result
 
@@ -129,8 +128,8 @@ def _solve_by_enumeration(
         nonlocal best_welfare, best_key, best_blocks
         if mode != "welfare" and not _is_partition_stable(cache, G, masks, mode):
             return
-        welfare = ext_sum(cache.stats(m)[0] for m in masks)
-        if mode != "welfare" and welfare is NEG_INF:
+        welfare = sum(cache.stats(m)[0] for m in masks)
+        if mode != "welfare" and welfare == NEG_INF:
             return
         if welfare < best_welfare:
             return
@@ -190,7 +189,7 @@ def _solve_welfare_pruned(s: ScoringVector, G: SocialNetwork) -> tuple[ExtInt, O
         while True:
             block = sub | vbit
             w, _, _ = cache.stats(block)
-            if w is not NEG_INF:
+            if w != NEG_INF:
                 chosen.append(block)
                 rec(remaining ^ block, welfare_so_far + w)
                 chosen.pop()

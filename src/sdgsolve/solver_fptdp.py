@@ -53,12 +53,15 @@ DEFAULT_STATE_BUDGET = 3_000_000
 
 
 class _Ctx:
-    def __init__(self, s, G, sz, mode, budget):
+    def __init__(self, s, G, sz, mode):
         self.s = s
         self.G = G
         self.sz = sz
         self.mode = mode
-        self.budget = Budget(budget, f"topology DP exceeded its state budget ({budget})")
+        self.budget = Budget(
+            DEFAULT_STATE_BUDGET,
+            f"topology DP exceeded its state budget ({DEFAULT_STATE_BUDGET})",
+        )
         self.cutoff = s.cutoff
         self.sw_cache: dict = {}
         self.tokens = 0
@@ -563,7 +566,7 @@ def _ns_forget(ctx, node, child):
             new_anons.append(
                 replace(
                     x,
-                    dev=max(x.dev, jut) if jut is not NEG_INF else x.dev,
+                    dev=max(x.dev, jut),
                     nset=x.nset - {w},
                     tset=x.tset & live,
                 )
@@ -646,7 +649,6 @@ def solve_fpt(
     decomposition: Optional[NiceTreeDecomposition] = None,
     sz: Optional[int] = None,
     mode: str = "welfare",
-    budget: int = DEFAULT_STATE_BUDGET,
     sz_certified: bool = False,
 ) -> Optional[SolveResult]:
     """Best outcome under the mode among outcomes whose coalitions have at
@@ -662,7 +664,7 @@ def solve_fpt(
         raise ValueError("sz must be at least 1")
     if decomposition is None:
         decomposition = nice_decomposition(G)
-    ctx = _Ctx(s, G, sz, mode, budget)
+    ctx = _Ctx(s, G, sz, mode)
     steps = (partial(step, ctx) for step in _STEPS[mode])
     solved = best_outcome(run_postorder(decomposition, *steps))
     if solved is None:

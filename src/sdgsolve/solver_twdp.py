@@ -34,11 +34,11 @@ from itertools import product
 from typing import Optional
 
 from .core import (
+    NEG_INF,
     ScoringVector,
     SocialNetwork,
     SolveResult,
     UnsupportedInputError,
-    finite_score,
     utility_in_coalition,
 )
 from .dp import (
@@ -177,7 +177,7 @@ def _compressed_leaf(ctx, node):
 def _compressed_introduce(ctx, node, child_table):
     mode = ctx.mode
     G = ctx.G
-    s = ctx.s
+    score = ctx.s.score
     table = WitnessTable(ctx.budget)
     bag = tuple(sorted(node.bag))
     child_bag = ctx.child_bag(node)
@@ -218,8 +218,8 @@ def _compressed_introduce(ctx, node, child_table):
                 delta = 0
                 dead = False
                 for b, d in zip(mates, choice):
-                    v = finite_score(s, d)
-                    if v is None:
+                    v = score(d)
+                    if v is NEG_INF:
                         dead = True
                         break
                     delta += 2 * v
@@ -235,8 +235,8 @@ def _compressed_introduce(ctx, node, child_table):
                         vec[bag.index(b)] + promises[_pkey(a, b)] for b in mates
                         if vec[bag.index(b)] is not None
                     )
-                    v = finite_score(s, entry)
-                    if v is None:
+                    v = score(entry)
+                    if v is NEG_INF:
                         dead = True
                         break
                     delta += 2 * cell[2] * v
@@ -256,6 +256,7 @@ def _compressed_introduce(ctx, node, child_table):
 
 
 def _bag_utilities(bag, part, promises, cells, s):
+    score = s.score
     utils = {}
     for pos, agent in enumerate(bag):
         label = part[pos]
@@ -263,8 +264,8 @@ def _bag_utilities(bag, part, promises, cells, s):
         for pos2, other in enumerate(bag):
             if pos2 == pos or part[pos2] != label:
                 continue
-            v = finite_score(s, promises[_pkey(agent, other)])
-            if v is None:
+            v = score(promises[_pkey(agent, other)])
+            if v is NEG_INF:
                 return None
             total += v
         for cell in cells:
@@ -273,8 +274,8 @@ def _bag_utilities(bag, part, promises, cells, s):
             ent = cell[1][pos]
             if ent is None:
                 return None
-            v = finite_score(s, ent)
-            if v is None:
+            v = score(ent)
+            if v is NEG_INF:
                 return None
             total += cell[2] * v
         utils[agent] = total
@@ -368,7 +369,7 @@ def _vdist(vec_y, vec_z):
 
 def _compressed_join(ctx, node, left_table, right_table):
     mode = ctx.mode
-    s = ctx.s
+    score = ctx.s.score
     table = WitnessTable(ctx.budget)
     bag = tuple(sorted(node.bag))
     grouped: dict = {}
@@ -390,8 +391,8 @@ def _compressed_join(ctx, node, left_table, right_table):
                 for j, cz in enumerate(cells_z):
                     if cy[0] != cz[0]:
                         continue
-                    v = finite_score(s, _vdist(cy[1], cz[1]))
-                    if v is None:
+                    v = score(_vdist(cy[1], cz[1]))
+                    if v is NEG_INF:
                         dead = True
                         break
                     delta += 2 * cy[2] * cz[2] * v
@@ -412,8 +413,8 @@ def _compressed_join(ctx, node, left_table, right_table):
             # subtract the bag pairs counted by both sides
             over = 0
             for (u, v), d in promises.items():
-                sc = finite_score(s, d)
-                if sc is None:
+                sc = score(d)
+                if sc is NEG_INF:
                     dead = True
                     break
                 over += 2 * sc

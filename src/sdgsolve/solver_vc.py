@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
+    NEG_INF,
     Outcome,
     ResourceLimitError,
     ScoringVector,
     SocialNetwork,
     SolveResult,
     check_mode,
-    finite_score,
 )
 from .dp import self_check
 from .stability import is_individually_rational, is_nash_stable
@@ -34,7 +34,7 @@ from .stability import is_individually_rational, is_nash_stable
 DEFAULT_COVER_LIMIT = 25
 
 
-def compute_vertex_cover(G: SocialNetwork, limit: int = DEFAULT_COVER_LIMIT) -> frozenset:
+def compute_vertex_cover(G: SocialNetwork) -> frozenset:
     """A minimum vertex cover by branching on the endpoints of an uncovered
     edge, preferring the lexicographically smallest optimum encountered."""
     edges = G.edges
@@ -63,9 +63,9 @@ def compute_vertex_cover(G: SocialNetwork, limit: int = DEFAULT_COVER_LIMIT) -> 
 
     search(set())
     cover = best[0] if best[0] is not None else ()
-    if len(cover) > limit:
+    if len(cover) > DEFAULT_COVER_LIMIT:
         raise ResourceLimitError(
-            f"minimum vertex cover has {len(cover)} agents, above the {limit} limit"
+            f"minimum vertex cover has {len(cover)} agents, above the {DEFAULT_COVER_LIMIT} limit"
         )
     return frozenset(cover)
 
@@ -187,34 +187,35 @@ class QuadraticProgram:
 
 
 def _objective(s, structure, tables, assignment):
-    """Welfare under the assignment, or None when a scored pair is
-    inadmissible (unreachable, or beyond a closed tail's cutoff)."""
+    """Welfare under the assignment, or NEG_INF when a scored pair lies
+    beyond a closed tail's cutoff (enumerated structures are connected)."""
+    score = s.score
     total = 0
-    s2 = finite_score(s, 2)
+    s2 = score(2)
     for pi, (part, decl) in enumerate(zip(structure.parts, structure.declared)):
         dist = tables[pi]
         np_ = len(part)
         counts = [assignment[(pi, w)] for w in decl]
         for i in range(np_):
             for j in range(i + 1, np_):
-                sc = finite_score(s, dist[i][j])
-                if sc is None:
-                    return None
+                sc = score(dist[i][j])
+                if sc is NEG_INF:
+                    return NEG_INF
                 total += 2 * sc
             for a, x in enumerate(counts):
-                sc = finite_score(s, dist[i][np_ + a])
-                if sc is None:
-                    return None
+                sc = score(dist[i][np_ + a])
+                if sc is NEG_INF:
+                    return NEG_INF
                 total += 2 * sc * x
         for a, x in enumerate(counts):
             if x >= 2:
-                if s2 is None:
-                    return None
+                if s2 is NEG_INF:
+                    return NEG_INF
                 total += s2 * x * (x - 1)
             for b in range(a + 1, len(counts)):
-                sc = finite_score(s, dist[np_ + a][np_ + b])
-                if sc is None:
-                    return None
+                sc = score(dist[np_ + a][np_ + b])
+                if sc is NEG_INF:
+                    return NEG_INF
                 total += 2 * sc * x * counts[b]
     return total
 
@@ -270,7 +271,7 @@ def solve_qp(qp: QuadraticProgram, G: SocialNetwork) -> Optional[tuple[int, dict
         nonlocal best
         if i == len(slot_list):
             value = _objective(s, structure, tables, assignment)
-            if value is None:
+            if value == NEG_INF:
                 return
             if best is not None and value <= best[0]:
                 return
@@ -297,13 +298,12 @@ def solve_vc(
     s: ScoringVector,
     G: SocialNetwork,
     mode: str = "welfare",
-    cover_limit: int = DEFAULT_COVER_LIMIT,
 ) -> Optional[SolveResult]:
     """Optimum over all structures on a minimum vertex cover.  Closed and
     open tails both work: coalition distances never exceed twice the cover
     size, so the tail only changes score values."""
     check_mode(mode)
-    cover = compute_vertex_cover(G, cover_limit)
+    cover = compute_vertex_cover(G)
     if not cover:
         return SolveResult(Outcome.singletons(G.n), 0, mode, True, "vc")
     class_map = neighborhood_classes(G, cover)

@@ -32,7 +32,7 @@ class Deviation:
 
     @property
     def gain(self) -> Optional[int]:
-        if self.current_utility is NEG_INF:
+        if self.current_utility == NEG_INF:
             return None
         assert isinstance(self.new_utility, int)
         return self.new_utility - self.current_utility
@@ -40,29 +40,16 @@ class Deviation:
 
 def is_individually_rational(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> bool:
     """True iff no agent has negative utility."""
-    return all(agent_utility(s, G, outcome, i) >= 0 for i in range(G.n))
-
-
-def _joined_utility(s, G, block, i) -> ExtInt:
-    return member_utility(s, G, G.mask_of(block) | (1 << i), i)
+    return find_deviation(s, G, outcome, "ir") is None
 
 
 def is_nash_stable(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> bool:
     """True iff no agent strictly gains by joining another coalition or going solo."""
-    for i in range(G.n):
-        current = agent_utility(s, G, outcome, i)
-        if current < 0:
-            return False
-        own = outcome.coalition_of(i)
-        for block in outcome:
-            if block is own:
-                continue
-            # Joining a coalition with no neighbor of i leaves i unreachable.
-            if not any(G.has_edge(i, j) for j in block):
-                continue
-            if _joined_utility(s, G, block, i) > current:
-                return False
-    return True
+    return find_deviation(s, G, outcome, "ns") is None
+
+
+def _joined_utility(s, G, block, i) -> ExtInt:
+    return member_utility(s, G, G.mask_of(block) | (1 << i), i)
 
 
 def find_deviation(
@@ -74,19 +61,17 @@ def find_deviation(
         raise ValueError(f"mode must be 'ir' or 'ns', got {mode!r}")
     for i in range(G.n):
         current = agent_utility(s, G, outcome, i)
-        if mode == "ir":
-            if current < 0:
-                return Deviation(i, "to-singleton", None, current, 0)
-            continue
-        own_index = outcome.coalition_index_of(i)
-        for t, block in enumerate(outcome.coalitions):
-            if t == own_index:
-                continue
-            if not any(G.has_edge(i, j) for j in block):
-                continue
-            new = _joined_utility(s, G, block, i)
-            if new > current:
-                return Deviation(i, "to-coalition", t, current, new)
+        if mode == "ns":
+            own_index = outcome.coalition_index_of(i)
+            for t, block in enumerate(outcome.coalitions):
+                if t == own_index:
+                    continue
+                # Joining a coalition with no neighbor of i leaves i unreachable.
+                if not any(G.has_edge(i, j) for j in block):
+                    continue
+                new = _joined_utility(s, G, block, i)
+                if new > current:
+                    return Deviation(i, "to-coalition", t, current, new)
         if current < 0:
             return Deviation(i, "to-singleton", None, current, 0)
     return None

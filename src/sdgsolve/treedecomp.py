@@ -398,7 +398,5 @@ def validate_nice(G: SocialNetwork, ntd: NiceTreeDecomposition) -> Union[int, Td
     return validate(G, TreeDecomposition(bags, edges, G.n))
 
 
-def nice_decomposition(
-    G: SocialNetwork, exact_limit: int = DEFAULT_EXACT_LIMIT
-) -> NiceTreeDecomposition:
-    return make_nice(compute_decomposition(G, exact_limit))
+def nice_decomposition(G: SocialNetwork) -> NiceTreeDecomposition:
+    return make_nice(compute_decomposition(G))

@@ -139,6 +139,7 @@ def test_criterion_3_unstable_ir_optimum():
              "path center, and the center deviating to the pendant breaks the former")
 
 
+@pytest.mark.slow
 def test_criterion_4_oracle_equivalence():
     start = time.time()
     rng_check = 0

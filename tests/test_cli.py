@@ -198,6 +198,33 @@ class TestCheckCommand:
         assert report["nash_stable"] is True
         assert report["welfare"] == 46
 
+    def test_disconnected_coalition_reports_minus_infinity(self, tmp_path, capsys):
+        # agents 6 and 7 of fig_a are not adjacent: their coalition is
+        # disconnected, so both score minus infinity and so does the welfare
+        out = tmp_path / "split.out"
+        out.write_text("6 7\n1 2 3 4 5\n")
+        code = main(
+            [
+                "check",
+                "--graph",
+                str(DATA / "fig_a.gr"),
+                "--scores",
+                "1,0,-1",
+                "--mode",
+                "ir",
+                "--outcome",
+                str(out),
+                "--format",
+                "json",
+            ]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["welfare"] is None
+        assert report["coalition_diameters"] == [2, None]
+        assert report["deviation"]["gain"] is None
+        assert "agent 5 utility -inf < 0" in report["bound_violations"]
+
     def test_malformed_outcome(self, tmp_path, capsys):
         out = tmp_path / "bad.out"
         out.write_text("1 2\n2 3\n")
