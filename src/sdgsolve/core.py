@@ -91,11 +91,6 @@ class ScoringVector:
         return f"({body}){'' if self.is_closed else ' open'}"
 
 
-def score_at(s: ScoringVector, d: ExtInt) -> ExtInt:
-    """Score of a coalition distance; NEG_INF for unreachable members."""
-    return s.score(d)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
     while mask:

@@ -1,14 +1,17 @@
 """Exhaustive partition enumeration and the brute-force reference solver.
 
 Every other solver in the package is differential-tested against this one.
-Per-coalition quantities are cached by member bitmask, which keeps full
-enumeration workable up to the default 12-agent cap.
+A coalition of finite welfare is connected, so the search runs over connected
+blocks only: a subset DP for welfare and IR, and an enumeration of the
+partitions into IR-admissible connected blocks for NS (coalition structure
+generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).
+Per-coalition quantities are cached by member bitmask.
+``enumerate_partitions`` keeps the plain Bell enumeration for tests.
 """
 
 from typing import Iterator, Optional
 
 from .core import (
-    MODES,
     NEG_INF,
     ExtInt,
     Outcome,
@@ -89,146 +92,126 @@ class _BlockCache:
         return u
 
 
-def _is_partition_stable(
-    cache: _BlockCache, G: SocialNetwork, masks: list[int], mode: str
-) -> bool:
-    per_agent: dict[int, tuple[int, ExtInt]] = {}
-    for bi, mask in enumerate(masks):
-        _, worst, utils = cache.stats(mask)
-        if worst < 0:
-            return False
-        for i, u in utils.items():
-            per_agent[i] = (bi, u)
-    if mode == "ir":
-        return True
-    for i in range(G.n):
-        own_block, current = per_agent[i]
-        neigh = G.adj_mask[i]
-        for bi, mask in enumerate(masks):
-            if bi == own_block or not (neigh & mask):
+def _connected_blocks(G: SocialNetwork, low: int, allowed: int) -> Iterator[int]:
+    """Each connected subset of ``allowed`` that contains agent ``low``, once.
+
+    Extension-set recursion: grow from {low}; an extension, once tried, is
+    banned from the branches tried after it, so no block is reached twice.
+    """
+    adj = G.adj_mask
+
+    def grow(block: int, frontier: int, banned: int) -> Iterator[int]:
+        yield block
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            banned |= bit
+            reach = adj[bit.bit_length() - 1] & allowed & ~banned
+            yield from grow(block | bit, frontier | reach, banned)
+
+    start = 1 << low
+    yield from grow(start, adj[low] & allowed & ~start, start)
+
+
+def _admissible_blocks(
+    cache: _BlockCache, rem: int, need_ir: bool
+) -> Iterator[tuple[int, ExtInt]]:
+    """(mask, welfare) of the blocks of ``rem`` that hold its lowest agent,
+    have finite welfare and, if ``need_ir``, no member below utility 0."""
+    low = (rem & -rem).bit_length() - 1
+    for block in _connected_blocks(cache.G, low, rem):
+        welfare, worst, _ = cache.stats(block)
+        if welfare != NEG_INF and not (need_ir and worst < 0):
+            yield block, welfare
+
+
+def _best_partition(cache: _BlockCache, need_ir: bool) -> tuple[ExtInt, tuple]:
+    """Subset DP: best(rem) = max of w(B) + best(rem ^ B) over admissible B
+    holding the lowest agent of rem.  Its key (B,) + key(rem ^ B) lists the
+    blocks by smallest member, so ties break on the canonical outcome."""
+    memo: dict[int, tuple[ExtInt, tuple]] = {0: (0, ())}
+
+    def best(rem: int) -> tuple[ExtInt, tuple]:
+        hit = memo.get(rem)
+        if hit is not None:
+            return hit
+        top_w: ExtInt = NEG_INF
+        top_key = ()
+        for block, w in _admissible_blocks(cache, rem, need_ir):
+            rest_w, rest_key = best(rem ^ block)
+            total = w + rest_w
+            if total < top_w:
                 continue
-            if cache.join_utility(i, mask) > current:
-                return False
-    return True
+            key = (tuple(iter_bits(block)),) + rest_key
+            if total > top_w or key < top_key:
+                top_w, top_key = total, key
+        memo[rem] = (top_w, top_key)
+        return top_w, top_key
+
+    return best(cache.G.full_mask)
 
 
-def _solve_by_enumeration(
-    s: ScoringVector, G: SocialNetwork, mode: str
-) -> Optional[tuple[ExtInt, Outcome]]:
-    """Full restricted-growth enumeration; used for all modes except pruned welfare."""
-    n = G.n
-    cache = _BlockCache(s, G)
-    best_welfare: ExtInt = NEG_INF
+def _best_nash_stable(cache: _BlockCache) -> Optional[tuple[ExtInt, tuple]]:
+    """Best Nash-stable partition, by enumerating the partitions into
+    IR-admissible blocks: every NS outcome is IR, since leaving for a
+    singleton is one of the moves tested."""
+    G = cache.G
+    best_welfare: ExtInt = NEG_INF  # every partition searched scores higher
     best_key = None
-    best_blocks = None
     masks: list[int] = []
-    blocks: list[list[int]] = []
 
-    def consider():
-        nonlocal best_welfare, best_key, best_blocks
-        if mode != "welfare" and not _is_partition_stable(cache, G, masks, mode):
-            return
-        welfare = sum(cache.stats(m)[0] for m in masks)
-        if mode != "welfare" and welfare == NEG_INF:
-            return
-        if welfare < best_welfare:
-            return
-        key = tuple(sorted(tuple(b) for b in blocks))
-        if welfare > best_welfare or best_key is None or key < best_key:
-            best_welfare = welfare
-            best_key = key
-            best_blocks = key
+    def no_join_gain() -> bool:
+        for mask in masks:
+            for i, current in cache.stats(mask)[2].items():
+                neigh = G.adj_mask[i]
+                for other in masks:
+                    if other != mask and neigh & other and cache.join_utility(i, other) > current:
+                        return False
+        return True
 
-    def rec(i: int):
-        if i == n:
-            consider()
-            return
-        bit = 1 << i
-        for b in range(len(blocks)):
-            blocks[b].append(i)
-            masks[b] |= bit
-            rec(i + 1)
-            masks[b] &= ~bit
-            blocks[b].pop()
-        blocks.append([i])
-        masks.append(bit)
-        rec(i + 1)
-        masks.pop()
-        blocks.pop()
-
-    rec(0)
-    if best_blocks is None:
-        return None
-    return best_welfare, Outcome.from_blocks(best_blocks)
-
-
-def _solve_welfare_pruned(s: ScoringVector, G: SocialNetwork) -> tuple[ExtInt, Outcome]:
-    """Welfare maximization for closed tails, skipping coalitions whose diameter
-    exceeds the scoring cutoff (their welfare is NEG_INF and all-singletons
-    dominates any partition containing them)."""
-    n = G.n
-    cache = _BlockCache(s, G)
-    best_welfare: ExtInt = NEG_INF
-    best_key = None
-
-    chosen: list[int] = []
-
-    def rec(remaining: int, welfare_so_far: ExtInt):
+    def rec(rem: int, welfare: ExtInt):
         nonlocal best_welfare, best_key
-        if remaining == 0:
-            if welfare_so_far < best_welfare:
+        if rem == 0:
+            if welfare < best_welfare:
                 return
-            key = tuple(sorted(tuple(iter_bits(m)) for m in chosen))
-            if welfare_so_far > best_welfare or best_key is None or key < best_key:
-                best_welfare = welfare_so_far
-                best_key = key
+            key = tuple(tuple(iter_bits(m)) for m in masks)
+            if welfare > best_welfare or key < best_key:
+                if no_join_gain():
+                    best_welfare, best_key = welfare, key
             return
-        vbit = remaining & -remaining
-        rest = remaining ^ vbit
-        sub = rest
-        while True:
-            block = sub | vbit
-            w, _, _ = cache.stats(block)
-            if w != NEG_INF:
-                chosen.append(block)
-                rec(remaining ^ block, welfare_so_far + w)
-                chosen.pop()
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+        for block, w in _admissible_blocks(cache, rem, True):
+            masks.append(block)
+            rec(rem ^ block, welfare + w)
+            masks.pop()
 
     rec(G.full_mask, 0)
-    assert best_key is not None  # the all-singletons partition always survives
-    return best_welfare, Outcome.from_blocks(best_key)
+    return None if best_key is None else (best_welfare, best_key)
 
 
 def brute_force_solve(
-    s: ScoringVector,
-    G: SocialNetwork,
-    mode: str,
-    cap: int = DEFAULT_AGENT_CAP,
-    prune: bool = True,
+    s: ScoringVector, G: SocialNetwork, mode: str, cap: int = DEFAULT_AGENT_CAP
 ) -> Optional[SolveResult]:
     """Maximum-welfare outcome under the mode's stability predicate.
 
-    Returns None only in ns mode when no Nash-stable outcome exists.  Ties
-    break toward the lexicographically smallest canonical outcome.  ``prune``
-    enables the closed-tail diameter pruning in welfare mode; the unpruned
-    path is kept reachable for dual-run verification.
+    Welfare and IR run the subset DP over connected admissible blocks; NS
+    enumerates the partitions into IR-admissible connected blocks.  Returns
+    None only in ns mode when no Nash-stable outcome exists.  Ties break
+    toward the lexicographically smallest canonical outcome.
     """
     check_mode(mode)
     if G.n > cap:
         raise ResourceLimitError(
             f"brute force capped at {cap} agents, network has {G.n}"
         )
-    if mode == "welfare" and s.is_closed and prune:
-        welfare, outcome = _solve_welfare_pruned(s, G)
-        return SolveResult(outcome, welfare, mode, True, "brute")
-    solved = _solve_by_enumeration(s, G, mode)
+    cache = _BlockCache(s, G)
+    if mode == "ns":
+        solved = _best_nash_stable(cache)
+    else:
+        solved = _best_partition(cache, need_ir=mode == "ir")
     if solved is None:
         return None
-    welfare, outcome = solved
-    return SolveResult(outcome, welfare, mode, True, "brute")
+    welfare, blocks = solved
+    return SolveResult(Outcome.from_blocks(blocks), welfare, mode, True, "brute")
 
 
 def decide_welfare_at_least(

@@ -13,7 +13,6 @@ from sdgsolve.core import (
     coalition_diameter,
     coalition_distance,
     coalition_welfare,
-    score_at,
     social_welfare,
 )
 
@@ -49,23 +48,23 @@ class TestScoringVector:
 
     def test_score_at_closed(self):
         s = ScoringVector((1, 0, -1))
-        assert score_at(s, 2) == 0
-        assert score_at(s, 4) is NEG_INF
-        assert score_at(s, 1) == 1
-        assert score_at(s, NEG_INF) is NEG_INF
+        assert s.score(2) == 0
+        assert s.score(4) is NEG_INF
+        assert s.score(1) == 1
+        assert s.score(NEG_INF) is NEG_INF
 
     def test_score_at_open_clamps(self):
         s = ScoringVector((1, 0, -1), tail="open")
-        assert score_at(s, 4) == -1
-        assert score_at(s, 100) == -1
-        assert score_at(s, NEG_INF) is NEG_INF
+        assert s.score(4) == -1
+        assert s.score(100) == -1
+        assert s.score(NEG_INF) is NEG_INF
 
     def test_score_at_rejects_nonpositive(self):
         s = ScoringVector((1,))
         with pytest.raises(ValueError):
-            score_at(s, 0)
+            s.score(0)
         with pytest.raises(ValueError):
-            score_at(s, -2)
+            s.score(-2)
 
     def test_parse(self):
         s = ScoringVector.parse("1,0,-1")
@@ -80,7 +79,7 @@ class TestScoringVector:
             s = ScoringVector(scores, tail)
             for d in range(1, len(scores) + 3):
                 for d2 in range(d, len(scores) + 3):
-                    assert score_at(s, d) >= score_at(s, d2)
+                    assert s.score(d) >= s.score(d2)
 
 
 class TestSocialNetwork:

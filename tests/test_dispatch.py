@@ -108,3 +108,50 @@ class TestSolveFacade:
     def test_rejects_unknown_algo(self, fig_a):
         with pytest.raises(ValueError):
             solve(ScoringVector((1,)), fig_a, algo="magic")
+
+
+
+def _fuzz_graph(kind, n, seed):
+    if kind == "partial_2tree":
+        return random_partial_ktree(n, 2, seed)
+    return random_bounded_degree(n, 3, seed)
+
+
+FUZZ_KINDS = ("partial_2tree", "degree3")
+FUZZ_VECTORS = [
+    ScoringVector((1, -3)),
+    ScoringVector((1, 0, -1)),
+    ScoringVector((2, -1), tail="open"),
+    ScoringVector((1, -1), tail="open"),
+]
+
+
+def _assert_auto_matches_brute(s, G, mode):
+    assert G.n > dispatch.AUTO_BRUTE_N  # auto routes away from brute
+    got = solve(s, G, mode=mode)
+    expect = brute_force_solve(s, G, mode, cap=G.n)
+    where = f"s={s} mode={mode} algorithm={got and got.algorithm} edges={G.edges}"
+    assert (got is None) == (expect is None), where
+    if expect is None:
+        return
+    assert got.welfare == expect.welfare, where
+    # vc may return another optimum of equal welfare
+    if got.algorithm in ("twdp", "fptdp"):
+        assert got.outcome == expect.outcome, where
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+@pytest.mark.parametrize("n", (11, 12))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_auto_matches_brute_beyond_the_brute_range(kind, n, seed):
+    G = _fuzz_graph(kind, n, seed)
+    for s in FUZZ_VECTORS:
+        for mode in ("welfare", "ir"):
+            _assert_auto_matches_brute(s, G, mode)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+def test_auto_matches_brute_ns_beyond_the_brute_range(kind):
+    _assert_auto_matches_brute(FUZZ_VECTORS[0], _fuzz_graph(kind, 11, 0), "ns")

@@ -1,11 +1,22 @@
 """Brute-force solver and partition enumeration."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgsolve.core import NEG_INF, Outcome, ResourceLimitError, ScoringVector, SocialNetwork
+from sdgsolve.core import (
+    NEG_INF,
+    Outcome,
+    ResourceLimitError,
+    ScoringVector,
+    SocialNetwork,
+    coalition_welfare,
+    iter_bits,
+)
 from sdgsolve.oracle import (
+    _connected_blocks,
     bell_number,
     brute_force_solve,
     decide_welfare_at_least,
@@ -148,15 +159,71 @@ def test_mode_ordering_and_certificates(n, rng, vi):
         assert is_nash_stable(s, G, ns.outcome)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(2, 6), st.randoms(use_true_random=False), st.integers(0, 4))
-def test_pruned_welfare_matches_unpruned(n, rng, vi):
-    s = VECTORS[vi]
-    G = random_connected_graph(n, rng)
-    pruned = brute_force_solve(s, G, "welfare", prune=True)
-    full = brute_force_solve(s, G, "welfare", prune=False)
-    assert pruned.welfare == full.welfare
-    assert pruned.outcome == full.outcome
+def _bell_reference(s, G):
+    """Per mode, the best partition over the plain Bell enumeration: highest
+    welfare, then smallest outcome, among those passing the mode's predicate
+    (None if none does).  Welfare is the sum of ``coalition_welfare`` over the
+    blocks, as in ``social_welfare``, cached per block so that the 10-agent
+    figures stay fast."""
+    block_welfare = functools.cache(lambda block: coalition_welfare(s, G, block))
+    # enumerate_partitions lists blocks by smallest member, members ascending:
+    # each partition is already its Outcome's sort key
+    ranked = sorted(
+        (-sum(map(block_welfare, blocks)), blocks) for blocks in enumerate_partitions(G.n)
+    )
+    accept = {
+        "welfare": lambda o: True,
+        "ir": lambda o: is_individually_rational(s, G, o),
+        "ns": lambda o: is_nash_stable(s, G, o),
+    }
+    best = dict.fromkeys(accept)
+    for neg_welfare, blocks in ranked:
+        outcome = Outcome.from_blocks(blocks)
+        for mode, ok in accept.items():
+            if best[mode] is None and ok(outcome):
+                best[mode] = (-neg_welfare, outcome)
+        if None not in best.values():
+            break
+    return best
+
+
+def _assert_matches_bell_enumeration(s, G):
+    for mode, expect in _bell_reference(s, G).items():
+        got = brute_force_solve(s, G, mode)
+        if expect is None:
+            assert got is None, mode
+        else:
+            assert (got.welfare, got.outcome) == expect, mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.randoms(use_true_random=False), st.integers(0, 4))
+def test_matches_bell_enumeration(n, rng, vi):
+    _assert_matches_bell_enumeration(VECTORS[vi], random_connected_graph(n, rng))
+
+
+def test_figures_match_bell_enumeration(fig_b, fig_c, long_vec):
+    # on 7 agents or fewer these vectors leave no gap between the modes; the
+    # figures have one, welfare > IR on fig_b and IR > NS on fig_c
+    _assert_matches_bell_enumeration(long_vec, fig_b)
+    _assert_matches_bell_enumeration(long_vec, fig_c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False), st.data())
+def test_connected_blocks_are_the_connected_submasks(n, rng, data):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    G = SocialNetwork(n, edges)
+    allowed = data.draw(st.integers(1, G.full_mask))
+    low = data.draw(st.sampled_from(list(iter_bits(allowed))))
+    got = list(_connected_blocks(G, low, allowed))
+    expect = [
+        m
+        for m in range(1, G.full_mask + 1)
+        if m & allowed == m and m >> low & 1 and G.is_connected_within(m)
+    ]
+    assert len(got) == len(set(got))
+    assert sorted(got) == expect
 
 
 @settings(max_examples=15, deadline=None)
