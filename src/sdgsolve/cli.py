@@ -220,9 +220,9 @@ def cmd_bench(args) -> int:
 def cmd_bounds(args) -> int:
     s = _scores(args)
     G = _graph(args.graph)
-    from .treedecomp import compute_decomposition
+    from .treedecomp import decomposition_width
 
-    width = compute_decomposition(G).width()
+    width = decomposition_width(G)
     report = compute_bound_report(s, G, tw=max(1, width))
     payload = {
         "welfare_diameter_limit": report.welfare_diameter_limit,

@@ -21,7 +21,12 @@ from .oracle import DEFAULT_AGENT_CAP, brute_force_solve
 from .solver_fptdp import select_sz, solve_fpt
 from .solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from .solver_vc import compute_vertex_cover, solve_vc
-from .treedecomp import NiceTreeDecomposition, compute_decomposition, make_nice
+from .treedecomp import (
+    NiceTreeDecomposition,
+    compute_decomposition,
+    decomposition_width,
+    make_nice,
+)
 
 AUTO_BRUTE_N = 10
 AUTO_TW_WIDTH = 4
@@ -40,7 +45,7 @@ def choose_algorithm(s: ScoringVector, G: SocialNetwork) -> str:
     """Deterministic automatic selection for one connected component."""
     if G.n <= AUTO_BRUTE_N:
         return "brute"
-    if s.is_closed and compute_decomposition(G).width() <= AUTO_TW_WIDTH:
+    if s.is_closed and decomposition_width(G) <= AUTO_TW_WIDTH:
         return "twdp"
     if select_sz(s, G) is not None:
         return "fptdp"

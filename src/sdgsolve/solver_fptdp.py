@@ -47,7 +47,7 @@ from .dp import (
     run_postorder,
     self_check,
 )
-from .treedecomp import NiceTreeDecomposition, compute_decomposition, nice_decomposition
+from .treedecomp import NiceTreeDecomposition, decomposition_width, nice_decomposition
 
 DEFAULT_STATE_BUDGET = 3_000_000
 
@@ -630,7 +630,7 @@ def select_sz(s: ScoringVector, G: SocialNetwork) -> Optional[int]:
     """
     candidates = []
     if s.score(2) < 0:
-        width = max(1, compute_decomposition(G).width())
+        width = max(1, decomposition_width(G))
         candidates.append(treewidth_coalition_bound(s, width))
     if (
         s.is_closed

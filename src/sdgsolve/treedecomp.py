@@ -1,12 +1,18 @@
 """Tree decompositions: PACE-format ingestion, validation, exact/heuristic
 construction, and conversion to nice form (leaf/introduce/forget/join nodes
 with empty root and leaf bags).
+
+Up to 14 agents a decomposition comes from the exact subset DP, so its width
+is optimal and the solvers' tie-breaks see the same decomposition for the
+same labelled graph; above 14 it comes from the min-fill elimination order.
+``decomposition_width`` answers the width alone, from min-fill wherever the
+minor-min-width lower bound certifies it optimal.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import SocialNetwork, iter_bits
+from .core import SocialNetwork
 
 
 @dataclass(frozen=True)
@@ -152,41 +158,46 @@ def ensure_valid(G: SocialNetwork, td: TreeDecomposition) -> int:
 
 
 def _exact_elimination_order(G: SocialNetwork) -> list[int]:
-    """Optimal elimination order by dynamic programming over vertex subsets."""
+    """Optimal elimination order by dynamic programming over vertex subsets.
+
+    width[mask] is the best width of eliminating ``mask`` first; the last of
+    them, v, costs the number of outside neighbours of v's component in
+    G[mask], so one component search per mask prices every v in it.  Ties go
+    to the smallest v.
+    """
     n = G.n
     adj = G.adj_mask
     full = G.full_mask
-
-    def q_size(eliminated: int, v: int) -> int:
-        # neighbors of v's component inside eliminated+{v}, measured outside it
-        inside = eliminated | (1 << v)
-        comp = 1 << v
-        frontier = comp
-        reach = 0
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= adj[u]
-            reach |= nxt
-            nxt &= inside & ~comp
-            comp |= nxt
-            frontier = nxt
-        return bin(reach & ~inside).count("1")
-
-    dp = {0: -1}
-    choice: dict[int, int] = {}
-    # masks in increasing order: all submasks precede their supersets numerically
+    shift = n.bit_length()
+    low_bits = (1 << shift) - 1
+    reach = [0] * (full + 1)  # union of the neighbourhoods of mask's members
     for mask in range(1, full + 1):
-        best = n + 1
-        best_v = -1
-        for v in iter_bits(mask):
-            prev = mask ^ (1 << v)
-            width = max(dp[prev], q_size(prev, v))
-            if width < best:
-                best = width
-                best_v = v
-        dp[mask] = best
-        choice[mask] = best_v
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | adj[low.bit_length() - 1]
+    width = [-1] * (full + 1)
+    choice = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        best = (n + 1) << shift  # (width << shift) | v
+        rest = mask
+        while rest:
+            comp = rest & -rest
+            while True:
+                grown = comp | (reach[comp] & mask)
+                if grown == comp:
+                    break
+                comp = grown
+            rest ^= comp
+            q = (reach[comp] & ~mask).bit_count()
+            bits = comp
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                w = width[mask ^ low]
+                key = ((w if w > q else q) << shift) | (low.bit_length() - 1)
+                if key < best:
+                    best = key
+        width[mask] = best >> shift
+        choice[mask] = best & low_bits
     order_rev = []
     mask = full
     while mask:
@@ -223,6 +234,27 @@ def _min_fill_order(G: SocialNetwork) -> list[int]:
         remaining.discard(v)
         order.append(v)
     return order
+
+
+def _minor_min_width(G: SocialNetwork) -> int:
+    """Treewidth lower bound: contract a minimum-degree vertex into its
+    minimum-degree neighbour until no vertex is left; the treewidth is at least
+    the minimum degree of every minor met on the way."""
+    adj = {v: set(G.adj[v]) for v in range(G.n)}
+    bound = 0
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        neigh = adj.pop(v)
+        bound = max(bound, len(neigh))
+        if not neigh:
+            continue
+        u = min(neigh, key=lambda x: (len(adj[x]), x))
+        for w in neigh:
+            adj[w].discard(v)
+            if w != u:
+                adj[w].add(u)
+                adj[u].add(w)
+    return bound
 
 
 def decomposition_from_order(G: SocialNetwork, order: list[int]) -> TreeDecomposition:
@@ -267,6 +299,16 @@ def compute_decomposition(
     td = decomposition_from_order(G, order)
     ensure_valid(G, td)
     return td
+
+
+def decomposition_width(G: SocialNetwork) -> int:
+    """``compute_decomposition(G).width()``, without the exact subset DP
+    wherever the min-fill width meets the minor-min-width lower bound, since
+    min-fill is then optimal too."""
+    width = decomposition_from_order(G, _min_fill_order(G)).width()
+    if G.n <= DEFAULT_EXACT_LIMIT and width > _minor_min_width(G):
+        return compute_decomposition(G).width()
+    return width
 
 
 def exact_treewidth(G: SocialNetwork) -> int:

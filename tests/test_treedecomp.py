@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdgsolve import treedecomp
 from sdgsolve.core import SocialNetwork, iter_bits
+from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.treedecomp import (
+    _minor_min_width,
     TdParseError,
     TdViolation,
     TreeDecomposition,
     compute_decomposition,
     decomposition_from_order,
+    decomposition_width,
     exact_treewidth,
     make_nice,
     nice_decomposition,
@@ -140,6 +144,107 @@ def brute_force_treewidth(G: SocialNetwork) -> int:
 def test_exact_width_matches_order_enumeration(n, rng):
     G = random_connected_graph(n, rng)
     assert exact_treewidth(G) == brute_force_treewidth(G)
+
+
+def reference_elimination_order(G: SocialNetwork) -> list[int]:
+    """The elimination-order subset DP written plainly over sets: the last
+    vertex v of S costs the outside neighbours of its component in G[S], and
+    ties go to the smallest v."""
+    best = {frozenset(): (-1, None)}
+    for size in range(1, G.n + 1):
+        for members in itertools.combinations(range(G.n), size):
+            S = frozenset(members)
+            candidates = []
+            for v in members:
+                comp, stack = {v}, [v]
+                while stack:
+                    for y in G.adj[stack.pop()]:
+                        if y in S and y not in comp:
+                            comp.add(y)
+                            stack.append(y)
+                outside = {y for x in comp for y in G.adj[x]} - S
+                candidates.append((max(best[S - {v}][0], len(outside)), v))
+            best[S] = min(candidates)
+    order = []
+    S = frozenset(range(G.n))
+    while S:
+        v = best[S][1]
+        order.append(v)
+        S -= {v}
+    return order[::-1]
+
+
+class TestExactOrder:
+    """The subset DP's order decides the decomposition up to 14 agents, and
+    with it the outcome twdp and fptdp pick among equal-welfare optima, so
+    its order is pinned, not only its width."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 9), st.floats(0, 4), st.randoms(use_true_random=False))
+    def test_order_matches_the_plain_dp(self, n, density, rng):
+        G = random_connected_graph(n, rng, density)
+        assert treedecomp._exact_elimination_order(G) == reference_elimination_order(G)
+
+    @pytest.mark.parametrize("G", [
+        random_partial_ktree(11, 2, 0),
+        random_partial_ktree(11, 3, 1),
+        random_bounded_degree(11, 3, 1),
+        random_partial_ktree(13, 2, 1),
+    ], ids=["tw2-n11-s0", "tw3-n11-s1", "deg3-n11-s1", "tw2-n13-s1"])
+    def test_order_matches_the_plain_dp_on_mid_graphs(self, G):
+        assert treedecomp._exact_elimination_order(G) == reference_elimination_order(G)
+
+
+class TestDecompositionWidth:
+    """Min-fill's width stands where minor-min-width certifies it; elsewhere
+    the exact subset DP decides the width."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8), st.floats(0, 4), st.randoms(use_true_random=False))
+    def test_minor_min_width_is_a_lower_bound(self, n, density, rng):
+        G = random_connected_graph(n, rng, density)
+        assert _minor_min_width(G) <= brute_force_treewidth(G)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 10), st.floats(0, 4), st.randoms(use_true_random=False))
+    def test_width_is_the_decompositions(self, n, density, rng):
+        G = random_connected_graph(n, rng, density)
+        assert decomposition_width(G) == compute_decomposition(G).width() == exact_treewidth(G)
+
+    def test_uncertified_min_fill_runs_the_exact_dp(self, monkeypatch):
+        G = random_bounded_degree(10, 3, 0)
+        assert _minor_min_width(G) == 3
+        assert decomposition_from_order(G, treedecomp._min_fill_order(G)).width() == 4
+        exact_order = treedecomp._exact_elimination_order
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return exact_order(graph)
+
+        monkeypatch.setattr(treedecomp, "_exact_elimination_order", counted)
+        assert decomposition_width(G) == 4
+        assert calls == [G]
+        assert validate(G, compute_decomposition(G)) == 4
+
+    def test_certified_min_fill_skips_the_exact_dp(self, monkeypatch):
+        G = random_partial_ktree(13, 2, 1)
+
+        def refuse(graph):
+            raise AssertionError("exact DP ran on a certified graph")
+
+        monkeypatch.setattr(treedecomp, "_exact_elimination_order", refuse)
+        assert decomposition_width(G) == 2
+
+    def test_bad_heuristic_order_is_not_trusted(self, monkeypatch):
+        grid = SocialNetwork(
+            9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+            + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
+        )
+        bad = [4, 0, 2, 6, 8, 1, 3, 5, 7]  # the centre first joins its four neighbours
+        assert decomposition_from_order(grid, bad).width() > exact_treewidth(grid) == 3
+        monkeypatch.setattr(treedecomp, "_min_fill_order", lambda G: bad)
+        assert decomposition_width(grid) == 3
 
 
 class TestMakeNice:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError
+from sdgsolve.dispatch import solve
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.stability import is_individually_rational, is_nash_stable
@@ -93,3 +94,15 @@ def test_oracle_equivalence_sweep(seed):
         assert got_ns is not None, f"ns seed={seed} G={G.edges}"
         assert got_ns.welfare == expect_ns.welfare, f"ns seed={seed} G={G.edges}"
         assert is_nash_stable(s, G, got_ns.outcome)
+
+
+def test_canonical_outcome_on_a_tie():
+    """Two welfare-6 optima: min-fill's decomposition would make twdp pick
+    ((0,1,3,4),(2,),(5,)); the subset DP's decomposition keeps brute force's
+    canonical outcome."""
+    G = SocialNetwork(6, [(0, 2), (0, 4), (1, 4), (3, 4), (3, 5)])
+    s = ScoringVector((1, 0, -1))
+    result = solve(s, G, "welfare", algo="twdp")
+    assert result.welfare == 6
+    assert result.outcome == Outcome(((0, 1, 2, 4), (3, 5)))
+    assert result.outcome == brute_force_solve(s, G, "welfare").outcome
