@@ -13,17 +13,16 @@ from typing import Optional
 
 from .core import (
     NEG_INF,
+    CoalitionEvaluator,
     ExtInt,
     Outcome,
     ScoringVector,
     SocialNetwork,
     UnsupportedInputError,
-    agent_utility,
     coalition_diameter,
-    social_welfare,
     validate_outcome,
 )
-from .stability import Deviation, find_deviation, is_individually_rational, is_nash_stable
+from .stability import Deviation, first_deviation
 
 
 def degree_coalition_bound(s: ScoringVector, max_degree: int) -> int:
@@ -128,11 +127,13 @@ def certify_outcome(
 ) -> CertificateReport:
     """Welfare, stability verdicts, per-coalition diameters, and violated bounds."""
     validate_outcome(G, outcome)
-    welfare = social_welfare(s, G, outcome)
-    utilities = tuple(agent_utility(s, G, outcome, i) for i in range(G.n))
+    ev = CoalitionEvaluator(s, G)
+    masks = [G.mask_of(b) for b in outcome]
+    welfare = sum(ev.stats(mask)[0] for mask in masks)
+    per_agent = {i: u for mask in masks for i, u in ev.stats(mask)[2].items()}
+    utilities = tuple(per_agent[i] for i in range(G.n))
     diameters = tuple(coalition_diameter(G, block) for block in outcome)
-    ir = is_individually_rational(s, G, outcome)
-    ns = is_nash_stable(s, G, outcome)
+    deviations = {m: first_deviation(ev, masks, m) for m in ("ir", "ns")}
 
     violations: list[str] = []
     for i, u in enumerate(utilities):
@@ -152,16 +153,15 @@ def certify_outcome(
                     f"coalition {block} diameter {diam} exceeds scoring cutoff {s.cutoff}"
                 )
 
-    mode_satisfied = {"welfare": True, "ir": ir, "ns": ns}[mode]
-    deviation = None if mode == "welfare" else find_deviation(s, G, outcome, mode)
+    deviation = {"welfare": None, **deviations}[mode]
     return CertificateReport(
         mode=mode,
         welfare=welfare,
         utilities=utilities,
         coalition_diameters=diameters,
-        individually_rational=ir,
-        nash_stable=ns,
-        mode_satisfied=mode_satisfied,
+        individually_rational=deviations["ir"] is None,
+        nash_stable=deviations["ns"] is None,
+        mode_satisfied=deviation is None,
         bound_violations=tuple(violations),
         deviation=deviation,
     )

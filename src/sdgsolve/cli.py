@@ -28,8 +28,9 @@ from .formats import (
     write_outcome,
 )
 from .generators import random_bounded_degree, random_partial_ktree
+from .oracle import DEFAULT_AGENT_CAP
 from .reductions import ctcg_to_sdg, nae_to_3ctcg, parse_nae_formula
-from .treedecomp import make_nice, read_td, validate
+from .treedecomp import decomposition_width, make_nice, read_td, validate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -220,8 +221,6 @@ def cmd_bench(args) -> int:
 def cmd_bounds(args) -> int:
     s = _scores(args)
     G = _graph(args.graph)
-    from .treedecomp import decomposition_width
-
     width = decomposition_width(G)
     report = compute_bound_report(s, G, tw=max(1, width))
     payload = {
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["auto", "brute", "twdp", "fptdp", "vc"], default="auto")
     p.add_argument("--sz", type=int, default=None, help="coalition size limit for fptdp")
     p.add_argument("--td", default=None, help="optional .td tree decomposition")
-    p.add_argument("--cap", type=int, default=12, help="brute-force agent cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_AGENT_CAP, help="brute-force agent cap")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check", help="certify an outcome file")

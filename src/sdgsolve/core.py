@@ -180,7 +180,7 @@ class SocialNetwork:
         if members_mask == 0:
             return True
         source = (members_mask & -members_mask).bit_length() - 1
-        return len(self.distances_in(members_mask, source)) == bin(members_mask).count("1")
+        return len(self.distances_in(members_mask, source)) == members_mask.bit_count()
 
     def components(self) -> list[frozenset[int]]:
         remaining = self._full_mask
@@ -264,9 +264,6 @@ class Outcome:
                 return i
         raise KeyError(f"agent {agent} not in outcome")
 
-    def sort_key(self) -> tuple:
-        return self.coalitions
-
     def __iter__(self):
         return iter(self.coalitions)
 
@@ -317,6 +314,8 @@ def utility_from_distances(s: ScoringVector, dist: dict, size: int) -> ExtInt:
 
 def member_utility(s: ScoringVector, G: SocialNetwork, mask: int, i: int) -> ExtInt:
     """Utility of member i of the coalition with member bitmask ``mask``."""
+    if mask == 1 << i:
+        return 0
     return utility_from_distances(s, G.distances_in(mask, i), mask.bit_count())
 
 
@@ -325,9 +324,45 @@ def utility_in_coalition(s: ScoringVector, G: SocialNetwork, coalition: Iterable
     members = frozenset(coalition)
     if i not in members:
         raise ValueError(f"agent {i} not in coalition")
-    if len(members) == 1:
-        return 0
     return member_utility(s, G, G.mask_of(members), i)
+
+
+class CoalitionEvaluator:
+    """Utilities over one network under one scoring vector, cached by member
+    bitmask: a coalition's utilities, or one member's, cost one BFS per
+    member the first time they are asked for and a lookup after that."""
+
+    __slots__ = ("s", "G", "_stats", "_utility")
+
+    def __init__(self, s: ScoringVector, G: SocialNetwork):
+        self.s = s
+        self.G = G
+        self._stats: dict[int, tuple[ExtInt, ExtInt, dict[int, ExtInt]]] = {}
+        self._utility: dict[tuple[int, int], ExtInt] = {}
+
+    def stats(self, mask: int) -> tuple[ExtInt, ExtInt, dict[int, ExtInt]]:
+        """(welfare, worst member utility, member -> utility) of the coalition
+        with member bitmask ``mask``."""
+        cached = self._stats.get(mask)
+        if cached is not None:
+            return cached
+        utils = {i: member_utility(self.s, self.G, mask, i) for i in iter_bits(mask)}
+        result = (sum(utils.values()), min(utils.values()), utils)
+        self._stats[mask] = result
+        return result
+
+    def utility(self, i: int, mask: int) -> ExtInt:
+        """Utility of member i of the coalition with bitmask ``mask``, read
+        from that coalition's stats when they are cached.  Agent i's utility
+        after joining a coalition ``c`` is ``utility(i, c | 1 << i)``."""
+        cached = self._stats.get(mask)
+        if cached is not None:
+            return cached[2][i]
+        key = (i, mask)
+        u = self._utility.get(key)
+        if u is None:
+            u = self._utility[key] = member_utility(self.s, self.G, mask, i)
+        return u
 
 
 def agent_utility(s: ScoringVector, G: SocialNetwork, outcome: Outcome, i: int) -> ExtInt:
@@ -338,8 +373,6 @@ def agent_utility(s: ScoringVector, G: SocialNetwork, outcome: Outcome, i: int) 
 def coalition_welfare(s: ScoringVector, G: SocialNetwork, coalition: Iterable[int]) -> ExtInt:
     """Total utility of a coalition's members (its contribution to social welfare)."""
     members = tuple(sorted(set(coalition)))
-    if len(members) == 1:
-        return 0
     total: ExtInt = 0
     mask = G.mask_of(members)
     for i in members:

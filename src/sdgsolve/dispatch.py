@@ -61,7 +61,7 @@ def _solve_component(s, G, mode, algo, sz, brute_cap):
     if algo == "auto":
         algo = choose_algorithm(s, G)
     if algo == "brute":
-        return brute_force_solve(s, G, mode, cap=max(brute_cap, 0) or DEFAULT_AGENT_CAP)
+        return brute_force_solve(s, G, mode, cap=brute_cap)
     if algo == "brute-raised":
         result = brute_force_solve(s, G, mode, cap=G.n)
         if result is None:
@@ -90,6 +90,8 @@ def solve(
     check_mode(mode)
     if algo not in ("auto", "brute", "twdp", "fptdp", "vc"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    if brute_cap < 1:
+        raise ValueError(f"brute-force cap must be at least 1, got {brute_cap}")
     if decomposition is not None:
         if algo not in ("auto", "twdp"):
             raise ValueError("a tree decomposition only drives the twdp algorithm")

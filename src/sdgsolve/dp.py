@@ -10,8 +10,8 @@ blocks, and the self-check every solver runs on its answer.
 
 from typing import Optional
 
-from .core import Outcome, ResourceLimitError, social_welfare
-from .stability import is_individually_rational, is_nash_stable
+from .core import CoalitionEvaluator, Outcome, ResourceLimitError
+from .stability import first_deviation
 
 
 def run_postorder(ntd, leaf, introduce, forget, join):
@@ -136,9 +136,9 @@ def self_check(s, G, mode: str, welfare, outcome: Outcome, solver: str) -> None:
     """Re-derive a solver's answer directly: its welfare must match, and the
     outcome must be individually rational in ir mode and Nash stable in ns
     mode.  Raises AssertionError naming the solver otherwise."""
-    if social_welfare(s, G, outcome) != welfare:
+    ev = CoalitionEvaluator(s, G)
+    masks = [G.mask_of(b) for b in outcome]
+    if sum(ev.stats(mask)[0] for mask in masks) != welfare:
         raise AssertionError(f"{solver} welfare disagrees with direct evaluation")
-    if mode == "ir" and not is_individually_rational(s, G, outcome):
-        raise AssertionError(f"{solver} produced a non-IR outcome")
-    if mode == "ns" and not is_nash_stable(s, G, outcome):
-        raise AssertionError(f"{solver} produced a non-NS outcome")
+    if mode != "welfare" and first_deviation(ev, masks, mode) is not None:
+        raise AssertionError(f"{solver} produced a non-{mode.upper()} outcome")

@@ -8,8 +8,8 @@ one coalition per line as space-separated 1-indexed agents.
 import json
 from typing import Optional
 
-from .core import NEG_INF, Outcome, ScoringVector, SocialNetwork, SolveResult
-from .stability import is_individually_rational, is_nash_stable
+from .core import NEG_INF, CoalitionEvaluator, Outcome, ScoringVector, SocialNetwork, SolveResult
+from .stability import first_deviation
 
 
 class GrParseError(ValueError):
@@ -98,8 +98,6 @@ def result_report(
     elapsed_ms: Optional[float] = None,
     graph_path: Optional[str] = None,
 ) -> dict:
-    from .core import agent_utility
-
     report: dict = {
         "n": G.n,
         "m": len(G.edges),
@@ -111,7 +109,9 @@ def result_report(
     if result is None:
         report.update({"feasible": False})
         return report
-    utilities = [agent_utility(s, G, result.outcome, i) for i in range(G.n)]
+    ev = CoalitionEvaluator(s, G)
+    masks = [G.mask_of(b) for b in result.outcome]
+    utilities = {i: u for mask in masks for i, u in ev.stats(mask)[2].items()}
     report.update(
         {
             "feasible": True,
@@ -119,9 +119,9 @@ def result_report(
             "algorithm": result.algorithm,
             "welfare": int(result.welfare),
             "outcome": [[a + 1 for a in block] for block in result.outcome],
-            "utilities": [None if u == NEG_INF else int(u) for u in utilities],
-            "individually_rational": is_individually_rational(s, G, result.outcome),
-            "nash_stable": is_nash_stable(s, G, result.outcome),
+            "utilities": [None if u == NEG_INF else int(u) for _, u in sorted(utilities.items())],
+            "individually_rational": first_deviation(ev, masks, "ir") is None,
+            "nash_stable": first_deviation(ev, masks, "ns") is None,
             "optimal": result.optimal,
             "size_limited": result.size_limited,
         }

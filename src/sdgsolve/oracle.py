@@ -5,7 +5,9 @@ A coalition of finite welfare is connected, so the search runs over connected
 blocks only: a subset DP for welfare and IR, and an enumeration of the
 partitions into IR-admissible connected blocks for NS (coalition structure
 generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).
-Per-coalition quantities are cached by member bitmask.
+Every utility comes from one ``CoalitionEvaluator`` per solve, which caches
+it by member bitmask; the NS search tests each candidate partition with the
+same deviation search as ``stability.find_deviation``.
 ``enumerate_partitions`` keeps the plain Bell enumeration for tests.
 """
 
@@ -13,6 +15,7 @@ from typing import Iterator, Optional
 
 from .core import (
     NEG_INF,
+    CoalitionEvaluator,
     ExtInt,
     Outcome,
     ResourceLimitError,
@@ -21,8 +24,8 @@ from .core import (
     SolveResult,
     check_mode,
     iter_bits,
-    member_utility,
 )
+from .stability import first_deviation
 
 DEFAULT_AGENT_CAP = 12
 
@@ -58,40 +61,6 @@ def bell_number(n: int) -> int:
     return row[-1] if n >= 1 else 1
 
 
-class _BlockCache:
-    """Per-coalition utilities keyed by member bitmask."""
-
-    def __init__(self, s: ScoringVector, G: SocialNetwork):
-        self.s = s
-        self.G = G
-        self._stats: dict[int, tuple[ExtInt, ExtInt, dict[int, ExtInt]]] = {}
-        self._join: dict[tuple[int, int], ExtInt] = {}
-
-    def stats(self, mask: int) -> tuple[ExtInt, ExtInt, dict[int, ExtInt]]:
-        """(total welfare, min member utility, per-member utility) for one coalition."""
-        cached = self._stats.get(mask)
-        if cached is not None:
-            return cached
-        members = list(iter_bits(mask))
-        if len(members) == 1:
-            result = (0, 0, {members[0]: 0})
-        else:
-            utils = {i: member_utility(self.s, self.G, mask, i) for i in members}
-            result = (sum(utils.values()), min(utils.values()), utils)
-        self._stats[mask] = result
-        return result
-
-    def join_utility(self, i: int, mask: int) -> ExtInt:
-        """Utility of agent i after joining the coalition given by ``mask``."""
-        key = (i, mask)
-        cached = self._join.get(key)
-        if cached is not None:
-            return cached
-        u = member_utility(self.s, self.G, mask | (1 << i), i)
-        self._join[key] = u
-        return u
-
-
 def _connected_blocks(G: SocialNetwork, low: int, allowed: int) -> Iterator[int]:
     """Each connected subset of ``allowed`` that contains agent ``low``, once.
 
@@ -114,18 +83,18 @@ def _connected_blocks(G: SocialNetwork, low: int, allowed: int) -> Iterator[int]
 
 
 def _admissible_blocks(
-    cache: _BlockCache, rem: int, need_ir: bool
+    ev: CoalitionEvaluator, rem: int, need_ir: bool
 ) -> Iterator[tuple[int, ExtInt]]:
     """(mask, welfare) of the blocks of ``rem`` that hold its lowest agent,
     have finite welfare and, if ``need_ir``, no member below utility 0."""
     low = (rem & -rem).bit_length() - 1
-    for block in _connected_blocks(cache.G, low, rem):
-        welfare, worst, _ = cache.stats(block)
+    for block in _connected_blocks(ev.G, low, rem):
+        welfare, worst, _ = ev.stats(block)
         if welfare != NEG_INF and not (need_ir and worst < 0):
             yield block, welfare
 
 
-def _best_partition(cache: _BlockCache, need_ir: bool) -> tuple[ExtInt, tuple]:
+def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> tuple[ExtInt, tuple]:
     """Subset DP: best(rem) = max of w(B) + best(rem ^ B) over admissible B
     holding the lowest agent of rem.  Its key (B,) + key(rem ^ B) lists the
     blocks by smallest member, so ties break on the canonical outcome."""
@@ -137,7 +106,7 @@ def _best_partition(cache: _BlockCache, need_ir: bool) -> tuple[ExtInt, tuple]:
             return hit
         top_w: ExtInt = NEG_INF
         top_key = ()
-        for block, w in _admissible_blocks(cache, rem, need_ir):
+        for block, w in _admissible_blocks(ev, rem, need_ir):
             rest_w, rest_key = best(rem ^ block)
             total = w + rest_w
             if total < top_w:
@@ -148,26 +117,16 @@ def _best_partition(cache: _BlockCache, need_ir: bool) -> tuple[ExtInt, tuple]:
         memo[rem] = (top_w, top_key)
         return top_w, top_key
 
-    return best(cache.G.full_mask)
+    return best(ev.G.full_mask)
 
 
-def _best_nash_stable(cache: _BlockCache) -> Optional[tuple[ExtInt, tuple]]:
+def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, tuple]]:
     """Best Nash-stable partition, by enumerating the partitions into
     IR-admissible blocks: every NS outcome is IR, since leaving for a
     singleton is one of the moves tested."""
-    G = cache.G
     best_welfare: ExtInt = NEG_INF  # every partition searched scores higher
     best_key = None
     masks: list[int] = []
-
-    def no_join_gain() -> bool:
-        for mask in masks:
-            for i, current in cache.stats(mask)[2].items():
-                neigh = G.adj_mask[i]
-                for other in masks:
-                    if other != mask and neigh & other and cache.join_utility(i, other) > current:
-                        return False
-        return True
 
     def rec(rem: int, welfare: ExtInt):
         nonlocal best_welfare, best_key
@@ -176,15 +135,15 @@ def _best_nash_stable(cache: _BlockCache) -> Optional[tuple[ExtInt, tuple]]:
                 return
             key = tuple(tuple(iter_bits(m)) for m in masks)
             if welfare > best_welfare or key < best_key:
-                if no_join_gain():
+                if first_deviation(ev, masks, "ns") is None:
                     best_welfare, best_key = welfare, key
             return
-        for block, w in _admissible_blocks(cache, rem, True):
+        for block, w in _admissible_blocks(ev, rem, True):
             masks.append(block)
             rec(rem ^ block, welfare + w)
             masks.pop()
 
-    rec(G.full_mask, 0)
+    rec(ev.G.full_mask, 0)
     return None if best_key is None else (best_welfare, best_key)
 
 
@@ -203,11 +162,11 @@ def brute_force_solve(
         raise ResourceLimitError(
             f"brute force capped at {cap} agents, network has {G.n}"
         )
-    cache = _BlockCache(s, G)
+    ev = CoalitionEvaluator(s, G)
     if mode == "ns":
-        solved = _best_nash_stable(cache)
+        solved = _best_nash_stable(ev)
     else:
-        solved = _best_partition(cache, need_ir=mode == "ir")
+        solved = _best_partition(ev, need_ir=mode == "ir")
     if solved is None:
         return None
     welfare, blocks = solved

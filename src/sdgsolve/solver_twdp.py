@@ -23,10 +23,10 @@ or at a join for pairs split across branches) and never revised.
 
 NS mode keeps coalitions explicit instead: records store the concrete member
 sets of open coalitions, and all utility and deviation checks run on the real
-induced subgraphs when a coalition completes (its last bag agent is
-forgotten).  Members of completed coalitions stay tracked, as (agent, final
-utility) pairs, exactly while they still neighbor an open coalition they
-could later want to join.
+induced subgraphs, through one ``CoalitionEvaluator`` per solve, when a
+coalition completes (its last bag agent is forgotten).  Members of completed
+coalitions stay tracked, as (agent, final utility) pairs, exactly while they
+still neighbor an open coalition they could later want to join.
 """
 
 from functools import partial
@@ -35,11 +35,11 @@ from typing import Optional
 
 from .core import (
     NEG_INF,
+    CoalitionEvaluator,
     ScoringVector,
     SocialNetwork,
     SolveResult,
     UnsupportedInputError,
-    utility_in_coalition,
 )
 from .dp import (
     Budget,
@@ -64,6 +64,7 @@ class _Ctx:
         self.mode = mode
         self.budget = Budget(budget, f"treewidth DP exceeded its record budget ({budget})")
         self.cutoff = s.cutoff
+        self.ev = CoalitionEvaluator(s, G)
         # distances in the full network lower-bound every coalition distance
         self.gdist: list[dict[int, int]] = [
             G.distances_in(G.full_mask, v) for v in range(G.n)
@@ -459,7 +460,7 @@ def _ns_introduce(ctx, node, child):
 
 
 def _ns_forget(ctx, node, child):
-    G, s = ctx.G, ctx.s
+    G, ev = ctx.G, ctx.ev
     bag = node.bag
     table = WitnessTable(ctx.budget)
     w = node.agent
@@ -471,18 +472,18 @@ def _ns_forget(ctx, node, child):
             continue
         # the coalition completes: run every check on the real subgraph
         rest = tuple(b for b in opens if b is not block)
-        utils = {u: utility_in_coalition(s, G, block, u) for u in block}
+        block_mask = G.mask_of(block)
+        welfare, _, utils = ev.stats(block_mask)
         devmap = dict(devs)
         if any(utils[u] < 0 or utils[u] < devmap[u] for u in block):
             continue
         alive = True
         pend_util = dict(pending)
-        block_mask = G.mask_of(block)
         others = set(u for b in rest for u in b) | set(pend_util)
         for t in others:
             if not (G.adj_mask[t] & block_mask):
                 continue
-            jut = utility_in_coalition(s, G, set(block) | {t}, t)
+            jut = ev.utility(t, block_mask | 1 << t)
             if t in pend_util:
                 if jut > pend_util[t]:
                     alive = False
@@ -501,7 +502,7 @@ def _ns_forget(ctx, node, child):
                 new_pending.append((u, utils[u]))
         table.add(
             _ns_key(rest, new_pending, devmap),
-            wf + sum(utils.values()),
+            wf + welfare,
             closed + (block,),
         )
     return table

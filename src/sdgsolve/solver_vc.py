@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 
 from .core import (
     NEG_INF,
+    CoalitionEvaluator,
     Outcome,
     ResourceLimitError,
     ScoringVector,
@@ -29,7 +30,7 @@ from .core import (
     check_mode,
 )
 from .dp import self_check
-from .stability import is_individually_rational, is_nash_stable
+from .stability import first_deviation
 
 DEFAULT_COVER_LIMIT = 25
 
@@ -246,6 +247,7 @@ def solve_qp(qp: QuadraticProgram, G: SocialNetwork) -> Optional[tuple[int, dict
     per-class compositions; stability is checked on the materialized outcome
     only when the candidate improves on the best so far."""
     s, mode, structure = qp.scoring, qp.mode, qp.structure
+    ev = CoalitionEvaluator(s, G)
     sizes = dict(qp.class_sizes)
     tables = [
         _quotient_distances(G, part, decl)
@@ -276,9 +278,8 @@ def solve_qp(qp: QuadraticProgram, G: SocialNetwork) -> Optional[tuple[int, dict
             if best is not None and value <= best[0]:
                 return
             outcome = _materialize(G, structure, assignment)
-            if mode == "ir" and not is_individually_rational(s, G, outcome):
-                return
-            if mode == "ns" and not is_nash_stable(s, G, outcome):
+            masks = [G.mask_of(b) for b in outcome]
+            if mode != "welfare" and first_deviation(ev, masks, mode) is not None:
                 return
             best = (value, dict(assignment), outcome)
             return
@@ -310,18 +311,19 @@ def solve_vc(
     class_sizes = tuple(
         sorted(((w, len(m)) for w, m in class_map.items()), key=lambda kv: sorted(kv[0]))
     )
-    best: Optional[tuple[int, Outcome, tuple]] = None
+    best: Optional[tuple[int, Outcome]] = None
     for structure in enumerate_structures(G, cover):
         qp = QuadraticProgram(structure, class_sizes, s, mode)
         solved = solve_qp(qp, G)
         if solved is None:
             continue
         value, _, outcome = solved
-        key = outcome.sort_key()
-        if best is None or value > best[0] or (value == best[0] and key < best[2]):
-            best = (value, outcome, key)
+        if best is None or value > best[0] or (
+            value == best[0] and outcome.coalitions < best[1].coalitions
+        ):
+            best = (value, outcome)
     if best is None:
         return None
-    welfare, outcome, _ = best
+    welfare, outcome = best
     self_check(s, G, mode, welfare, outcome, "vc")
     return SolveResult(outcome, welfare, mode, True, "vc")

@@ -1,17 +1,15 @@
-"""Individual rationality and Nash stability checks with deviation witnesses."""
+"""Individual rationality and Nash stability checks with deviation witnesses.
+
+``first_deviation`` is the package's one deviation search: it runs on member
+bitmasks and reads every utility from a ``CoalitionEvaluator``, so a caller
+that checks one outcome several times, or many partitions of one network
+(the brute-force NS search), pays for each utility once.
+"""
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    NEG_INF,
-    ExtInt,
-    Outcome,
-    ScoringVector,
-    SocialNetwork,
-    agent_utility,
-    member_utility,
-)
+from .core import NEG_INF, CoalitionEvaluator, ExtInt, Outcome, ScoringVector, SocialNetwork
 
 
 @dataclass(frozen=True)
@@ -48,10 +46,6 @@ def is_nash_stable(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> bool
     return find_deviation(s, G, outcome, "ns") is None
 
 
-def _joined_utility(s, G, block, i) -> ExtInt:
-    return member_utility(s, G, G.mask_of(block) | (1 << i), i)
-
-
 def find_deviation(
     s: ScoringVector, G: SocialNetwork, outcome: Outcome, mode: str
 ) -> Optional[Deviation]:
@@ -59,19 +53,25 @@ def find_deviation(
     in canonical order, the fresh singleton last), or None if stable."""
     if mode not in ("ir", "ns"):
         raise ValueError(f"mode must be 'ir' or 'ns', got {mode!r}")
-    for i in range(G.n):
-        current = agent_utility(s, G, outcome, i)
+    return first_deviation(CoalitionEvaluator(s, G), [G.mask_of(b) for b in outcome], mode)
+
+
+def first_deviation(ev: CoalitionEvaluator, masks: list[int], mode: str) -> Optional[Deviation]:
+    """``find_deviation`` on the partition with coalition bitmasks ``masks``
+    (canonical order), reading every utility from ``ev``."""
+    adj = ev.G.adj_mask
+    for i in range(ev.G.n):
+        own = next((t for t, mask in enumerate(masks) if mask >> i & 1), None)
+        if own is None:
+            raise KeyError(f"agent {i} not in outcome")
+        current = ev.utility(i, masks[own])
         if mode == "ns":
-            own_index = outcome.coalition_index_of(i)
-            for t, block in enumerate(outcome.coalitions):
-                if t == own_index:
-                    continue
+            for t, mask in enumerate(masks):
                 # Joining a coalition with no neighbor of i leaves i unreachable.
-                if not any(G.has_edge(i, j) for j in block):
-                    continue
-                new = _joined_utility(s, G, block, i)
-                if new > current:
-                    return Deviation(i, "to-coalition", t, current, new)
+                if t != own and adj[i] & mask:
+                    new = ev.utility(i, mask | 1 << i)
+                    if new > current:
+                        return Deviation(i, "to-coalition", t, current, new)
         if current < 0:
             return Deviation(i, "to-singleton", None, current, 0)
     return None

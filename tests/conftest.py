@@ -85,6 +85,16 @@ def long_vec():
     return ScoringVector((1, 1, -1, -1, -1, -1))
 
 
+# the five scoring vectors of the randomized oracle and evaluator tests
+VECTORS = [
+    ScoringVector((1,)),
+    ScoringVector((1, -3)),
+    ScoringVector((1, 0, -1)),
+    ScoringVector((1, 1, -1, -1, -1, -1)),
+    ScoringVector((2, 0, -1), tail="open"),
+]
+
+
 def random_connected_graph(n: int, rng: random.Random, extra_edge_prob: float = 0.3) -> SocialNetwork:
     """Random spanning tree plus a few extra edges."""
     edges = set()

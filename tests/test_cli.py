@@ -113,6 +113,14 @@ class TestSolveCommand:
         assert report["welfare"] == 0
         assert report["outcome"] == [[1]]
 
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_cap_below_one_rejected(self, cap, capsys):
+        code = main(
+            ["solve", "--graph", str(DATA / "fig_a.gr"), "--scores", "1", "--cap", cap]
+        )
+        assert code == 1
+        assert f"got {cap}" in capsys.readouterr().err
+
     def test_unsupported_combination_errors(self, capsys):
         code = main(
             [

@@ -24,7 +24,7 @@ from sdgsolve.oracle import (
 )
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
-from conftest import path_graph, random_connected_graph
+from conftest import VECTORS, path_graph, random_connected_graph
 
 
 class TestEnumeration:
@@ -132,15 +132,6 @@ class TestDecide:
 
     def test_zero_always_reachable(self, fig_a):
         assert decide_welfare_at_least(ScoringVector((1, -3)), fig_a, 0, "welfare")
-
-
-VECTORS = [
-    ScoringVector((1,)),
-    ScoringVector((1, -3)),
-    ScoringVector((1, 0, -1)),
-    ScoringVector((1, 1, -1, -1, -1, -1)),
-    ScoringVector((2, 0, -1), tail="open"),
-]
 
 
 @settings(max_examples=25, deadline=None)
