@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per solver over the answers of ``solve`` on a fixed sweep.
+
+The sweep is the acceptance suite's criterion-4 corpus (the 200 instances of
+``random_solver_corpus_instance``) x its four closed vectors x the three
+modes, plus larger networks where the tables run deep: partial 1-trees of 30
+and 60 agents and a partial 2-tree of 20 agents under ``(1,-3)`` and
+``(1,0,-1)`` for ``auto`` and ``twdp``, and the 30-agent tree under the open
+vector ``(2,-1)`` for ``auto`` and ``fptdp``, in welfare and IR modes.
+
+Per algorithm the script hashes ``(welfare, outcome, algorithm, optimal,
+size_limited)`` of every answer (``None`` for an NS instance with no stable
+outcome, the exception's type and text for a resource or input error) into
+``outcomes``, and each solve's DP table insertions (``Budget.seen``, empty
+for brute and vc) into ``adds``.  Two checkouts give the same outcomes hash
+exactly when every answer is the same.
+
+    PYTHONPATH=src python3 scripts/outcome_digest.py
+"""
+
+import hashlib
+import time
+
+from sdgsolve import dp
+from sdgsolve.core import ResourceLimitError, ScoringVector, UnsupportedInputError
+from sdgsolve.dispatch import solve
+from sdgsolve.generators import random_partial_ktree, random_solver_corpus_instance
+
+SEEDS = 200
+ALGOS = ("auto", "brute", "twdp", "fptdp", "vc")
+SWEEP_VECTORS = ((1,), (1, -3), (1, 0, -1), (1, 1, -1, -1, -1, -1))
+MODES = ("welfare", "ir", "ns")
+
+
+def track_budgets():
+    """List that collects every Budget made from now on: one per DP solve."""
+    budgets = []
+    init = dp.Budget.__init__
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        budgets.append(self)
+
+    dp.Budget.__init__ = tracked_init
+    return budgets
+
+
+def cases():
+    for seed in range(SEEDS):
+        G = random_solver_corpus_instance(seed)
+        for vec in SWEEP_VECTORS:
+            for mode in MODES:
+                yield f"seed={seed}", G, ScoringVector(vec), mode, ALGOS
+    for n, k in ((30, 1), (60, 1), (20, 2)):
+        G = random_partial_ktree(n, k, 0)
+        for vec in ((1, -3), (1, 0, -1)):
+            for mode in ("welfare", "ir"):
+                yield f"ktree({n},{k})", G, ScoringVector(vec), mode, ("auto", "twdp")
+    G = random_partial_ktree(30, 1, 0)
+    for mode in ("welfare", "ir"):
+        yield "ktree(30,1)", G, ScoringVector((2, -1), tail="open"), mode, ("auto", "fptdp")
+
+
+def answer(s, G, mode, algo):
+    try:
+        result = solve(s, G, mode, algo=algo)
+    except (ResourceLimitError, UnsupportedInputError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if result is None:
+        return None
+    return (result.welfare, result.outcome.coalitions, result.algorithm,
+            result.optimal, result.size_limited)
+
+
+def main():
+    budgets = track_budgets()
+    outcomes = {algo: hashlib.sha256() for algo in ALGOS}
+    adds = {algo: hashlib.sha256() for algo in ALGOS}
+    count = dict.fromkeys(ALGOS, 0)
+    start = time.perf_counter()
+    for label, G, s, mode, algos in cases():
+        for algo in algos:
+            budgets.clear()
+            got = answer(s, G, mode, algo)
+            item = (label, s.scores, s.tail, mode)
+            outcomes[algo].update(repr(item + (got,)).encode())
+            adds[algo].update(repr(item + (tuple(b.seen for b in budgets),)).encode())
+            count[algo] += 1
+    for algo in ALGOS:
+        print(f"{algo:6} solves={count[algo]} outcomes={outcomes[algo].hexdigest()} "
+              f"adds={adds[algo].hexdigest()}")
+    print(f"elapsed {time.perf_counter() - start:.1f} s")
+
+
+if __name__ == "__main__":
+    main()

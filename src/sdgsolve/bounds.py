@@ -19,7 +19,6 @@ from .core import (
     ScoringVector,
     SocialNetwork,
     UnsupportedInputError,
-    coalition_diameter,
     validate_outcome,
 )
 from .stability import Deviation, first_deviation
@@ -129,10 +128,10 @@ def certify_outcome(
     validate_outcome(G, outcome)
     ev = CoalitionEvaluator(s, G)
     masks = [G.mask_of(b) for b in outcome]
+    diameters = tuple(ev.diameter(mask) for mask in masks)
     welfare = sum(ev.stats(mask)[0] for mask in masks)
     per_agent = {i: u for mask in masks for i, u in ev.stats(mask)[2].items()}
     utilities = tuple(per_agent[i] for i in range(G.n))
-    diameters = tuple(coalition_diameter(G, block) for block in outcome)
     deviations = {m: first_deviation(ev, masks, m) for m in ("ir", "ns")}
 
     violations: list[str] = []

@@ -344,12 +344,7 @@ class CoalitionEvaluator:
         """(welfare, worst member utility, member -> utility) of the coalition
         with member bitmask ``mask``."""
         cached = self._stats.get(mask)
-        if cached is not None:
-            return cached
-        utils = {i: member_utility(self.s, self.G, mask, i) for i in iter_bits(mask)}
-        result = (sum(utils.values()), min(utils.values()), utils)
-        self._stats[mask] = result
-        return result
+        return cached if cached is not None else self._measure(mask)[0]
 
     def utility(self, i: int, mask: int) -> ExtInt:
         """Utility of member i of the coalition with bitmask ``mask``, read
@@ -363,6 +358,20 @@ class CoalitionEvaluator:
         if u is None:
             u = self._utility[key] = member_utility(self.s, self.G, mask, i)
         return u
+
+    def diameter(self, mask: int) -> ExtInt:
+        """``coalition_diameter`` of the coalition with bitmask ``mask``, from
+        the BFS runs that also give (and cache) its stats."""
+        return _diameter(self._measure(mask)[1].values(), mask.bit_count())
+
+    def _measure(self, mask: int):
+        """The coalition's stats, which it caches, and each member's BFS
+        distances inside it (no BFS for a singleton)."""
+        size = mask.bit_count()
+        dists = {i: self.G.distances_in(mask, i) if size > 1 else {i: 0} for i in iter_bits(mask)}
+        utils = {i: utility_from_distances(self.s, d, size) for i, d in dists.items()}
+        result = self._stats[mask] = (sum(utils.values()), min(utils.values()), utils)
+        return result, dists
 
 
 def agent_utility(s: ScoringVector, G: SocialNetwork, outcome: Outcome, i: int) -> ExtInt:
@@ -388,21 +397,20 @@ def social_welfare(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> ExtI
     return sum(coalition_welfare(s, G, block) for block in outcome)
 
 
+def _diameter(dists, size: int) -> ExtInt:
+    """Largest distance in the BFS results ``dists`` from members of a
+    ``size``-member coalition; NEG_INF when one of them misses a member."""
+    if any(len(d) < size for d in dists):
+        return NEG_INF
+    return max((max(d.values()) for d in dists), default=0)
+
+
 def coalition_diameter(G: SocialNetwork, coalition: Iterable[int]) -> ExtInt:
     """Largest pairwise induced distance; NEG_INF when the coalition is disconnected."""
-    members = tuple(sorted(set(coalition)))
-    if not members:
+    mask = G.mask_of(coalition)
+    if not mask:
         raise ValueError("empty coalition")
-    if len(members) == 1:
-        return 0
-    mask = G.mask_of(members)
-    best = 0
-    for i in members:
-        dist = G.distances_in(mask, i)
-        if len(dist) < len(members):
-            return NEG_INF
-        best = max(best, max(dist.values()))
-    return best
+    return _diameter([G.distances_in(mask, i) for i in iter_bits(mask)], mask.bit_count())
 
 
 @dataclass(frozen=True)

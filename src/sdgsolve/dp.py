@@ -5,12 +5,13 @@ The treewidth DP (``solver_twdp``) and the coalition-topology DP
 per node, a table from state keys to the best partial outcome reaching that
 state.  This module holds what they share: the postorder walk, the witness
 table with its budget counter, the helpers that grow and merge witness
-blocks, and the self-check every solver runs on its answer.
+blocks, and the self-check every solver runs on its answer.  A witness is a
+tuple of blocks, each the member bitmask of one coalition built so far.
 """
 
 from typing import Optional
 
-from .core import CoalitionEvaluator, Outcome, ResourceLimitError
+from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits
 from .stability import first_deviation
 
 
@@ -53,12 +54,13 @@ class Budget:
 
 
 def _witness_key(blocks):
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+    return tuple(sorted(tuple(iter_bits(b)) for b in blocks))
 
 
 class WitnessTable:
     """key -> (welfare, witness_blocks, witness_key, state): maximum welfare,
-    then the lexicographically smallest witness.
+    then the lexicographically smallest witness, compared as sorted agent
+    tuples.  The witness key is None until a welfare tie needs it.
 
     ``add`` takes a state and keys it by ``canon(state)``, or by the state
     itself when ``canon`` is None; every call is charged to the budget first.
@@ -83,11 +85,11 @@ class WitnessTable:
             if welfare < old[0]:
                 return
             if welfare == old[0]:
+                if old[2] is None:
+                    old = self.data[key] = (old[0], old[1], _witness_key(old[1]), old[3])
                 wk = _witness_key(blocks)
                 if wk >= old[2]:
                     return
-        if wk is None:
-            wk = _witness_key(blocks)
         self.data[key] = (welfare, blocks, wk, state)
 
 
@@ -95,41 +97,30 @@ def best_outcome(table: WitnessTable) -> Optional[tuple[int, Outcome]]:
     """(welfare, outcome) of the table's best entry, or None when it is empty."""
     if not table.data:
         return None
-    welfare, blocks, _, _ = min(table.data.values(), key=lambda e: (-e[0], e[2]))
-    return welfare, Outcome.from_blocks(blocks)
+    welfare, blocks, _, _ = min(table.data.values(), key=lambda e: (-e[0], _witness_key(e[1])))
+    return welfare, Outcome.from_blocks(iter_bits(b) for b in blocks)
 
 
 def grow_block(blocks, mates, a):
     """Witness blocks with agent ``a`` added to the block holding its mates,
     or as a new singleton block when it has none."""
-    mates_set = set(mates)
-    out = []
-    grown = False
-    for b in blocks:
-        if b & mates_set:
-            out.append(b | {a})
-            grown = True
-        else:
-            out.append(b)
-    if not grown:
-        out.append(frozenset({a}))
-    return tuple(out)
+    mates_mask = sum(1 << m for m in mates)
+    if not mates_mask:
+        return blocks + (1 << a,)
+    return tuple(b | 1 << a if b & mates_mask else b for b in blocks)
 
 
 def merge_blocks(blocks_y, blocks_z):
     """Union of two branches' witness blocks; blocks sharing an agent fuse."""
-    out = [set(b) for b in blocks_y]
+    out = list(blocks_y)
     for bz in blocks_z:
-        hit = None
-        for b in out:
+        for i, b in enumerate(out):
             if b & bz:
-                hit = b
+                out[i] = b | bz
                 break
-        if hit is None:
-            out.append(set(bz))
         else:
-            hit |= bz
-    return tuple(frozenset(b) for b in out)
+            out.append(bz)
+    return tuple(out)
 
 
 def self_check(s, G, mode: str, welfare, outcome: Outcome, solver: str) -> None:

@@ -256,7 +256,7 @@ def _plain_introduce(ctx, node, child):
         table.add(
             tuple(sorted(state + (_singleton_topo(a),))),
             wf,
-            blocks + (frozenset({a}),),
+            blocks + (1 << a,),
         )
         for i, topo in enumerate(state):
             if _topo_size(topo) >= ctx.sz:
@@ -454,7 +454,7 @@ def _ns_introduce(ctx, node, child):
         table.add(
             _ns_state(parts, st.anons, st.ghosts, devmap),
             wf,
-            blocks + (frozenset({a}),),
+            blocks + (1 << a,),
         )
         for (pt, named) in st.parts:
             if len(named) + len(_part_members(st, pt)) >= ctx.sz:

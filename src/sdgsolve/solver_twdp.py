@@ -192,7 +192,7 @@ def _compressed_introduce(ctx, node, child_table):
         for L in sorted(set(part_c)) + [NEW]:
             if L == NEW:
                 part = _insert(part_c, pos_a, max(part_c, default=-1) + 1)
-                table.add(_sig(part, promises_c, cells_shift), w_c, blocks_c + (frozenset({a}),))
+                table.add(_sig(part, promises_c, cells_shift), w_c, blocks_c + (1 << a,))
                 continue
             mates = [child_bag[p] for p in range(len(child_bag)) if part_c[p] == L]
             part = _insert(part_c, pos_a, L)
@@ -503,7 +503,7 @@ def _ns_forget(ctx, node, child):
         table.add(
             _ns_key(rest, new_pending, devmap),
             wf + welfare,
-            closed + (block,),
+            closed + (block_mask,),
         )
     return table
 

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from sdgsolve.core import ScoringVector, SocialNetwork
+from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
 
 # filled by tests/test_acceptance.py; echoed after the run so the
 # per-criterion lines survive output capturing
@@ -124,3 +124,9 @@ def complete_graph(n: int) -> SocialNetwork:
 
 def star_graph(leaves: int) -> SocialNetwork:
     return SocialNetwork(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def with_singletons(n: int, coalitions) -> Outcome:
+    """Outcome of ``n`` agents: the given coalitions, everyone else alone."""
+    placed = {v for c in coalitions for v in c}
+    return Outcome.from_blocks(list(coalitions) + [[v] for v in range(n) if v not in placed])

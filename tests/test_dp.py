@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgsolve.core import Outcome, ResourceLimitError, ScoringVector, SocialNetwork
+from sdgsolve.core import Outcome, ResourceLimitError, ScoringVector, SocialNetwork, iter_bits
 from sdgsolve.dispatch import solve
-from sdgsolve.dp import Budget, WitnessTable, best_outcome, run_postorder, self_check
+from sdgsolve.dp import (
+    Budget,
+    WitnessTable,
+    best_outcome,
+    grow_block,
+    merge_blocks,
+    run_postorder,
+    self_check,
+)
 from sdgsolve.solver_fptdp import solve_fpt
 from sdgsolve.treedecomp import (
     NiceNode,
@@ -77,12 +85,133 @@ def test_postorder_rejects_a_root_bag_that_is_not_empty():
 
 def test_witness_table_prefers_welfare_then_smallest_witness():
     table = WitnessTable(Budget(10, "unused"))
-    table.add("k", 3, (frozenset({2}), frozenset({0, 1})))
-    table.add("k", 2, (frozenset({0, 1, 2}),))
-    table.add("k", 3, (frozenset({0}), frozenset({1, 2})))
-    table.add("k", 3, (frozenset({0, 2}), frozenset({1})))
+    table.add("k", 3, (0b100, 0b011))
+    table.add("k", 2, (0b111,))
+    table.add("k", 3, (0b001, 0b110))
+    table.add("k", 3, (0b101, 0b010))
     assert best_outcome(table) == (3, Outcome(((0,), (1, 2))))
     assert table.budget.seen == 4
+
+
+# The witness table with frozenset blocks and an eagerly computed witness key,
+# as it was before blocks became bitmasks: the reference for the lazy table.
+
+
+def _eager_witness_key(blocks):
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+class _EagerTable:
+    def __init__(self, budget, canon=None):
+        self.budget = budget
+        self.canon = canon
+        self.data = {}
+
+    def add(self, state, welfare, blocks):
+        budget = self.budget
+        budget.seen += 1
+        if budget.seen > budget.limit:
+            raise ResourceLimitError(budget.message)
+        key = state if self.canon is None else self.canon(state)
+        old = self.data.get(key)
+        wk = None
+        if old is not None:
+            if welfare < old[0]:
+                return
+            if welfare == old[0]:
+                wk = _eager_witness_key(blocks)
+                if wk >= old[2]:
+                    return
+        if wk is None:
+            wk = _eager_witness_key(blocks)
+        self.data[key] = (welfare, blocks, wk, state)
+
+
+def _eager_best_outcome(table):
+    if not table.data:
+        return None
+    welfare, blocks, _, _ = min(table.data.values(), key=lambda e: (-e[0], e[2]))
+    return welfare, Outcome.from_blocks(blocks)
+
+
+def _set_grow_block(blocks, mates, a):
+    mates_set = set(mates)
+    out = []
+    grown = False
+    for b in blocks:
+        if b & mates_set:
+            out.append(b | {a})
+            grown = True
+        else:
+            out.append(b)
+    if not grown:
+        out.append(frozenset({a}))
+    return tuple(out)
+
+
+def _set_merge_blocks(blocks_y, blocks_z):
+    out = [set(b) for b in blocks_y]
+    for bz in blocks_z:
+        hit = None
+        for b in out:
+            if b & bz:
+                hit = b
+                break
+        if hit is None:
+            out.append(set(bz))
+        else:
+            hit |= bz
+    return tuple(frozenset(b) for b in out)
+
+
+def _sets(masks):
+    return tuple(frozenset(iter_bits(m)) for m in masks)
+
+
+def _random_partition(agents, rng):
+    """Member bitmasks of a random partition of ``agents``, in random order."""
+    blocks: dict = {}
+    for a in agents:
+        label = rng.randrange(len(agents))
+        blocks[label] = blocks.get(label, 0) | 1 << a
+    masks = list(blocks.values())
+    rng.shuffle(masks)
+    return tuple(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.randoms(use_true_random=False))
+def test_lazy_witness_table_keeps_the_eager_tables_winners(n, rng):
+    budget, eager_budget = Budget(10**6, "unused"), Budget(10**6, "unused")
+    first = lambda state: state[0]
+    table, eager = WitnessTable(budget, canon=first), _EagerTable(eager_budget, canon=first)
+    for step in range(rng.randrange(1, 40)):
+        # few keys and a narrow welfare range, so that most adds tie
+        state = (rng.randrange(3), step)
+        welfare = rng.randrange(-1, 2)
+        masks = _random_partition(range(n), rng)
+        table.add(state, welfare, masks)
+        eager.add(state, welfare, _sets(masks))
+    assert list(table.data) == list(eager.data)
+    for key, (welfare, masks, _, state) in table.data.items():
+        eager_welfare, blocks, _, eager_state = eager.data[key]
+        assert (welfare, _sets(masks), state) == (eager_welfare, blocks, eager_state)
+    assert best_outcome(table) == _eager_best_outcome(eager)
+    assert budget.seen == eager_budget.seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_mask_block_helpers_match_the_set_versions(n, rng):
+    masks = _random_partition(range(n), rng)
+    # a new agent joins the block of some mates, or opens a block of its own
+    host = masks[rng.randrange(len(masks))]
+    mates = [a for a in range(n) if host >> a & 1 and rng.random() < 0.5]
+    assert _sets(grow_block(masks, mates, n)) == _set_grow_block(_sets(masks), mates, n)
+    # two branches' witnesses that overlap on some shared agents
+    shared = [a for a in range(n) if rng.random() < 0.3]
+    other = _random_partition(shared + list(range(n, n + rng.randrange(4))), rng)
+    assert _sets(merge_blocks(masks, other)) == _set_merge_blocks(_sets(masks), _sets(other))
 
 
 def test_witness_table_keys_states_by_canon():

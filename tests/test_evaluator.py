@@ -3,11 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdgsolve.bounds import certify_outcome
 from sdgsolve.core import (
     CoalitionEvaluator,
     Outcome,
     SocialNetwork,
     agent_utility,
+    coalition_diameter,
     coalition_welfare,
     member_utility,
     utility_in_coalition,
@@ -79,6 +81,19 @@ def test_evaluator_matches_member_utility(n, rng, density, vi):
                 assert joined == utility_in_coalition(s, G, set(block) | {i}, i)
 
 
+@settings(max_examples=80, deadline=None)
+@given(**GAMES)
+def test_diameter_matches_coalition_diameter_and_caches_the_same_stats(n, rng, density, vi):
+    s = VECTORS[vi]
+    G, outcome = random_game(n, rng, density)
+    ev = CoalitionEvaluator(s, G)
+    for block in outcome:
+        mask = G.mask_of(block)
+        assert ev.diameter(mask) == coalition_diameter(G, block)
+        assert ev.stats(mask) == CoalitionEvaluator(s, G).stats(mask)
+        assert ev.diameter(mask) == coalition_diameter(G, block)
+
+
 @settings(max_examples=150, deadline=None)
 @given(**GAMES)
 def test_mask_search_matches_reference(n, rng, density, vi):
@@ -113,3 +128,22 @@ def test_report_evaluates_each_utility_once(fig_c, long_vec, monkeypatch):
     report = result_report(long_vec, fig_c, result)
     assert report["individually_rational"] and not report["nash_stable"]
     assert len(calls) <= members + joins
+
+
+def test_certificate_takes_diameters_from_the_evaluators_bfs(fig_c, long_vec, monkeypatch):
+    # fig_c's IR optimum: one BFS per member of {0..8} gives utilities and
+    # the diameter; the NS search adds one for agent 2 joining {9}
+    outcome = Outcome.from_blocks([range(9), [9]])
+    calls = []
+    bfs = SocialNetwork.distances_in
+
+    def counted(self, mask, source):
+        calls.append((mask, source))
+        return bfs(self, mask, source)
+
+    monkeypatch.setattr(SocialNetwork, "distances_in", counted)
+    for mode in ("welfare", "ir", "ns"):
+        calls.clear()
+        report = certify_outcome(long_vec, fig_c, outcome, mode)
+        assert report.coalition_diameters == (3, 0)
+        assert len(calls) <= 10, mode

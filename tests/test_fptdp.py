@@ -5,11 +5,13 @@ import random
 import pytest
 
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
+from sdgsolve.dispatch import solve
+from sdgsolve.generators import random_partial_ktree
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_fptdp import select_sz, solve_fpt
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import cycle_graph, path_graph, random_connected_graph, star_graph, with_singletons
 
 
 class TestSelectSz:
@@ -124,3 +126,17 @@ def test_oracle_equivalence_open(seed):
         ew = None if expect is None else (expect.welfare, expect.outcome)
         gw = None if got is None else (got.welfare, got.outcome)
         assert ew == gw, f"seed={seed} mode={mode} G={G.edges}"
+
+
+@pytest.mark.parametrize("mode", ["welfare", "ir"])
+def test_large_tree_outcome_is_pinned(mode):
+    """The 30-agent tree under open (2,-1), with the certified size bound; the
+    outcome is the one fptdp returned when witnesses were frozensets."""
+    G = random_partial_ktree(30, 1, 0)
+    result = solve(ScoringVector((2, -1), tail="open"), G, mode, algo="fptdp")
+    expect = with_singletons(30, [
+        [0, 1, 2], [3, 16, 26], [4, 9, 18], [5, 8], [6, 13, 15],
+        [11, 17, 21], [12, 25], [19, 27], [23, 24],
+    ])
+    assert (result.welfare, result.outcome) == (46, expect)
+    assert result.optimal and not result.size_limited

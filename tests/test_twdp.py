@@ -6,12 +6,13 @@ import pytest
 
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError
 from sdgsolve.dispatch import solve
+from sdgsolve.generators import random_partial_ktree
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 from sdgsolve.treedecomp import nice_decomposition
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import cycle_graph, path_graph, random_connected_graph, star_graph, with_singletons
 
 SWEEP_VECTORS = [
     ScoringVector((1,)),
@@ -106,3 +107,27 @@ def test_canonical_outcome_on_a_tie():
     assert result.welfare == 6
     assert result.outcome == Outcome(((0, 1, 2, 4), (3, 5)))
     assert result.outcome == brute_force_solve(s, G, "welfare").outcome
+
+
+# (agents, k) of random_partial_ktree(agents, k, 0) and the vector -> the
+# welfare and IR optimum's welfare and coalitions of two or more agents, as
+# twdp returned them when witnesses were frozensets; criterion 4 stops at 9
+# agents, these pin the tie-break where the tables run deep
+LARGE_OUTCOMES = {
+    ((30, 1), (1, -3)): (18, [[0, 1], [3, 16], [4, 9], [5, 8], [6, 13], [11, 17], [12, 25], [19, 27], [23, 24]]),
+    ((30, 1), (1, 0, -1)): (42, [[0, 1, 2, 7, 10, 12, 14, 22, 23, 28, 29], [3, 5, 16, 26], [4, 9, 18], [6, 13, 15, 20], [11, 17, 21], [19, 27]]),
+    ((60, 1), (1, -3)): (34, [[0, 1], [2, 41], [3, 16], [4, 9], [5, 8], [6, 13], [7, 42], [11, 21], [12, 25], [17, 47], [18, 38], [22, 48], [23, 24], [27, 43], [30, 59], [32, 35], [36, 58]]),
+    ((60, 1), (1, 0, -1)): (86, [[0, 1, 7, 10, 12, 14, 22, 23, 28, 29, 34, 36, 37, 40, 45, 46, 49, 52, 55, 56, 57], [2, 41, 44], [3, 16, 26, 50, 54], [4, 9, 11, 18, 19, 31], [5, 8, 39], [6, 13, 15, 20, 51, 53], [17, 47], [21, 32, 35], [27, 43], [30, 59]]),
+    ((20, 2), (1, -3)): (20, [[0, 1], [2, 7], [3, 14, 15], [5, 6], [8, 11], [9, 17], [10, 16], [12, 19]]),
+    ((20, 2), (1, 0, -1)): (28, [[0, 1, 5, 19], [2, 6, 7, 12], [3, 4, 9, 10, 17], [8, 11], [14, 15, 18]]),
+}
+
+
+@pytest.mark.parametrize("graph,vec", list(LARGE_OUTCOMES), ids=lambda v: ",".join(map(str, v)))
+def test_large_network_outcomes_are_pinned(graph, vec):
+    n, k = graph
+    G = random_partial_ktree(n, k, 0)
+    welfare, coalitions = LARGE_OUTCOMES[graph, vec]
+    for mode in ("welfare", "ir"):
+        result = solve(ScoringVector(vec), G, mode, algo="twdp")
+        assert (result.welfare, result.outcome) == (welfare, with_singletons(n, coalitions)), mode
