@@ -649,15 +649,14 @@ def solve_fpt(
     decomposition: Optional[NiceTreeDecomposition] = None,
     sz: Optional[int] = None,
     mode: str = "welfare",
-    sz_certified: bool = False,
 ) -> Optional[SolveResult]:
     """Best outcome under the mode among outcomes whose coalitions have at
-    most ``sz`` members.  The result is globally optimal when sz >= n or the
-    caller certifies sz as a valid bound (e.g. from ``select_sz``)."""
+    most ``sz`` members.  The result is globally optimal when sz >= n or sz
+    is None, which takes ``select_sz``'s certified bound (n without one)."""
     check_mode(mode)
+    optimal = sz is None or sz >= G.n
     if sz is None:
         sz = select_sz(s, G)
-        sz_certified = sz is not None
         if sz is None:
             sz = G.n
     if sz < 1:
@@ -671,5 +670,4 @@ def solve_fpt(
         return None
     welfare, outcome = solved
     self_check(s, G, mode, welfare, outcome, "fptdp")
-    optimal = sz >= G.n or sz_certified
     return SolveResult(outcome, welfare, mode, optimal, "fptdp", size_limited=not optimal)

@@ -14,9 +14,22 @@ by exhaustive search over the tiny variable space.
 A class may be declared in any part containing at least one of its
 neighbors.  Requiring the whole neighborhood inside the part would lose
 optima whenever a minimum cover splits a class's neighborhood across parts.
+
+One ``solve_vc`` call builds the classes, one ``CoalitionEvaluator`` and each
+cover part's connected declarations with their quotient distance tables once;
+the structures carry their tables.  Every program works against one incumbent
+(welfare, outcome) for the whole solve: a candidate below it is never
+materialized, and a tie goes to the smaller outcome.  ``_materialize`` gives
+the smallest outcome of a (structure, assignment), and that is exact because
+the members of a class are false twins: any permutation of them is an
+automorphism of the network, so which members fill a part changes neither
+welfare nor stability, only the outcome's canonical form.  The optimum is
+therefore the smallest of all optimal outcomes, the same one brute force
+returns.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
 from .core import (
@@ -73,13 +86,12 @@ def compute_vertex_cover(G: SocialNetwork) -> frozenset:
 
 @dataclass(frozen=True)
 class CoverStructure:
-    """A partition of the cover plus, per part, the declared classes."""
+    """A partition of the cover plus, per part, the declared classes and the
+    part's ``_quotient_distances`` table."""
 
     parts: tuple[tuple[int, ...], ...]
     declared: tuple[tuple[frozenset, ...], ...]
-
-    def cover(self) -> frozenset:
-        return frozenset(u for p in self.parts for u in p)
+    tables: tuple[list[list[int]], ...]
 
 
 def neighborhood_classes(G: SocialNetwork, cover: frozenset) -> dict[frozenset, list[int]]:
@@ -144,155 +156,142 @@ def _quotient_distances(G, part, declared):
 def enumerate_structures(G: SocialNetwork, cover: frozenset) -> Iterator[CoverStructure]:
     """All admissible structures: every declared class has a neighbor inside
     its part, the part's quotient is connected, and no class is declared in
-    more parts than it has members."""
+    more parts than it has members.  Each part's connected declarations and
+    their tables are built once, the first time the part comes up."""
     class_map = neighborhood_classes(G, cover)
     class_list = sorted(class_map, key=sorted)
+    options: dict[tuple[int, ...], list] = {}
+
+    def part_options(part):
+        if part not in options:
+            eligible = [w for w in class_list if w & set(part)]
+            options[part] = []
+            for bits in range(1 << len(eligible)):
+                decl = tuple(w for j, w in enumerate(eligible) if (bits >> j) & 1)
+                dist = _quotient_distances(G, part, decl)
+                if not any(None in row for row in dist):  # else a disconnected coalition
+                    options[part].append((decl, dist))
+        return options[part]
+
     for raw in _set_partitions(sorted(cover)):
         parts = sorted(tuple(sorted(p)) for p in raw)
-        eligible = [[w for w in class_list if w & set(p)] for p in parts]
 
         def rec(i: int, chosen: list, used: dict):
             if i == len(parts):
-                yield CoverStructure(tuple(parts), tuple(chosen))
+                decls = tuple(decl for decl, _ in chosen)
+                yield CoverStructure(tuple(parts), decls, tuple(dist for _, dist in chosen))
                 return
-            for bits in range(1 << len(eligible[i])):
-                decl = tuple(w for j, w in enumerate(eligible[i]) if (bits >> j) & 1)
+            for decl, dist in part_options(parts[i]):
                 if any(used.get(w, 0) + 1 > len(class_map[w]) for w in decl):
                     continue
-                dist = _quotient_distances(G, parts[i], decl)
-                if any(None in row for row in dist):
-                    continue  # disconnected coalition
                 for w in decl:
                     used[w] = used.get(w, 0) + 1
-                yield from rec(i + 1, chosen + [decl], used)
+                yield from rec(i + 1, chosen + [(decl, dist)], used)
                 for w in decl:
                     used[w] -= 1
 
         yield from rec(0, [], {})
 
 
-@dataclass(frozen=True)
-class QuadraticProgram:
-    """Welfare objective and stability constraints for one cover structure.
+def _materialize(G, structure, classes, assignment) -> Outcome:
+    """The smallest outcome of the structure under the assignment.  Agents go
+    in ascending order, and each unplaced agent starts the next coalition:
+    a singleton if it is isolated or its class has spare members, else its
+    own part or, for a class member, the declaring part with quota left
+    whose filled coalition is smallest.  A part is filled with the smallest
+    unplaced members of each declared class.  Each coalition is then the
+    smallest that can start with its agent, so the outcome is the smallest."""
+    part_of = {u: pi for pi, part in enumerate(structure.parts) for u in part}
+    class_of = {v: w for w, members in classes.items() for v in members}
+    unplaced = {w: list(members) for w, members in classes.items()}
+    spare = {w: len(members) for w, members in classes.items()}
+    for (_, w), x in assignment.items():
+        spare[w] -= x
+    open_parts = set(range(len(structure.parts)))
 
-    Variables x[(part, class)] >= 1 count the class members assigned to that
-    part; per class, the assignments plus a singleton slack sum to the class
-    size.  The objective is quadratic in x (same-class members contribute
-    score(2) per ordered pair), the stability constraints linear; both are
-    evaluated exactly during the search."""
+    def filled(pi):
+        taken = (unplaced[w][: assignment[(pi, w)]] for w in structure.declared[pi])
+        return tuple(sorted(structure.parts[pi] + tuple(v for vs in taken for v in vs)))
 
-    structure: CoverStructure
-    class_sizes: tuple[tuple[frozenset, int], ...]
-    scoring: ScoringVector
-    mode: str
+    blocks, placed = [], set()
+    for a in range(G.n):
+        if a in placed:
+            continue
+        w, pi = class_of.get(a), part_of.get(a)
+        if pi is None and (w is None or spare[w]):
+            if w is not None:
+                spare[w] -= 1
+                unplaced[w].remove(a)
+            blocks.append((a,))
+            placed.add(a)
+            continue
+        if pi is None:
+            pi = min((p for p in open_parts if w in structure.declared[p]), key=filled)
+        block = filled(pi)
+        open_parts.remove(pi)
+        for c in structure.declared[pi]:
+            del unplaced[c][: assignment[(pi, c)]]
+        blocks.append(block)
+        placed.update(block)
+    return Outcome(tuple(blocks))
 
 
-def _objective(s, structure, tables, assignment):
-    """Welfare under the assignment, or NEG_INF when a scored pair lies
-    beyond a closed tail's cutoff (enumerated structures are connected)."""
-    score = s.score
-    total = 0
-    s2 = score(2)
-    for pi, (part, decl) in enumerate(zip(structure.parts, structure.declared)):
-        dist = tables[pi]
+def _compositions(total: int, k: int):
+    """Tuples of k positive counts summing to at most ``total``."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, total - k + 2):
+        for rest in _compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def solve_qp(s, G, mode, structure, classes, ev, best):
+    """Search one structure's assignments against the incumbent ``best``, a
+    (welfare, outcome) pair or None.  Welfare is a constant plus linear terms
+    per (part, class) count, a same-class term score(2) per ordered pair and
+    cross terms per pair of counts in one part, all read from the tables.
+    Returns the new incumbent, or None when the structure does not improve
+    on ``best``; stability is checked only on a candidate that would."""
+    score, s2 = s.score, s.score(2)
+    const, lin, cross = 0, {}, []
+    for pi, (part, decl, dist) in enumerate(zip(structure.parts, structure.declared, structure.tables)):
         np_ = len(part)
-        counts = [assignment[(pi, w)] for w in decl]
-        for i in range(np_):
-            for j in range(i + 1, np_):
-                sc = score(dist[i][j])
-                if sc is NEG_INF:
-                    return NEG_INF
-                total += 2 * sc
-            for a, x in enumerate(counts):
-                sc = score(dist[i][np_ + a])
-                if sc is NEG_INF:
-                    return NEG_INF
-                total += 2 * sc * x
-        for a, x in enumerate(counts):
-            if x >= 2:
-                if s2 is NEG_INF:
-                    return NEG_INF
-                total += s2 * x * (x - 1)
-            for b in range(a + 1, len(counts)):
-                sc = score(dist[np_ + a][np_ + b])
-                if sc is NEG_INF:
-                    return NEG_INF
-                total += 2 * sc * x * counts[b]
-    return total
-
-
-def _materialize(G, structure, assignment) -> Outcome:
-    """Concrete outcome: class members (ascending) fill their part quotas in
-    part order; leftovers and isolated agents become singletons."""
-    blocks = [list(part) for part in structure.parts]
-    class_members = neighborhood_classes(G, structure.cover())
-    singles = []
-    for w, members in sorted(class_members.items(), key=lambda kv: sorted(kv[0])):
-        cursor = 0
-        for pi, decl in enumerate(structure.declared):
-            if w in decl:
-                x = assignment[(pi, w)]
-                blocks[pi].extend(members[cursor : cursor + x])
-                cursor += x
-        singles.extend(members[cursor:])
-    used = set(u for b in blocks for u in b) | set(singles)
-    isolated = [v for v in range(G.n) if v not in used]
-    return Outcome.from_blocks(
-        blocks + [[v] for v in singles] + [[v] for v in isolated]
-    )
-
-
-def solve_qp(qp: QuadraticProgram, G: SocialNetwork) -> Optional[tuple[int, dict, Outcome]]:
-    """Best feasible assignment for one structure: exhaustive search over
-    per-class compositions; stability is checked on the materialized outcome
-    only when the candidate improves on the best so far."""
-    s, mode, structure = qp.scoring, qp.mode, qp.structure
-    ev = CoalitionEvaluator(s, G)
-    sizes = dict(qp.class_sizes)
-    tables = [
-        _quotient_distances(G, part, decl)
-        for part, decl in zip(structure.parts, structure.declared)
-    ]
+        const += sum(2 * score(dist[i][j]) for i in range(np_) for j in range(i + 1, np_))
+        for a, w in enumerate(decl):
+            lin[(pi, w)] = sum(2 * score(dist[i][np_ + a]) for i in range(np_))
+            for b in range(a + 1, len(decl)):
+                cross.append(((pi, w), (pi, decl[b]), 2 * score(dist[np_ + a][np_ + b])))
+    if NEG_INF in (const, *lin.values(), *(c for *_, c in cross)):
+        return None  # a pair beyond a closed tail's cutoff in every assignment
     slots: dict[frozenset, list[int]] = {}
     for pi, decl in enumerate(structure.declared):
         for w in decl:
             slots.setdefault(w, []).append(pi)
     slot_list = sorted(slots, key=sorted)
-
-    best: Optional[tuple[int, dict, Outcome]] = None
-
-    def compositions(total: int, k: int):
-        if k == 0:
-            yield ()
-            return
-        for first in range(1, total - k + 2):
-            for rest in compositions(total - first, k - 1):
-                yield (first,) + rest
-
-    def rec(i: int, assignment: dict):
-        nonlocal best
-        if i == len(slot_list):
-            value = _objective(s, structure, tables, assignment)
-            if value == NEG_INF:
-                return
-            if best is not None and value <= best[0]:
-                return
-            outcome = _materialize(G, structure, assignment)
-            masks = [G.mask_of(b) for b in outcome]
-            if mode != "welfare" and first_deviation(ev, masks, mode) is not None:
-                return
-            best = (value, dict(assignment), outcome)
-            return
-        w = slot_list[i]
-        for combo in compositions(sizes[w], len(slots[w])):
-            for pi, x in zip(slots[w], combo):
-                assignment[(pi, w)] = x
-            rec(i + 1, assignment)
-        for pi in slots[w]:
-            assignment.pop((pi, w), None)
-
-    rec(0, {})
-    return best
+    # with score(2) = NEG_INF, two members of a class never share a part
+    counts = [
+        list(_compositions(len(slots[w]) if s2 == NEG_INF else len(classes[w]), len(slots[w])))
+        for w in slot_list
+    ]
+    incumbent = best
+    for combo in product(*counts):
+        assignment = {(pi, w): x for w, xs in zip(slot_list, combo) for pi, x in zip(slots[w], xs)}
+        value = const
+        for key, c in lin.items():
+            x = assignment[key]
+            value += c * x + (s2 * x * (x - 1) if x > 1 else 0)
+        for k1, k2, c in cross:
+            value += c * assignment[k1] * assignment[k2]
+        if best is not None and value < best[0]:
+            continue
+        outcome = _materialize(G, structure, classes, assignment)
+        if best is not None and value == best[0] and outcome.coalitions >= best[1].coalitions:
+            continue
+        if mode != "welfare" and first_deviation(ev, [G.mask_of(b) for b in outcome], mode) is not None:
+            continue
+        best = (value, outcome)
+    return None if best is incumbent else best
 
 
 def solve_vc(
@@ -307,21 +306,11 @@ def solve_vc(
     cover = compute_vertex_cover(G)
     if not cover:
         return SolveResult(Outcome.singletons(G.n), 0, mode, True, "vc")
-    class_map = neighborhood_classes(G, cover)
-    class_sizes = tuple(
-        sorted(((w, len(m)) for w, m in class_map.items()), key=lambda kv: sorted(kv[0]))
-    )
+    classes = neighborhood_classes(G, cover)
+    ev = CoalitionEvaluator(s, G)
     best: Optional[tuple[int, Outcome]] = None
     for structure in enumerate_structures(G, cover):
-        qp = QuadraticProgram(structure, class_sizes, s, mode)
-        solved = solve_qp(qp, G)
-        if solved is None:
-            continue
-        value, _, outcome = solved
-        if best is None or value > best[0] or (
-            value == best[0] and outcome.coalitions < best[1].coalitions
-        ):
-            best = (value, outcome)
+        best = solve_qp(s, G, mode, structure, classes, ev, best) or best
     if best is None:
         return None
     welfare, outcome = best

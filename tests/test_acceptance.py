@@ -164,8 +164,8 @@ def test_criterion_4_oracle_equivalence():
                         f"criterion 4: {name} seed={seed} s={s} mode={mode} "
                         f"expected {ew} got {gw} edges={G.edges}"
                     )
-                    if name != "vc" and got is not None:
-                        # the DPs also keep the oracle's canonical tie-break
+                    if got is not None:
+                        # every solver also keeps the oracle's canonical tie-break
                         assert got.outcome == expect.outcome, (
                             f"criterion 4: {name} seed={seed} s={s} mode={mode} "
                             f"expected {expect.outcome} got {got.outcome}"

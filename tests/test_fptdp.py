@@ -44,7 +44,7 @@ class TestSelectSz:
 class TestWelfare:
     def test_fig_a_with_selected_sz(self, fig_a):
         s = ScoringVector((1, -3))
-        res = solve_fpt(s, fig_a, sz=select_sz(s, fig_a), sz_certified=True)
+        res = solve_fpt(s, fig_a)
         assert res.welfare == 14
         assert res.optimal
 

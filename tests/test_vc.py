@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
+from sdgsolve import solver_vc
+from sdgsolve.core import CoalitionEvaluator, Outcome, ScoringVector, SocialNetwork
+from sdgsolve.generators import random_solver_corpus_instance
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_vc import (
-    QuadraticProgram,
     compute_vertex_cover,
     enumerate_structures,
     neighborhood_classes,
@@ -121,6 +122,57 @@ class TestSolve:
         assert solve_vc(s, G, "welfare").welfare == brute_force_solve(s, G, "welfare").welfare
 
 
+class TestCanonicalOutcome:
+    @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
+    def test_star_tie_goes_to_the_smallest_outcome(self, mode):
+        # a centre-leaf pair ties with any other; (3,4) leaves 0 alone
+        G = SocialNetwork(5, [(3, 0), (3, 1), (3, 2), (3, 4)])
+        res = solve_vc(ScoringVector((1, -3)), G, mode)
+        assert res.outcome == Outcome(((0,), (1,), (2,), (3, 4)))
+
+    def test_corpus_seed_52(self):
+        G = random_solver_corpus_instance(52)
+        res = solve_vc(ScoringVector((1,)), G, "welfare")
+        assert res.outcome == Outcome(((0,), (1, 2, 3), (4, 5)))
+
+    def test_optimum_as_incumbent_is_never_improved(self, fig_a):
+        s = ScoringVector((1, -3))
+        expect = brute_force_solve(s, fig_a, "welfare")
+        cover = compute_vertex_cover(fig_a)
+        classes = neighborhood_classes(fig_a, cover)
+        ev = CoalitionEvaluator(s, fig_a)
+        incumbent = (expect.welfare, expect.outcome)
+        for structure in enumerate_structures(fig_a, cover):
+            assert solve_qp(s, fig_a, "welfare", structure, classes, ev, incumbent) is None
+
+
+class TestWorkDoneOnce:
+    def test_each_quotient_table_built_once(self, monkeypatch, fig_c, long_vec):
+        seen = []
+        original = solver_vc._quotient_distances
+
+        def counting(G, part, declared):
+            seen.append((part, declared))
+            return original(G, part, declared)
+
+        monkeypatch.setattr(solver_vc, "_quotient_distances", counting)
+        solve_vc(long_vec, fig_c, "ns")
+        assert seen and len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
+    def test_one_evaluator_per_solve(self, monkeypatch, fig_a, mode):
+        built = []
+
+        class Counting(CoalitionEvaluator):
+            def __init__(self, s, G):
+                built.append(G)
+                super().__init__(s, G)
+
+        monkeypatch.setattr(solver_vc, "CoalitionEvaluator", Counting)
+        solve_vc(ScoringVector((1, 0, -1)), fig_a, mode)
+        assert len(built) == 1
+
+
 VECTORS = [
     ScoringVector((1,)),
     ScoringVector((1, -3)),
@@ -139,8 +191,8 @@ def test_oracle_equivalence(seed):
     for mode in ("welfare", "ir", "ns"):
         expect = brute_force_solve(s, G, mode)
         got = solve_vc(s, G, mode)
-        ew = None if expect is None else expect.welfare
-        gw = None if got is None else got.welfare
+        ew = None if expect is None else (expect.welfare, expect.outcome)
+        gw = None if got is None else (got.welfare, got.outcome)
         assert ew == gw, f"seed={seed} mode={mode} s={s} G={G.edges}"
         if got is not None and mode == "ir":
             assert is_individually_rational(s, G, got.outcome)
