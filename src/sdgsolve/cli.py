@@ -259,7 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["auto", "brute", "twdp", "fptdp", "vc"], default="auto")
     p.add_argument("--sz", type=int, default=None, help="coalition size limit for fptdp")
     p.add_argument("--td", default=None, help="optional .td tree decomposition")
-    p.add_argument("--cap", type=int, default=DEFAULT_AGENT_CAP, help="brute-force agent cap")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_AGENT_CAP,
+        help="brute-force agent cap; auto also sends components of up to this many "
+        f"agents to brute force (default {DEFAULT_AGENT_CAP})",
+    )
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check", help="certify an outcome file")

@@ -9,6 +9,7 @@ open-tail ones; unreachable members always score minus infinity.
 """
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Union
 
 
@@ -176,6 +177,29 @@ class SocialNetwork:
             frontier = nxt
         return dist
 
+    def layer_sizes(self, members_mask: int, source: int) -> list[int]:
+        """BFS layer sizes from ``source`` inside the induced subgraph on
+        ``members_mask``: entry d is the number of members at distance d, so
+        entry 0 is 1, the list has one entry past the source's eccentricity
+        among reachable members, and the entries sum to the reachable count."""
+        if not (members_mask >> source) & 1:
+            raise ValueError(f"source {source} not in the member set")
+        adj = self.adj_mask
+        frontier = 1 << source
+        unseen = members_mask ^ frontier
+        sizes = [1]
+        while True:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & unseen
+            if not frontier:
+                return sizes
+            unseen ^= frontier
+            sizes.append(frontier.bit_count())
+
     def is_connected_within(self, members_mask: int) -> bool:
         if members_mask == 0:
             return True
@@ -330,13 +354,19 @@ def utility_in_coalition(s: ScoringVector, G: SocialNetwork, coalition: Iterable
 class CoalitionEvaluator:
     """Utilities over one network under one scoring vector, cached by member
     bitmask: a coalition's utilities, or one member's, cost one BFS per
-    member the first time they are asked for and a lookup after that."""
+    member the first time they are asked for and a lookup after that.
 
-    __slots__ = ("s", "G", "_stats", "_utility")
+    A member's utility is read off its BFS layer sizes: the number of members
+    at distance d times the score of d, summed.  ``_table[d]`` is that score,
+    so no per-member distance map is built."""
+
+    __slots__ = ("s", "G", "_table", "_stats", "_utility")
 
     def __init__(self, s: ScoringVector, G: SocialNetwork):
         self.s = s
         self.G = G
+        # a member's distance inside a coalition is below n
+        self._table = [0] + [s.score(d) for d in range(1, G.n)]
         self._stats: dict[int, tuple[ExtInt, ExtInt, dict[int, ExtInt]]] = {}
         self._utility: dict[tuple[int, int], ExtInt] = {}
 
@@ -356,22 +386,42 @@ class CoalitionEvaluator:
         key = (i, mask)
         u = self._utility.get(key)
         if u is None:
-            u = self._utility[key] = member_utility(self.s, self.G, mask, i)
+            u = self._utility[key] = 0 if mask == 1 << i else self._member(i, mask, mask.bit_count())[0]
         return u
 
     def diameter(self, mask: int) -> ExtInt:
         """``coalition_diameter`` of the coalition with bitmask ``mask``, from
         the BFS runs that also give (and cache) its stats."""
-        return _diameter(self._measure(mask)[1].values(), mask.bit_count())
+        return self._measure(mask)[1]
 
-    def _measure(self, mask: int):
-        """The coalition's stats, which it caches, and each member's BFS
-        distances inside it (no BFS for a singleton)."""
+    def _measure(self, mask: int) -> tuple[tuple[ExtInt, ExtInt, dict[int, ExtInt]], ExtInt]:
+        """The coalition's stats, which it caches, and its diameter: the
+        largest eccentricity, or NEG_INF when the coalition is disconnected
+        (then no member reaches every other, so one BFS settles it)."""
         size = mask.bit_count()
-        dists = {i: self.G.distances_in(mask, i) if size > 1 else {i: 0} for i in iter_bits(mask)}
-        utils = {i: utility_from_distances(self.s, d, size) for i, d in dists.items()}
+        utils: dict[int, ExtInt] = {}
+        diameter: ExtInt = 0
+        for i in iter_bits(mask):
+            if size == 1:  # no BFS for a singleton
+                utils[i] = 0
+                break
+            u, eccentricity = self._member(i, mask, size)
+            if eccentricity == NEG_INF:
+                utils = dict.fromkeys(iter_bits(mask), NEG_INF)
+                diameter = NEG_INF
+                break
+            utils[i] = u
+            diameter = max(diameter, eccentricity)
         result = self._stats[mask] = (sum(utils.values()), min(utils.values()), utils)
-        return result, dists
+        return result, diameter
+
+    def _member(self, i: int, mask: int, size: int) -> tuple[ExtInt, ExtInt]:
+        """Member i's utility and eccentricity in the ``size``-member
+        coalition ``mask`` from one BFS; both NEG_INF when i misses a member."""
+        layers = self.G.layer_sizes(mask, i)
+        if sum(layers) < size:
+            return NEG_INF, NEG_INF
+        return sum(map(mul, layers, self._table)), len(layers) - 1
 
 
 def agent_utility(s: ScoringVector, G: SocialNetwork, outcome: Outcome, i: int) -> ExtInt:
@@ -397,20 +447,15 @@ def social_welfare(s: ScoringVector, G: SocialNetwork, outcome: Outcome) -> ExtI
     return sum(coalition_welfare(s, G, block) for block in outcome)
 
 
-def _diameter(dists, size: int) -> ExtInt:
-    """Largest distance in the BFS results ``dists`` from members of a
-    ``size``-member coalition; NEG_INF when one of them misses a member."""
-    if any(len(d) < size for d in dists):
-        return NEG_INF
-    return max((max(d.values()) for d in dists), default=0)
-
-
 def coalition_diameter(G: SocialNetwork, coalition: Iterable[int]) -> ExtInt:
     """Largest pairwise induced distance; NEG_INF when the coalition is disconnected."""
     mask = G.mask_of(coalition)
     if not mask:
         raise ValueError("empty coalition")
-    return _diameter([G.distances_in(mask, i) for i in iter_bits(mask)], mask.bit_count())
+    dists = [G.distances_in(mask, i) for i in iter_bits(mask)]
+    if any(len(d) < mask.bit_count() for d in dists):
+        return NEG_INF
+    return max(max(d.values()) for d in dists)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .treedecomp import (
     make_nice,
 )
 
-AUTO_BRUTE_N = 10
 AUTO_TW_WIDTH = 4
 AUTO_VC_SIZE = 8
 
@@ -41,9 +40,13 @@ _TW_SOLVERS = {
 }
 
 
-def choose_algorithm(s: ScoringVector, G: SocialNetwork) -> str:
-    """Deterministic automatic selection for one connected component."""
-    if G.n <= AUTO_BRUTE_N:
+def choose_algorithm(
+    s: ScoringVector, G: SocialNetwork, brute_cap: int = DEFAULT_AGENT_CAP
+) -> str:
+    """Deterministic automatic selection for one connected component: brute
+    force up to ``brute_cap`` agents, where its subset DP over connected
+    coalitions beats the paper's DPs, then the first of those that applies."""
+    if G.n <= brute_cap:
         return "brute"
     if s.is_closed and decomposition_width(G) <= AUTO_TW_WIDTH:
         return "twdp"
@@ -59,7 +62,7 @@ def choose_algorithm(s: ScoringVector, G: SocialNetwork) -> str:
 
 def _solve_component(s, G, mode, algo, sz, brute_cap):
     if algo == "auto":
-        algo = choose_algorithm(s, G)
+        algo = choose_algorithm(s, G, brute_cap)
     if algo == "brute":
         return brute_force_solve(s, G, mode, cap=brute_cap)
     if algo == "brute-raised":

@@ -27,7 +27,9 @@ from .core import (
 )
 from .stability import first_deviation
 
-DEFAULT_AGENT_CAP = 12
+# the largest component that brute force solves by default, and so the
+# largest that auto dispatch routes to it
+DEFAULT_AGENT_CAP = 13
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -17,6 +17,8 @@ from sdgsolve.formats import (
     write_gr,
     write_outcome,
 )
+from sdgsolve.generators import random_partial_ktree
+from sdgsolve.oracle import brute_force_solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,6 +122,21 @@ class TestSolveCommand:
         )
         assert code == 1
         assert f"got {cap}" in capsys.readouterr().err
+
+    def test_cap_below_the_network_solves_with_a_dp(self, tmp_path, capsys):
+        # the cap also bounds auto's brute-force range, so an 8-agent
+        # network under --cap 5 goes to a DP instead of exiting 1
+        G = random_partial_ktree(8, 2, 0)
+        path = tmp_path / "tw2.gr"
+        path.write_text(write_gr(G))
+        code = main(
+            ["solve", "--graph", str(path), "--scores", "1,0,-1", "--cap", "5", "--format", "json"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["algorithm"] == "twdp" and report["optimal"]
+        expect = brute_force_solve(ScoringVector((1, 0, -1)), G, "welfare")
+        assert report["welfare"] == expect.welfare
 
     def test_unsupported_combination_errors(self, capsys):
         code = main(

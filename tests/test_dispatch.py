@@ -76,6 +76,50 @@ class TestChoose:
         assert choose_algorithm(ScoringVector((1,), tail="open"), G) == "brute-raised"
 
 
+class TestRoutingByCap:
+    # the base networks of the auto-mid benchmark workload
+    AUTO_MID = (
+        random_partial_ktree(11, 2, 0),
+        random_partial_ktree(13, 2, 1),
+        random_partial_ktree(11, 3, 1),
+        random_bounded_degree(11, 3, 1),
+    )
+
+    @pytest.mark.parametrize("G", AUTO_MID)
+    def test_auto_mid_networks_go_brute(self, G):
+        for s in FUZZ_VECTORS:
+            assert choose_algorithm(s, G) == "brute"
+
+    def test_cap_sets_the_brute_range(self):
+        G = random_partial_ktree(13, 2, 1)
+        s = ScoringVector((1, 0, -1))
+        assert choose_algorithm(s, G, brute_cap=13) == "brute"
+        assert choose_algorithm(s, G, brute_cap=12) == "twdp"
+
+    def test_cap_below_the_network_picks_a_dp(self):
+        # the cap also bounds auto's brute-force range, so an 8-agent network
+        # under cap 5 goes to a DP instead of raising ResourceLimitError
+        s = ScoringVector((1, 0, -1))
+        G = random_partial_ktree(8, 2, 0)
+        got = solve(s, G, "welfare", brute_cap=5)
+        expect = brute_force_solve(s, G, "welfare")
+        assert got.algorithm == "twdp" and got.optimal
+        assert got.welfare == expect.welfare
+
+    @pytest.mark.parametrize("mode", ("welfare", "ir"))
+    def test_relabelled_degree3_gets_the_canonical_optimum(self, mode):
+        # a relabelling of random_bounded_degree(11, 3, 1); fptdp picks another
+        # optimum of welfare 26 here, ((0,4,6,8),(1,9,10),(2,5),(3,7))
+        G = SocialNetwork(11, [
+            (0, 4), (0, 6), (1, 10), (2, 4), (2, 5), (2, 7), (3, 7),
+            (3, 10), (4, 8), (5, 9), (6, 8), (6, 9), (7, 8), (9, 10),
+        ])
+        got = solve(ScoringVector((2, -1), tail="open"), G, mode)
+        assert got.algorithm == "brute"
+        assert got.welfare == 26
+        assert got.outcome == Outcome(((0, 4, 6, 8), (1, 3, 10), (2, 7), (5, 9)))
+
+
 class TestSolveFacade:
     def test_matches_brute_on_fig_a(self, fig_a):
         s = ScoringVector((1, 0, -1))
@@ -126,9 +170,13 @@ FUZZ_VECTORS = [
 ]
 
 
+# below these graphs' sizes, so auto routes them to the paper's DPs
+FUZZ_BRUTE_CAP = 10
+
+
 def _assert_auto_matches_brute(s, G, mode):
-    assert G.n > dispatch.AUTO_BRUTE_N  # auto routes away from brute
-    got = solve(s, G, mode=mode)
+    assert G.n > FUZZ_BRUTE_CAP
+    got = solve(s, G, mode=mode, brute_cap=FUZZ_BRUTE_CAP)
     expect = brute_force_solve(s, G, mode, cap=G.n)
     where = f"s={s} mode={mode} algorithm={got and got.algorithm} edges={G.edges}"
     assert (got is None) == (expect is None), where

@@ -7,11 +7,14 @@ from sdgsolve.bounds import certify_outcome
 from sdgsolve.core import (
     CoalitionEvaluator,
     Outcome,
+    ScoringVector,
     SocialNetwork,
     agent_utility,
     coalition_diameter,
     coalition_welfare,
+    iter_bits,
     member_utility,
+    utility_from_distances,
     utility_in_coalition,
 )
 from sdgsolve.formats import result_report
@@ -94,6 +97,42 @@ def test_diameter_matches_coalition_diameter_and_caches_the_same_stats(n, rng, d
         assert ev.diameter(mask) == coalition_diameter(G, block)
 
 
+def reference_stats(s, G, mask):
+    """Stats from per-member distance maps instead of BFS layer sizes."""
+    size = mask.bit_count()
+    utils = {i: utility_from_distances(s, G.distances_in(mask, i), size) for i in iter_bits(mask)}
+    return sum(utils.values()), min(utils.values()), utils
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    rng=st.randoms(use_true_random=False),
+    chords=st.integers(0, 3),
+    vi=st.integers(0, len(VECTORS)),
+    drawn=st.lists(st.integers(1, (1 << 9) - 1), max_size=8),
+)
+def test_layer_sizes_match_the_distance_reference(n, rng, chords, vi, drawn):
+    s = (VECTORS + [ScoringVector((2, -1), tail="open")])[vi]
+    # a path over k agents reaches past every closed cutoff here; with few
+    # chords the agents off the path are often isolated, so the grand
+    # coalition is often disconnected
+    k = rng.randint(1, n)
+    path = rng.sample(range(n), k)
+    edges = list(zip(path, path[1:]))
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < chords / (2 * n)]
+    G = SocialNetwork(n, edges)
+    masks = [1 << i for i in range(n)] + [G.mask_of(path), G.full_mask]
+    masks += [m & G.full_mask for m in drawn if m & G.full_mask]
+    ev = CoalitionEvaluator(s, G)
+    fresh = CoalitionEvaluator(s, G)  # utilities asked for before any stats
+    for mask in masks:
+        expected = reference_stats(s, G, mask)
+        assert {i: fresh.utility(i, mask) for i in iter_bits(mask)} == expected[2]
+        assert ev.stats(mask) == expected
+        assert ev.diameter(mask) == coalition_diameter(G, iter_bits(mask))
+
+
 @settings(max_examples=150, deadline=None)
 @given(**GAMES)
 def test_mask_search_matches_reference(n, rng, density, vi):
@@ -107,6 +146,19 @@ def test_mask_search_matches_reference(n, rng, density, vi):
         assert find_deviation(s, G, outcome, mode) == expected
 
 
+def count_bfs_runs(monkeypatch):
+    """List that records every BFS the evaluator runs from now on."""
+    calls = []
+    bfs = SocialNetwork.layer_sizes
+
+    def counted(self, mask, source):
+        calls.append((mask, source))
+        return bfs(self, mask, source)
+
+    monkeypatch.setattr(SocialNetwork, "layer_sizes", counted)
+    return calls
+
+
 def test_report_evaluates_each_utility_once(fig_c, long_vec, monkeypatch):
     result = brute_force_solve(long_vec, fig_c, "ir")
     outcome = result.outcome
@@ -117,14 +169,7 @@ def test_report_evaluates_each_utility_once(fig_c, long_vec, monkeypatch):
         for b in outcome
         if i not in b and fig_c.adj_mask[i] & fig_c.mask_of(b)
     )
-    calls = []
-    bfs = SocialNetwork.distances_in
-
-    def counted(self, mask, source):
-        calls.append((mask, source))
-        return bfs(self, mask, source)
-
-    monkeypatch.setattr(SocialNetwork, "distances_in", counted)
+    calls = count_bfs_runs(monkeypatch)
     report = result_report(long_vec, fig_c, result)
     assert report["individually_rational"] and not report["nash_stable"]
     assert len(calls) <= members + joins
@@ -134,14 +179,7 @@ def test_certificate_takes_diameters_from_the_evaluators_bfs(fig_c, long_vec, mo
     # fig_c's IR optimum: one BFS per member of {0..8} gives utilities and
     # the diameter; the NS search adds one for agent 2 joining {9}
     outcome = Outcome.from_blocks([range(9), [9]])
-    calls = []
-    bfs = SocialNetwork.distances_in
-
-    def counted(self, mask, source):
-        calls.append((mask, source))
-        return bfs(self, mask, source)
-
-    monkeypatch.setattr(SocialNetwork, "distances_in", counted)
+    calls = count_bfs_runs(monkeypatch)
     for mode in ("welfare", "ir", "ns"):
         calls.clear()
         report = certify_outcome(long_vec, fig_c, outcome, mode)

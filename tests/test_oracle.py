@@ -104,7 +104,7 @@ class TestBruteForce:
         assert len(res.outcome) == 2
 
     def test_cap(self):
-        G = SocialNetwork(13, [(i, i + 1) for i in range(12)])
+        G = SocialNetwork(14, [(i, i + 1) for i in range(13)])
         with pytest.raises(ResourceLimitError):
             brute_force_solve(ScoringVector((1,)), G, "welfare")
 
