@@ -12,8 +12,9 @@ Per algorithm the script hashes ``(welfare, outcome, algorithm, optimal,
 size_limited)`` of every answer (``None`` for an NS instance with no stable
 outcome, the exception's type and text for a resource or input error) into
 ``outcomes``, and each solve's DP table insertions (``Budget.seen``, empty
-for brute and vc) into ``adds``.  Two checkouts give the same outcomes hash
-exactly when every answer is the same.
+for brute and vc) into ``adds``; ``total_adds`` sums those insertions, so a
+change that alters the adds hash can state how far the tables grew.  Two
+checkouts give the same outcomes hash exactly when every answer is the same.
 
     PYTHONPATH=src python3 scripts/outcome_digest.py
 """
@@ -77,6 +78,7 @@ def main():
     outcomes = {algo: hashlib.sha256() for algo in ALGOS}
     adds = {algo: hashlib.sha256() for algo in ALGOS}
     count = dict.fromkeys(ALGOS, 0)
+    total_adds = dict.fromkeys(ALGOS, 0)
     start = time.perf_counter()
     for label, G, s, mode, algos in cases():
         for algo in algos:
@@ -86,9 +88,10 @@ def main():
             outcomes[algo].update(repr(item + (got,)).encode())
             adds[algo].update(repr(item + (tuple(b.seen for b in budgets),)).encode())
             count[algo] += 1
+            total_adds[algo] += sum(b.seen for b in budgets)
     for algo in ALGOS:
         print(f"{algo:6} solves={count[algo]} outcomes={outcomes[algo].hexdigest()} "
-              f"adds={adds[algo].hexdigest()}")
+              f"adds={adds[algo].hexdigest()} total_adds={total_adds[algo]}")
     print(f"elapsed {time.perf_counter() - start:.1f} s")
 
 

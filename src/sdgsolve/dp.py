@@ -5,10 +5,12 @@ The treewidth DP (``solver_twdp``) and the coalition-topology DP
 per node, a table from state keys to the best partial outcome reaching that
 state.  This module holds what they share: the postorder walk, the witness
 table with its budget counter, the helpers that grow and merge witness
-blocks, and the self-check every solver runs on its answer.  A witness is a
-tuple of blocks, each the member bitmask of one coalition built so far.
+blocks, the Nash-stable DP both solvers run in NS mode, and the self-check
+every solver runs on its answer.  A witness is a tuple of blocks, each the
+member bitmask of one coalition built so far, open or completed.
 """
 
+from functools import partial
 from typing import Optional
 
 from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits
@@ -101,13 +103,12 @@ def best_outcome(table: WitnessTable) -> Optional[tuple[int, Outcome]]:
     return welfare, Outcome.from_blocks(iter_bits(b) for b in blocks)
 
 
-def grow_block(blocks, mates, a):
-    """Witness blocks with agent ``a`` added to the block holding its mates,
-    or as a new singleton block when it has none."""
-    mates_mask = sum(1 << m for m in mates)
-    if not mates_mask:
+def grow_block(blocks, mates: int, a):
+    """Witness blocks with agent ``a`` added to the block that meets the
+    bitmask ``mates``, or as a new singleton block when ``mates`` is 0."""
+    if not mates:
         return blocks + (1 << a,)
-    return tuple(b | 1 << a if b & mates_mask else b for b in blocks)
+    return tuple(b | 1 << a if b & mates else b for b in blocks)
 
 
 def merge_blocks(blocks_y, blocks_z):
@@ -121,6 +122,108 @@ def merge_blocks(blocks_y, blocks_z):
         else:
             out.append(bz)
     return tuple(out)
+
+
+def ns_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, key=None):
+    """(leaf, introduce, forget, join) of the Nash-stable DP, for
+    ``run_postorder``, over coalitions of at most ``cap`` members.
+
+    A state is ``(opens, pending, devs)``: the member bitmasks of the open
+    coalitions (those meeting the bag), sorted; ``(agent, utility)`` of every
+    settled agent that still neighbours an open coalition it could later want
+    to join; and ``(agent, best deviation so far)`` of every open member.
+    Every utility and deviation check runs on the real coalition, through
+    ``ev``, when a coalition completes (its last bag member is forgotten).
+    Tables key a state by ``key(bag_mask, state)``, or by the state itself
+    when ``key`` is None."""
+    G = ev.G
+    adj = G.adj_mask
+
+    def table(bag):
+        return WitnessTable(budget, None if key is None else partial(key, bag))
+
+    def leaf(node):
+        out = table(0)
+        out.add(((), (), ()), 0, ())
+        return out
+
+    def introduce(node, child):
+        out = table(G.mask_of(node.bag))
+        a = node.agent
+        bit = 1 << a
+        for wf, blocks, _, (opens, pending, devs) in child.data.values():
+            devs = tuple(sorted(devs + ((a, 0),)))
+            for block in opens:
+                if block.bit_count() >= cap:
+                    continue
+                grown = tuple(sorted(b | bit if b == block else b for b in opens))
+                out.add((grown, pending, devs), wf, grow_block(blocks, block, a))
+            out.add((tuple(sorted(opens + (bit,))), pending, devs), wf, blocks + (bit,))
+        return out
+
+    def forget(node, child):
+        bag = G.mask_of(node.bag)
+        out = table(bag)
+        w = node.agent
+        for wf, blocks, _, state in child.data.values():
+            opens, pending, devs = state
+            block = next(b for b in opens if b >> w & 1)
+            if block & bag:
+                out.add(state, wf, blocks)
+                continue
+            welfare, _, utils = ev.stats(block)
+            devmap = dict(devs)
+            if any(u < 0 or u < devmap[i] for i, u in utils.items()):
+                continue
+            rest = tuple(b for b in opens if b != block)
+            rest_mask = sum(rest)
+            settled = dict(pending)
+            near = 0
+            for i in utils:
+                near |= adj[i]
+            alive = True
+            for t in iter_bits(near & (rest_mask | G.mask_of(settled))):
+                joined = ev.utility(t, block | 1 << t)
+                if t in settled:
+                    if joined > settled[t]:
+                        alive = False
+                        break
+                elif joined > devmap[t]:
+                    devmap[t] = joined
+            if not alive:
+                continue
+            still = [(t, u) for t, u in pending if adj[t] & rest_mask]
+            for i, u in utils.items():
+                del devmap[i]
+                if adj[i] & rest_mask:
+                    still.append((i, u))
+            out.add((rest, tuple(sorted(still)), tuple(sorted(devmap.items()))), wf + welfare, blocks)
+        return out
+
+    def join(node, left, right):
+        bag = G.mask_of(node.bag)
+        out = table(bag)
+        grouped: dict = {}
+        for wf, blocks, _, (opens, pending, devs) in right.data.values():
+            parts = {b & bag: b for b in opens}
+            grouped.setdefault(tuple(sorted(parts)), []).append((wf, blocks, parts, pending, devs))
+        for wf_y, blocks_y, _, (opens_y, pending_y, devs_y) in left.data.values():
+            sig = tuple(sorted(b & bag for b in opens_y))
+            for wf_z, blocks_z, parts, pending_z, devs_z in grouped.get(sig, ()):
+                merged = tuple(sorted(b | parts[b & bag] for b in opens_y))
+                if any(b.bit_count() > cap for b in merged):
+                    continue
+                devmap = dict(devs_y)
+                for t, d in devs_z:
+                    devmap[t] = max(devmap.get(t, 0), d)
+                out.add(
+                    (merged, tuple(sorted(pending_y + pending_z)), tuple(sorted(devmap.items()))),
+                    wf_y + wf_z,
+                    merge_blocks(blocks_y, blocks_z),
+                )
+        return out
+
+    return leaf, introduce, forget, join
 
 
 def self_check(s, G, mode: str, welfare, outcome: Outcome, solver: str) -> None:

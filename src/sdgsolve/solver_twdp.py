@@ -21,12 +21,10 @@ Because committed distances are final, each member pair's welfare
 contribution is added exactly once (when the later of the two is introduced,
 or at a join for pairs split across branches) and never revised.
 
-NS mode keeps coalitions explicit instead: records store the concrete member
-sets of open coalitions, and all utility and deviation checks run on the real
-induced subgraphs, through one ``CoalitionEvaluator`` per solve, when a
-coalition completes (its last bag agent is forgotten).  Members of completed
-coalitions stay tracked, as (agent, final utility) pairs, exactly while they
-still neighbor an open coalition they could later want to join.
+NS mode keeps coalitions explicit instead: it runs ``dp.ns_steps`` with no
+size cap, keyed by the state itself, so records hold the member bitmasks of
+open coalitions and every utility and deviation check runs on the real
+induced subgraph when a coalition completes.
 """
 
 from functools import partial
@@ -47,6 +45,7 @@ from .dp import (
     best_outcome,
     grow_block,
     merge_blocks,
+    ns_steps,
     run_postorder,
     self_check,
 )
@@ -62,9 +61,8 @@ class _Ctx:
         self.G = G
         self.ntd = ntd
         self.mode = mode
-        self.budget = Budget(budget, f"treewidth DP exceeded its record budget ({budget})")
+        self.budget = budget
         self.cutoff = s.cutoff
-        self.ev = CoalitionEvaluator(s, G)
         # distances in the full network lower-bound every coalition distance
         self.gdist: list[dict[int, int]] = [
             G.distances_in(G.full_mask, v) for v in range(G.n)
@@ -251,7 +249,7 @@ def _compressed_introduce(ctx, node, child_table):
                 table.add(
                     _sig(part, promises, cells_new),
                     w_c + delta,
-                    grow_block(blocks_c, mates, a),
+                    grow_block(blocks_c, G.mask_of(mates), a),
                 )
     return table
 
@@ -429,111 +427,7 @@ def _compressed_join(ctx, node, left_table, right_table):
     return table
 
 
-# --- Nash-stable mode: explicit open coalitions, exact closure-time checks ---
-
-
-def _ns_key(open_blocks, pending, devs):
-    return (
-        tuple(sorted(open_blocks, key=min)),
-        tuple(sorted(pending)),
-        tuple(sorted(devs.items())),
-    )
-
-
-def _ns_leaf(ctx, node):
-    table = WitnessTable(ctx.budget)
-    table.add(_ns_key((), (), {}), 0, ())
-    return table
-
-
-def _ns_introduce(ctx, node, child):
-    table = WitnessTable(ctx.budget)
-    a = node.agent
-    for (opens, pending, devs), (wf, closed, _, _) in child.data.items():
-        devmap = dict(devs)
-        devmap[a] = 0
-        for i, block in enumerate(opens):
-            grown = opens[:i] + (block | {a},) + opens[i + 1 :]
-            table.add(_ns_key(grown, pending, devmap), wf, closed)
-        table.add(_ns_key(opens + (frozenset({a}),), pending, devmap), wf, closed)
-    return table
-
-
-def _ns_forget(ctx, node, child):
-    G, ev = ctx.G, ctx.ev
-    bag = node.bag
-    table = WitnessTable(ctx.budget)
-    w = node.agent
-    for (opens, pending, devs), (wf, closed, _, _) in child.data.items():
-        block = next(b for b in opens if w in b)
-        if block & bag:
-            # coalition stays open; nothing changes structurally
-            table.add((opens, pending, devs), wf, closed)
-            continue
-        # the coalition completes: run every check on the real subgraph
-        rest = tuple(b for b in opens if b is not block)
-        block_mask = G.mask_of(block)
-        welfare, _, utils = ev.stats(block_mask)
-        devmap = dict(devs)
-        if any(utils[u] < 0 or utils[u] < devmap[u] for u in block):
-            continue
-        alive = True
-        pend_util = dict(pending)
-        others = set(u for b in rest for u in b) | set(pend_util)
-        for t in others:
-            if not (G.adj_mask[t] & block_mask):
-                continue
-            jut = ev.utility(t, block_mask | 1 << t)
-            if t in pend_util:
-                if jut > pend_util[t]:
-                    alive = False
-                    break
-            elif jut > devmap.get(t, 0):
-                devmap[t] = jut
-        if not alive:
-            continue
-        rest_mask = G.mask_of(u for b in rest for u in b)
-        new_pending = [
-            (t, ut) for t, ut in pending if G.adj_mask[t] & rest_mask
-        ]
-        for u in sorted(block):
-            devmap.pop(u, None)
-            if G.adj_mask[u] & rest_mask:
-                new_pending.append((u, utils[u]))
-        table.add(
-            _ns_key(rest, new_pending, devmap),
-            wf + welfare,
-            closed + (block_mask,),
-        )
-    return table
-
-
-def _ns_join(ctx, node, left, right):
-    bag = node.bag
-    table = WitnessTable(ctx.budget)
-    grouped: dict = {}
-    for key_z, val_z in right.data.items():
-        sig = tuple(sorted((frozenset(b & bag) for b in key_z[0]), key=min))
-        grouped.setdefault(sig, []).append((key_z, val_z))
-    for (opens_y, pending_y, devs_y), (wf_y, closed_y, _, _) in left.data.items():
-        sig = tuple(sorted((frozenset(b & bag) for b in opens_y), key=min))
-        for (opens_z, pending_z, devs_z), (wf_z, closed_z, _, _) in grouped.get(sig, ()):
-            by_bagpart = {frozenset(b & bag): b for b in opens_z}
-            merged = tuple(b | by_bagpart[frozenset(b & bag)] for b in opens_y)
-            devmap = dict(devs_y)
-            for t, d in devs_z:
-                devmap[t] = max(devmap.get(t, 0), d)
-            pending = tuple(set(pending_y) | set(pending_z))
-            table.add(
-                _ns_key(merged, pending, devmap),
-                wf_y + wf_z,
-                closed_y + closed_z,
-            )
-    return table
-
-
 _COMPRESSED = (_compressed_leaf, _compressed_introduce, _compressed_forget, _compressed_join)
-_STEPS = {"welfare": _COMPRESSED, "ir": _COMPRESSED, "ns": (_ns_leaf, _ns_introduce, _ns_forget, _ns_join)}
 
 
 def _solve_tw(s, G, decomposition, budget, mode) -> Optional[SolveResult]:
@@ -541,8 +435,12 @@ def _solve_tw(s, G, decomposition, budget, mode) -> Optional[SolveResult]:
         raise UnsupportedInputError("the treewidth DP handles closed-tail vectors only")
     if decomposition is None:
         decomposition = nice_decomposition(G)
-    ctx = _Ctx(s, G, decomposition, mode, budget)
-    steps = (partial(step, ctx) for step in _STEPS[mode])
+    records = Budget(budget, f"treewidth DP exceeded its record budget ({budget})")
+    if mode == "ns":
+        steps = ns_steps(CoalitionEvaluator(s, G), records, G.n)
+    else:
+        ctx = _Ctx(s, G, decomposition, mode, records)
+        steps = (partial(step, ctx) for step in _COMPRESSED)
     solved = best_outcome(run_postorder(decomposition, *steps))
     if solved is None:
         # all-singletons is an IR lineage, so only NS mode can come back empty

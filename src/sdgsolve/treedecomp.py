@@ -378,19 +378,30 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         adj[a].add(b)
         adj[b].add(a)
     builder = _NiceBuilder()
-
-    def build(node: int, parent: Optional[int]) -> int:
-        children = sorted(c for c in adj[node] if c != parent)
-        bag = td.bags[node]
+    # Depth first from bag 0 on an explicit stack, so that a long path stays
+    # clear of Python's recursion limit.  A leaf bag grows from an empty leaf;
+    # an inner bag joins its children's tops (children ascending), each
+    # morphed to the inner bag once that child's subtree is built.  A frame is
+    # (bag, its children, their morphed tops so far); ``top`` carries a
+    # finished subtree's top up to its parent's frame.
+    stack = [(0, sorted(adj[0]), [])]
+    top = None
+    while stack:
+        node, children, tops = stack[-1]
+        if top is not None:
+            tops.append(builder.morph(top, td.bags[node]))
+            top = None
+        if len(tops) < len(children):
+            child = children[len(tops)]
+            stack.append((child, sorted(c for c in adj[child] if c != node), []))
+            continue
+        stack.pop()
         if not children:
-            return builder.chain_from_empty(bag)
-        tops = [builder.morph(build(c, node), bag) for c in children]
+            top = builder.chain_from_empty(td.bags[node])
+            continue
         top = tops[0]
         for other in tops[1:]:
-            top = builder.add("join", bag, (top, other))
-        return top
-
-    top = build(0, None)
+            top = builder.add("join", td.bags[node], (top, other))
     root = builder.morph(top, frozenset())
     if builder.nodes[root].bag:
         raise AssertionError("root bag not empty after morph")

@@ -207,7 +207,8 @@ def test_mask_block_helpers_match_the_set_versions(n, rng):
     # a new agent joins the block of some mates, or opens a block of its own
     host = masks[rng.randrange(len(masks))]
     mates = [a for a in range(n) if host >> a & 1 and rng.random() < 0.5]
-    assert _sets(grow_block(masks, mates, n)) == _set_grow_block(_sets(masks), mates, n)
+    mates_mask = sum(1 << m for m in mates)
+    assert _sets(grow_block(masks, mates_mask, n)) == _set_grow_block(_sets(masks), mates, n)
     # two branches' witnesses that overlap on some shared agents
     shared = [a for a in range(n) if rng.random() < 0.3]
     other = _random_partition(shared + list(range(n, n + rng.randrange(4))), rng)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
+from sdgsolve.core import NEG_INF, Outcome, ScoringVector, social_welfare
 from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_partial_ktree
-from sdgsolve.oracle import brute_force_solve
+from sdgsolve.oracle import brute_force_solve, enumerate_partitions
 from sdgsolve.solver_fptdp import select_sz, solve_fpt
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
@@ -140,3 +140,46 @@ def test_large_tree_outcome_is_pinned(mode):
     ])
     assert (result.welfare, result.outcome) == (46, expect)
     assert result.optimal and not result.size_limited
+
+
+def _best_capped(s, G, mode, sz):
+    """Best welfare over the partitions with no coalition above ``sz`` that
+    are IR (ir mode) or Nash stable (ns mode); None when there is none."""
+    best = None
+    for blocks in enumerate_partitions(G.n):
+        if max(map(len, blocks)) > sz:
+            continue
+        outcome = Outcome(blocks)
+        if mode == "ir" and not is_individually_rational(s, G, outcome):
+            continue
+        if mode == "ns" and not is_nash_stable(s, G, outcome):
+            continue
+        welfare = social_welfare(s, G, outcome)
+        if welfare != NEG_INF and (best is None or welfare > best):
+            best = welfare
+    return best
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_size_cap_reaches_the_best_capped_outcome(seed):
+    """Below n agents the cap binds: fptdp must still find the best outcome
+    among those whose coalitions fit it, in every mode."""
+    rng = random.Random(5000 + seed)
+    n = rng.randrange(3, 8)
+    G = random_connected_graph(n, rng)
+    s = (CLOSED_VECTORS + OPEN_VECTORS)[seed % 6]
+    for sz in (2, 3):
+        for mode in ("welfare", "ir", "ns"):
+            got = solve_fpt(s, G, sz=sz, mode=mode)
+            expect = _best_capped(s, G, mode, sz)
+            where = f"seed={seed} sz={sz} mode={mode} G={G.edges}"
+            if expect is None:
+                assert got is None, where
+                continue
+            assert got is not None and got.welfare == expect, where
+            assert max(map(len, got.outcome)) <= sz, where
+            assert got.size_limited == (sz < n), where
+            if mode == "ir":
+                assert is_individually_rational(s, G, got.outcome), where
+            if mode == "ns":
+                assert is_nash_stable(s, G, got.outcome), where

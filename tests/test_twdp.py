@@ -131,3 +131,10 @@ def test_large_network_outcomes_are_pinned(graph, vec):
     for mode in ("welfare", "ir"):
         result = solve(ScoringVector(vec), G, mode, algo="twdp")
         assert (result.welfare, result.outcome) == (welfare, with_singletons(n, coalitions)), mode
+
+
+def test_long_path_solves_without_a_recursion_limit():
+    """The nice decomposition of a 600-agent path is about 1800 nodes deep;
+    building it must not recurse once per bag."""
+    result = solve(ScoringVector((1, -3)), path_graph(600), "welfare")
+    assert (result.algorithm, result.welfare) == ("twdp", 600)
