@@ -26,6 +26,7 @@ from .treedecomp import (
     compute_decomposition,
     decomposition_width,
     make_nice,
+    validate_nice,
 )
 
 AUTO_TW_WIDTH = 4
@@ -89,7 +90,9 @@ def solve(
     brute_cap: int = DEFAULT_AGENT_CAP,
 ) -> Optional[SolveResult]:
     """Solve one instance end to end; None only in ns mode with no stable
-    outcome.  A user-supplied nice decomposition forces the treewidth DP."""
+    outcome.  A user-supplied nice decomposition forces the treewidth DP; it
+    must be a valid nice decomposition of G, else ValueError names the first
+    violated condition."""
     check_mode(mode)
     if algo not in ("auto", "brute", "twdp", "fptdp", "vc"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -98,6 +101,9 @@ def solve(
     if decomposition is not None:
         if algo not in ("auto", "twdp"):
             raise ValueError("a tree decomposition only drives the twdp algorithm")
+        width = validate_nice(G, decomposition)
+        if not isinstance(width, int):
+            raise ValueError(f"invalid nice decomposition: {width.kind}: {width.detail}")
         return _TW_SOLVERS[mode](s, G, decomposition)
 
     components = G.components()

@@ -13,7 +13,7 @@ member bitmask of one coalition built so far, open or completed.
 from functools import partial
 from typing import Optional
 
-from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits
+from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits, validate_outcome
 from .stability import first_deviation
 
 
@@ -227,9 +227,14 @@ def ns_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, key=None):
 
 
 def self_check(s, G, mode: str, welfare, outcome: Outcome, solver: str) -> None:
-    """Re-derive a solver's answer directly: its welfare must match, and the
-    outcome must be individually rational in ir mode and Nash stable in ns
-    mode.  Raises AssertionError naming the solver otherwise."""
+    """Re-derive a solver's answer directly: the outcome must be a partition
+    of G's agents, its welfare must match, and it must be individually
+    rational in ir mode and Nash stable in ns mode.  Raises AssertionError
+    naming the solver otherwise."""
+    try:
+        validate_outcome(G, outcome)
+    except ValueError as exc:
+        raise AssertionError(f"{solver} outcome is not a partition of the agents: {exc}") from exc
     ev = CoalitionEvaluator(s, G)
     masks = [G.mask_of(b) for b in outcome]
     if sum(ev.stats(mask)[0] for mask in masks) != welfare:

@@ -14,7 +14,9 @@ from sdgsolve.generators import (
 )
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_vc import compute_vertex_cover
-from sdgsolve.treedecomp import exact_treewidth
+from sdgsolve.treedecomp import exact_treewidth, nice_decomposition
+
+from conftest import cycle_graph, path_graph
 
 
 class TestGenerators:
@@ -152,6 +154,22 @@ class TestSolveFacade:
     def test_rejects_unknown_algo(self, fig_a):
         with pytest.raises(ValueError):
             solve(ScoringVector((1,)), fig_a, algo="magic")
+
+    @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
+    def test_rejects_a_decomposition_that_misses_an_agent(self, mode):
+        # the 2-agent edge's decomposition would leave agent 2 out of the outcome
+        ntd = nice_decomposition(SocialNetwork(2, [(0, 1)]))
+        with pytest.raises(ValueError, match="vertex-coverage: agent 2"):
+            solve(ScoringVector((1,)), path_graph(3), mode, decomposition=ntd)
+
+    @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
+    def test_rejects_a_decomposition_that_misses_an_edge(self, mode):
+        # the 4-path's decomposition never puts 0 and 3 in one bag, so on the
+        # 4-cycle welfare mode would score the grand coalition 4 instead of 8
+        ntd = nice_decomposition(path_graph(4))
+        with pytest.raises(ValueError, match=r"edge-coverage: edge \(0,3\)"):
+            solve(ScoringVector((1, 0)), cycle_graph(4), mode, decomposition=ntd)
+        assert solve(ScoringVector((1, 0)), cycle_graph(4), mode).welfare == 8
 
 
 

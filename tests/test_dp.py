@@ -249,3 +249,9 @@ def test_self_check_rejects_wrong_welfare_and_unstable_outcomes():
     self_check(s, G, "ns", 2, Outcome(((0,), (1, 2))), "x")
     with pytest.raises(AssertionError, match="non-NS"):
         self_check(s, G, "ns", 0, Outcome.singletons(3), "x")
+
+
+def test_self_check_rejects_an_outcome_that_leaves_out_an_agent():
+    # ((0, 1),) has the right welfare for the 3-path under (1) but drops agent 2
+    with pytest.raises(AssertionError, match="x outcome is not a partition.*agent 2"):
+        self_check(ScoringVector((1,)), path_graph(3), "welfare", 2, Outcome(((0, 1),)), "x")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sdgsolve import solver_twdp
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError
 from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_partial_ktree
@@ -49,6 +50,21 @@ class TestIr:
         res = solve_tw_ir(long_vec, fig_b)
         assert res.welfare == 60
         assert is_individually_rational(long_vec, fig_b, res.outcome)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("network", ["fig_b", "fig_c"])
+    def test_relabelled_reference_networks(self, network, seed, long_vec, request):
+        """fig_b's IR optimum (60) lies below its welfare optimum (62); under
+        relabellings the decomposition, and so the joins that merge the
+        tallies' worst utilities, changes."""
+        base = request.getfixturevalue(network)
+        perm = list(range(base.n))
+        random.Random(seed).shuffle(perm)
+        G = SocialNetwork(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+        assert solve_tw_welfare(long_vec, G).welfare == brute_force_solve(long_vec, G, "welfare").welfare
+        res = solve_tw_ir(long_vec, G)
+        assert res.welfare == brute_force_solve(long_vec, G, "ir").welfare
+        assert is_individually_rational(long_vec, G, res.outcome)
 
     def test_welfare_mode_agrees_when_unconstrained(self):
         s = ScoringVector((2, 1))
@@ -131,6 +147,38 @@ def test_large_network_outcomes_are_pinned(graph, vec):
     for mode in ("welfare", "ir"):
         result = solve(ScoringVector(vec), G, mode, algo="twdp")
         assert (result.welfare, result.outcome) == (welfare, with_singletons(n, coalitions)), mode
+
+
+# LARGE_OUTCOMES' instances -> twdp's table insertions (Budget.seen) in
+# welfare and IR mode; a change of state encoding that splits or merges
+# states moves these even where the outcome stays
+LARGE_ADDS = {
+    ((30, 1), (1, -3)): (805, 767),
+    ((30, 1), (1, 0, -1)): (2097, 1994),
+    ((60, 1), (1, -3)): (2500, 2285),
+    ((60, 1), (1, 0, -1)): (10831, 10129),
+    ((20, 2), (1, -3)): (1215, 1187),
+    ((20, 2), (1, 0, -1)): (5173, 7035),
+}
+
+
+@pytest.mark.parametrize("graph,vec", list(LARGE_ADDS), ids=lambda v: ",".join(map(str, v)))
+def test_large_network_table_adds_are_pinned(graph, vec, monkeypatch):
+    budgets = []
+
+    class RecordedBudget(solver_twdp.Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(solver_twdp, "Budget", RecordedBudget)
+    G = random_partial_ktree(*graph, 0)
+    seen = []
+    for mode in ("welfare", "ir"):
+        budgets.clear()
+        solve(ScoringVector(vec), G, mode, algo="twdp")
+        seen.append(sum(b.seen for b in budgets))
+    assert tuple(seen) == LARGE_ADDS[graph, vec]
 
 
 def test_long_path_solves_without_a_recursion_limit():
