@@ -12,8 +12,9 @@ Per algorithm the script hashes ``(welfare, outcome, algorithm, optimal,
 size_limited)`` of every answer (``None`` for an NS instance with no stable
 outcome, the exception's type and text for a resource or input error) into
 ``outcomes``, and each solve's DP table insertions (``Budget.seen``, empty
-for brute and vc) into ``adds``; ``total_adds`` sums those insertions, so a
-change that alters the adds hash can state how far the tables grew.  Two
+for brute and vc) into ``adds``; ``total_adds`` sums those insertions, and one
+line per algorithm and mode sums them per mode, so a change that alters the
+adds hash can state how far the tables grew, and in which mode.  Two
 checkouts give the same outcomes hash exactly when every answer is the same.
 
     PYTHONPATH=src python3 scripts/outcome_digest.py
@@ -78,7 +79,7 @@ def main():
     outcomes = {algo: hashlib.sha256() for algo in ALGOS}
     adds = {algo: hashlib.sha256() for algo in ALGOS}
     count = dict.fromkeys(ALGOS, 0)
-    total_adds = dict.fromkeys(ALGOS, 0)
+    mode_adds = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
     start = time.perf_counter()
     for label, G, s, mode, algos in cases():
         for algo in algos:
@@ -88,10 +89,13 @@ def main():
             outcomes[algo].update(repr(item + (got,)).encode())
             adds[algo].update(repr(item + (tuple(b.seen for b in budgets),)).encode())
             count[algo] += 1
-            total_adds[algo] += sum(b.seen for b in budgets)
+            mode_adds[algo, mode] += sum(b.seen for b in budgets)
     for algo in ALGOS:
+        total = sum(mode_adds[algo, mode] for mode in MODES)
         print(f"{algo:6} solves={count[algo]} outcomes={outcomes[algo].hexdigest()} "
-              f"adds={adds[algo].hexdigest()} total_adds={total_adds[algo]}")
+              f"adds={adds[algo].hexdigest()} total_adds={total}")
+    for algo in ALGOS:
+        print(f"{algo:6} " + " ".join(f"{mode}_adds={mode_adds[algo, mode]}" for mode in MODES))
     print(f"elapsed {time.perf_counter() - start:.1f} s")
 
 

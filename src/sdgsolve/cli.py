@@ -80,9 +80,6 @@ def cmd_solve(args) -> int:
             print(f"error: supplied decomposition invalid: {width.kind}: {width.detail}", file=sys.stderr)
             return EXIT_ERROR
         decomposition = make_nice(td)
-    if args.algo == "twdp" and not s.is_closed:
-        print("error: the treewidth DP supports closed tails only; use fptdp, vc, or brute", file=sys.stderr)
-        return EXIT_ERROR
     start = time.perf_counter()
     result = solve(
         s,

@@ -5,15 +5,16 @@ The treewidth DP (``solver_twdp``) and the coalition-topology DP
 per node, a table from state keys to the best partial outcome reaching that
 state.  This module holds what they share: the postorder walk, the witness
 table with its budget counter, the helpers that grow and merge witness
-blocks, the Nash-stable DP both solvers run in NS mode, and the self-check
-every solver runs on its answer.  A witness is a tuple of blocks, each the
-member bitmask of one coalition built so far, open or completed.
+blocks, the open-coalition DP (fptdp runs it in every mode, twdp in NS
+mode), and the self-check every solver runs on its answer.  A witness is a
+tuple of blocks, each the member bitmask of one coalition built so far, open
+or completed.
 """
 
 from functools import partial
 from typing import Optional
 
-from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits, validate_outcome
+from .core import NEG_INF, CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits, validate_outcome
 from .stability import first_deviation
 
 
@@ -124,20 +125,49 @@ def merge_blocks(blocks_y, blocks_z):
     return tuple(out)
 
 
-def ns_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, key=None):
-    """(leaf, introduce, forget, join) of the Nash-stable DP, for
+def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str, key=None):
+    """(leaf, introduce, forget, join) of the open-coalition DP, for
     ``run_postorder``, over coalitions of at most ``cap`` members.
 
     A state is ``(opens, pending, devs)``: the member bitmasks of the open
-    coalitions (those meeting the bag), sorted; ``(agent, utility)`` of every
-    settled agent that still neighbours an open coalition it could later want
-    to join; and ``(agent, best deviation so far)`` of every open member.
-    Every utility and deviation check runs on the real coalition, through
-    ``ev``, when a coalition completes (its last bag member is forgotten).
+    coalitions (those meeting the bag), sorted; in NS mode also ``(agent,
+    utility)`` of every settled agent that still neighbours an open coalition
+    it could later want to join, and ``(agent, best deviation so far)`` of
+    every open member (both stay empty in welfare and IR mode).
+
+    * introduce: the agent joins an open coalition below ``cap`` members, or
+      opens one of its own;
+    * forget: a coalition with bag members left stays open while every member
+      reaches one of them inside it (a forgotten agent gains no neighbours,
+      so one that cannot is cut off for good); otherwise it completes and
+      adds its welfare, read from ``ev``, unless that is NEG_INF
+      (disconnected, or a pair beyond a closed tail), or in IR mode a member
+      scores below 0, or in NS mode a member scores below 0 or below its
+      best deviation, or the coalition tempts a settled neighbour;
+    * join: coalitions glue at their shared bag members.
+
     Tables key a state by ``key(bag_mask, state)``, or by the state itself
     when ``key`` is None."""
     G = ev.G
     adj = G.adj_mask
+    ns = mode == "ns"
+    ir = mode == "ir"
+    anchored_cache: dict = {}
+
+    def anchored(mask, part):
+        """Whether every member of the coalition ``mask`` reaches its bag
+        part ``part`` inside the coalition."""
+        hit = anchored_cache.get((mask, part))
+        if hit is None:
+            reached = frontier = part
+            while frontier:
+                nxt = 0
+                for v in iter_bits(frontier):
+                    nxt |= adj[v]
+                frontier = nxt & mask & ~reached
+                reached |= frontier
+            hit = anchored_cache[mask, part] = reached == mask
+        return hit
 
     def table(bag):
         return WitnessTable(budget, None if key is None else partial(key, bag))
@@ -152,7 +182,8 @@ def ns_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, key=None):
         a = node.agent
         bit = 1 << a
         for wf, blocks, _, (opens, pending, devs) in child.data.values():
-            devs = tuple(sorted(devs + ((a, 0),)))
+            if ns:
+                devs = tuple(sorted(devs + ((a, 0),)))
             for block in opens:
                 if block.bit_count() >= cap:
                     continue
@@ -169,13 +200,18 @@ def ns_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, key=None):
             opens, pending, devs = state
             block = next(b for b in opens if b >> w & 1)
             if block & bag:
-                out.add(state, wf, blocks)
+                if anchored(block, block & bag):
+                    out.add(state, wf, blocks)
                 continue
-            welfare, _, utils = ev.stats(block)
+            welfare, worst, utils = ev.stats(block)
+            rest = tuple(b for b in opens if b != block)
+            if not ns:
+                if welfare != NEG_INF and not (ir and worst < 0):
+                    out.add((rest, (), ()), wf + welfare, blocks)
+                continue
             devmap = dict(devs)
             if any(u < 0 or u < devmap[i] for i, u in utils.items()):
                 continue
-            rest = tuple(b for b in opens if b != block)
             rest_mask = sum(rest)
             settled = dict(pending)
             near = 0

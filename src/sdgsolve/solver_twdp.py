@@ -34,10 +34,10 @@ nothing.  Forgetting an agent keeps it too, since its new cell holds its own
 commitments.  A join unites two consistent records with the same parts and
 commitments, which is consistent again.
 
-NS mode keeps coalitions explicit instead: it runs ``dp.ns_steps`` with no
-size cap, keyed by the state itself, so records hold the member bitmasks of
-open coalitions and every utility and deviation check runs on the real
-induced subgraph when a coalition completes.
+NS mode keeps coalitions explicit instead: it runs ``dp.coalition_steps``
+with no size cap, keyed by the state itself, so records hold the member
+bitmasks of open coalitions and every utility and deviation check runs on the
+real induced subgraph when a coalition completes.
 """
 
 from itertools import combinations, product
@@ -55,9 +55,9 @@ from .dp import (
     Budget,
     WitnessTable,
     best_outcome,
+    coalition_steps,
     grow_block,
     merge_blocks,
-    ns_steps,
     run_postorder,
     self_check,
 )
@@ -281,12 +281,14 @@ def _compressed_steps(s, G, budget, ir):
 
 def _solve_tw(s, G, decomposition, budget, mode) -> Optional[SolveResult]:
     if not s.is_closed:
-        raise UnsupportedInputError("the treewidth DP handles closed-tail vectors only")
+        raise UnsupportedInputError(
+            "the treewidth DP supports closed tails only; use fptdp, vc, or brute"
+        )
     if decomposition is None:
         decomposition = nice_decomposition(G)
     records = Budget(budget, f"treewidth DP exceeded its record budget ({budget})")
     if mode == "ns":
-        steps = ns_steps(CoalitionEvaluator(s, G), records, G.n)
+        steps = coalition_steps(CoalitionEvaluator(s, G), records, G.n, "ns")
     else:
         steps = _compressed_steps(s, G, records, mode == "ir")
     solved = best_outcome(run_postorder(decomposition, *steps))

@@ -99,55 +99,54 @@ def write_td(td: TreeDecomposition) -> str:
 
 
 def validate(G: SocialNetwork, td: TreeDecomposition) -> Union[int, TdViolation]:
-    """Width on success, otherwise the first violated condition with a witness."""
+    """Width on success, otherwise the first violated condition with a witness.
+
+    One pass over the bags lists each agent's holders (the bags containing
+    it); coverage, edges and subtree connectivity are read from those lists."""
     k = len(td.bags)
+    holders: list[list[int]] = [[] for _ in range(G.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not 0 <= v < G.n:
                 return TdViolation("bag-range", f"bag {i} contains vertex {v} outside 0..{G.n - 1}")
-    # the tree must actually be a tree over the bags
-    if k > 1:
-        adj: list[set[int]] = [set() for _ in range(k)]
-        for a, b in td.tree_edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != k - 1:
-            return TdViolation("tree-shape", f"{len(td.tree_edges)} edges for {k} bags")
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != k:
-            return TdViolation("tree-shape", "bag tree is disconnected")
-    for v in range(G.n):
-        if not any(v in bag for bag in td.bags):
-            return TdViolation("vertex-coverage", f"agent {v} appears in no bag")
-    for u, v in G.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            return TdViolation("edge-coverage", f"edge ({u},{v}) not covered by any bag")
-    # connected-subtree condition per vertex
+            holders[v].append(i)
     tree_adj: list[set[int]] = [set() for _ in range(k)]
     for a, b in td.tree_edges:
         tree_adj[a].add(b)
         tree_adj[b].add(a)
+    # the tree must actually be a tree over the bags
+    if k > 1:
+        if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != k - 1:
+            return TdViolation("tree-shape", f"{len(td.tree_edges)} edges for {k} bags")
+        if len(_reach(tree_adj, [0], None)) != k:
+            return TdViolation("tree-shape", "bag tree is disconnected")
     for v in range(G.n):
-        holders = [i for i, bag in enumerate(td.bags) if v in bag]
-        seen = {holders[0]}
-        stack = [holders[0]]
-        holder_set = set(holders)
-        while stack:
-            x = stack.pop()
-            for y in tree_adj[x]:
-                if y in holder_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(holders):
+        if not holders[v]:
+            return TdViolation("vertex-coverage", f"agent {v} appears in no bag")
+    bags = td.bags
+    for u, v in G.edges:
+        if not any(v in bags[i] for i in holders[u]):
+            return TdViolation("edge-coverage", f"edge ({u},{v}) not covered by any bag")
+    # connected-subtree condition per vertex
+    for v in range(G.n):
+        held = holders[v]
+        if len(_reach(tree_adj, held[:1], set(held))) != len(held):
             return TdViolation("connectivity", f"bags containing agent {v} are not connected")
     return td.width()
+
+
+def _reach(tree_adj, start, within):
+    """Bags reachable from ``start`` over the tree, through bags in
+    ``within`` only (all bags when it is None)."""
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        x = stack.pop()
+        for y in tree_adj[x]:
+            if y not in seen and (within is None or y in within):
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def ensure_valid(G: SocialNetwork, td: TreeDecomposition) -> int:

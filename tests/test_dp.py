@@ -4,12 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgsolve.core import Outcome, ResourceLimitError, ScoringVector, SocialNetwork, iter_bits
+from sdgsolve.core import (
+    CoalitionEvaluator,
+    Outcome,
+    ResourceLimitError,
+    ScoringVector,
+    SocialNetwork,
+    iter_bits,
+)
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import (
     Budget,
     WitnessTable,
     best_outcome,
+    coalition_steps,
     grow_block,
     merge_blocks,
     run_postorder,
@@ -255,3 +263,22 @@ def test_self_check_rejects_an_outcome_that_leaves_out_an_agent():
     # ((0, 1),) has the right welfare for the 3-path under (1) but drops agent 2
     with pytest.raises(AssertionError, match="x outcome is not a partition.*agent 2"):
         self_check(ScoringVector((1,)), path_graph(3), "welfare", 2, Outcome(((0, 1),)), "x")
+
+
+@pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
+def test_forget_drops_a_coalition_its_forgotten_member_cannot_reach(mode):
+    # on the path 0-1-2, once 0 is forgotten no later agent can join it to 2
+    # inside the coalition {0, 2}, so no state may keep that coalition open
+    G = path_graph(3)
+    leaf, introduce, forget, _ = coalition_steps(
+        CoalitionEvaluator(ScoringVector((1, 1)), G), Budget(100, "unused"), 3, mode
+    )
+    table = leaf(NiceNode("leaf", frozenset(), ()))
+    bag = frozenset()
+    for agent in (0, 2, 1):
+        bag = bag | {agent}
+        table = introduce(NiceNode("introduce", bag, (0,), agent), table)
+    assert any(0b101 in opens for opens, _, _ in (e[3] for e in table.data.values()))
+    table = forget(NiceNode("forget", frozenset({1, 2}), (0,), 0), table)
+    states = [e[3] for e in table.data.values()]
+    assert states and all(0b101 not in opens for opens, _, _ in states)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sdgsolve import solver_fptdp
 from sdgsolve.core import NEG_INF, Outcome, ScoringVector, social_welfare
 from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_partial_ktree
@@ -140,6 +141,35 @@ def test_large_tree_outcome_is_pinned(mode):
     ])
     assert (result.welfare, result.outcome) == (46, expect)
     assert result.optimal and not result.size_limited
+
+
+# instance -> fptdp's table insertions (Budget.seen) per mode, with the
+# certified size bound; a change that splits or merges states moves these
+# even where the outcome stays
+PINNED_ADDS = [
+    ((30, 1), ScoringVector((2, -1), tail="open"), {"welfare": 1687, "ir": 1595}),
+    ((20, 2), ScoringVector((1, -3)), {"welfare": 19321, "ir": 17952}),
+    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 621, "ir": 602, "ns": 974}),
+]
+
+
+@pytest.mark.parametrize("graph,s,adds", PINNED_ADDS, ids=["tree30", "2tree20", "2tree12"])
+def test_table_adds_are_pinned(graph, s, adds, monkeypatch):
+    budgets = []
+
+    class RecordedBudget(solver_fptdp.Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(solver_fptdp, "Budget", RecordedBudget)
+    G = random_partial_ktree(*graph, 0)
+    seen = {}
+    for mode in adds:
+        budgets.clear()
+        solve_fpt(s, G, mode=mode)
+        seen[mode] = sum(b.seen for b in budgets)
+    assert seen == adds
 
 
 def _best_capped(s, G, mode, sz):

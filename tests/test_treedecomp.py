@@ -118,6 +118,86 @@ class TestComputeDecomposition:
         assert isinstance(validate(G, td), int)
 
 
+def scan_validate(G: SocialNetwork, td: TreeDecomposition):
+    """Reference validator: scans every bag for every agent and every edge."""
+    k = len(td.bags)
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if not 0 <= v < G.n:
+                return TdViolation("bag-range", f"bag {i} contains vertex {v} outside 0..{G.n - 1}")
+    if k > 1:
+        adj: list[set[int]] = [set() for _ in range(k)]
+        for a, b in td.tree_edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != k - 1:
+            return TdViolation("tree-shape", f"{len(td.tree_edges)} edges for {k} bags")
+        seen = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != k:
+            return TdViolation("tree-shape", "bag tree is disconnected")
+    for v in range(G.n):
+        if not any(v in bag for bag in td.bags):
+            return TdViolation("vertex-coverage", f"agent {v} appears in no bag")
+    for u, v in G.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            return TdViolation("edge-coverage", f"edge ({u},{v}) not covered by any bag")
+    tree_adj: list[set[int]] = [set() for _ in range(k)]
+    for a, b in td.tree_edges:
+        tree_adj[a].add(b)
+        tree_adj[b].add(a)
+    for v in range(G.n):
+        holders = [i for i, bag in enumerate(td.bags) if v in bag]
+        seen = {holders[0]}
+        stack = [holders[0]]
+        holder_set = set(holders)
+        while stack:
+            x = stack.pop()
+            for y in tree_adj[x]:
+                if y in holder_set and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(holders):
+            return TdViolation("connectivity", f"bags containing agent {v} are not connected")
+    return td.width()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.sampled_from(["none", "drop-vertex", "drop-edge", "out-of-range"]),
+    st.randoms(use_true_random=False),
+)
+def test_validate_matches_the_bag_scan(n, corruption, rng):
+    """validate reads holder lists; on valid decompositions and on ones with a
+    vertex dropped from a bag, a tree edge removed or an out-of-range vertex
+    added, it returns what the scan over every bag returns."""
+    G = random_connected_graph(n, rng)
+    if rng.random() < 0.5:
+        td = compute_decomposition(G)
+    else:
+        order = list(range(n))
+        rng.shuffle(order)
+        td = decomposition_from_order(G, order)
+    bags = list(td.bags)
+    edges = list(td.tree_edges)
+    i = rng.randrange(len(bags))
+    if corruption == "drop-vertex" and bags[i]:
+        bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+    elif corruption == "drop-edge" and edges:
+        del edges[rng.randrange(len(edges))]
+    elif corruption == "out-of-range":
+        bags[i] = bags[i] | {G.n + rng.randrange(3)}
+    td = TreeDecomposition(tuple(bags), tuple(edges), G.n)
+    assert validate(G, td) == scan_validate(G, td)
+
+
 def brute_force_treewidth(G: SocialNetwork) -> int:
     """Independent oracle: minimum elimination width over all vertex orders."""
     n = G.n
