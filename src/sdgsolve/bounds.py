@@ -1,9 +1,9 @@
 """Structural bounds on coalitions and an outcome certifier.
 
 Two size bounds limit how large a coalition can usefully get: one from the
-network's maximum degree (closed tails only) and one from its treewidth
-(score of distance 2 negative).  A third bound limits the diameter of any
-coalition in a stable outcome under open-tail vectors.  The solvers use
+network's maximum degree (see ``degree_bound_applies``) and one from its
+treewidth (score of distance 2 negative).  A third bound limits the diameter
+of any coalition in a stable outcome under open-tail vectors.  The solvers use
 these to shrink search parameters; the certifier reports them as hard
 violations only where their premises hold.
 """
@@ -22,22 +22,30 @@ from .core import (
     validate_outcome,
 )
 from .stability import Deviation, first_deviation
+from .treedecomp import compute_decomposition
+
+
+def degree_bound_applies(s: ScoringVector, max_degree: int) -> bool:
+    """Premise of ``degree_coalition_bound``: s(1) >= 1, a closed tail of
+    cutoff 1 or of cutoff 2 with s(2) <= -2, and max degree at least 2.
+    Elsewhere distant members need not outweigh the neighbours: on a cycle
+    under (1,0,-1) the grand coalition is optimal."""
+    return (
+        s.is_closed
+        and s.max_score >= 1
+        and (s.cutoff == 1 or (s.cutoff == 2 and s.scores[1] <= -2))
+        and max_degree >= 2
+    )
 
 
 def degree_coalition_bound(s: ScoringVector, max_degree: int) -> int:
-    """Size above which every member of a coalition in a degree-bounded network
-    has negative utility: (s1+1) * deg * (deg-1)^(cutoff-2), degenerating to
-    (s1+1) * deg when only distance 1 is scored."""
-    if not s.is_closed:
-        raise UnsupportedInputError(
-            "degree bound needs a closed tail: open tails with a non-negative "
-            "last score admit arbitrarily large coalitions"
-        )
-    if max_degree < 2:
-        raise ValueError("degree bound needs max degree >= 2")
-    if s.cutoff == 1:
-        return (s.max_score + 1) * max_degree
-    return (s.max_score + 1) * max_degree * (max_degree - 1) ** (s.cutoff - 2)
+    """Size above which every member of a coalition has negative utility:
+    (s1+1) * max_degree, where ``degree_bound_applies`` holds.  A member has
+    at most max_degree neighbours, worth s1 each, and every further member
+    costs at least 2 (cutoff 2) or is out of reach (cutoff 1)."""
+    if not degree_bound_applies(s, max_degree):
+        raise UnsupportedInputError(f"degree bound does not hold for {s} at max degree {max_degree}")
+    return (s.max_score + 1) * max_degree
 
 
 def treewidth_coalition_bound(s: ScoringVector, tw: int) -> int:
@@ -87,14 +95,18 @@ def compute_bound_report(
     """Evaluate every bound whose premise holds for this game.
 
     ``tw`` may be any upper bound on the treewidth; a looser width only
-    weakens the size bound, never invalidates it.
+    weakens the size bound, never invalidates it.  Without one the width of
+    ``compute_decomposition(G)`` is used, and only when the treewidth
+    bound's premise holds.
     """
     degree_bound = None
-    if s.is_closed and G.max_degree() >= 2:
+    if degree_bound_applies(s, G.max_degree()):
         degree_bound = degree_coalition_bound(s, G.max_degree())
     tw_bound = None
-    if s.score(2) < 0 and tw is not None and tw >= 1:
-        tw_bound = treewidth_coalition_bound(s, tw)
+    if s.score(2) < 0:
+        if tw is None:
+            tw = compute_decomposition(G).width()
+        tw_bound = treewidth_coalition_bound(s, max(1, tw))
     stable_diam = None
     if not s.is_closed and s.max_score > 0 and s.scores[-1] < 0:
         stable_diam = stable_diameter_limit(s)

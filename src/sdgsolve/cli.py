@@ -25,12 +25,11 @@ from .formats import (
     report_to_json,
     result_report,
     write_gr,
-    write_outcome,
 )
 from .generators import random_bounded_degree, random_partial_ktree
 from .oracle import DEFAULT_AGENT_CAP
 from .reductions import ctcg_to_sdg, nae_to_3ctcg, parse_nae_formula
-from .treedecomp import decomposition_width, make_nice, read_td, validate
+from .treedecomp import compute_decomposition, make_nice, read_td, validate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -218,8 +217,8 @@ def cmd_bench(args) -> int:
 def cmd_bounds(args) -> int:
     s = _scores(args)
     G = _graph(args.graph)
-    width = decomposition_width(G)
-    report = compute_bound_report(s, G, tw=max(1, width))
+    width = compute_decomposition(G).width()
+    report = compute_bound_report(s, G, tw=width)
     payload = {
         "welfare_diameter_limit": report.welfare_diameter_limit,
         "degree_size_bound": report.degree_size_bound,

@@ -104,10 +104,13 @@ class SocialNetwork:
     """Immutable simple undirected graph over agents 0..n-1.
 
     Adjacency is kept both as frozensets and as bitmasks; the bitmask form
-    drives all BFS work in the solvers.
+    drives all BFS work in the solvers.  ``structure`` holds what is computed
+    from the graph alone, on first use, by the function that computes it (the
+    tree decompositions, the minimum vertex cover), so every query on one
+    graph object reuses it; it takes no part in equality or hashing.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_full_mask")
+    __slots__ = ("n", "edges", "adj", "adj_mask", "_full_mask", "structure")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -131,6 +134,7 @@ class SocialNetwork:
         self.adj = tuple(frozenset(a) for a in adj)
         self.adj_mask = tuple(masks)
         self._full_mask = (1 << n) - 1
+        self.structure: dict = {}
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

@@ -24,8 +24,7 @@ from .solver_vc import compute_vertex_cover, solve_vc
 from .treedecomp import (
     NiceTreeDecomposition,
     compute_decomposition,
-    decomposition_width,
-    make_nice,
+    nice_decomposition,
     validate_nice,
 )
 
@@ -49,7 +48,7 @@ def choose_algorithm(
     coalitions beats the paper's DPs, then the first of those that applies."""
     if G.n <= brute_cap:
         return "brute"
-    if s.is_closed and decomposition_width(G) <= AUTO_TW_WIDTH:
+    if s.is_closed and compute_decomposition(G).width() <= AUTO_TW_WIDTH:
         return "twdp"
     if select_sz(s, G) is not None:
         return "fptdp"
@@ -72,7 +71,7 @@ def _solve_component(s, G, mode, algo, sz, brute_cap):
             return None
         return replace(result, algorithm="brute-raised")
     if algo == "twdp":
-        return _TW_SOLVERS[mode](s, G, make_nice(compute_decomposition(G)))
+        return _TW_SOLVERS[mode](s, G, nice_decomposition(G))
     if algo == "fptdp":
         return solve_fpt(s, G, sz=sz, mode=mode)
     if algo == "vc":

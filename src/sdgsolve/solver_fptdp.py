@@ -28,9 +28,9 @@ from .core import (
     check_mode,
     iter_bits,
 )
-from .bounds import degree_coalition_bound, treewidth_coalition_bound
+from .bounds import compute_bound_report
 from .dp import Budget, best_outcome, coalition_steps, run_postorder, self_check
-from .treedecomp import NiceTreeDecomposition, decomposition_width, nice_decomposition
+from .treedecomp import NiceTreeDecomposition, nice_decomposition
 
 DEFAULT_STATE_BUDGET = 3_000_000
 
@@ -99,25 +99,14 @@ def _ns_key(G, bag, state):
 
 
 def select_sz(s: ScoringVector, G: SocialNetwork) -> Optional[int]:
-    """Smallest applicable coalition-size bound, clamped to the agent count.
-
-    The treewidth bound applies whenever distance 2 scores negatively; the
-    degree bound needs a closed tail whose last entry is negative (otherwise
-    arbitrarily large all-positive coalitions exist and no bound holds).
-    """
-    candidates = []
-    if s.score(2) < 0:
-        width = max(1, decomposition_width(G))
-        candidates.append(treewidth_coalition_bound(s, width))
-    if (
-        s.is_closed
-        and G.max_degree() >= 2
-        and (s.cutoff == 1 or s.scores[-1] < 0)
-    ):
-        candidates.append(degree_coalition_bound(s, G.max_degree()))
-    if not candidates:
+    """Smallest size bound of ``compute_bound_report``, clamped to 1..n (a
+    singleton is always allowed), or None when neither size bound's premise
+    holds."""
+    report = compute_bound_report(s, G)
+    bounds = [b for b in (report.degree_size_bound, report.treewidth_size_bound) if b is not None]
+    if not bounds:
         return None
-    return min(min(candidates), G.n)
+    return max(1, min(min(bounds), G.n))
 
 
 def solve_fpt(

@@ -50,7 +50,20 @@ DEFAULT_COVER_LIMIT = 25
 
 def compute_vertex_cover(G: SocialNetwork) -> frozenset:
     """A minimum vertex cover by branching on the endpoints of an uncovered
-    edge, preferring the lexicographically smallest optimum encountered."""
+    edge, preferring the lexicographically smallest optimum encountered;
+    searched once per graph object.  Raises ResourceLimitError on every call
+    when the cover is above ``DEFAULT_COVER_LIMIT``."""
+    cover = G.structure.get("cover")
+    if cover is None:
+        cover = G.structure["cover"] = _minimum_cover(G)
+    if len(cover) > DEFAULT_COVER_LIMIT:
+        raise ResourceLimitError(
+            f"minimum vertex cover has {len(cover)} agents, above the {DEFAULT_COVER_LIMIT} limit"
+        )
+    return cover
+
+
+def _minimum_cover(G: SocialNetwork) -> frozenset:
     edges = G.edges
     best: list = [None]
 
@@ -76,12 +89,7 @@ def compute_vertex_cover(G: SocialNetwork) -> frozenset:
         search(chosen | {v})
 
     search(set())
-    cover = best[0] if best[0] is not None else ()
-    if len(cover) > DEFAULT_COVER_LIMIT:
-        raise ResourceLimitError(
-            f"minimum vertex cover has {len(cover)} agents, above the {DEFAULT_COVER_LIMIT} limit"
-        )
-    return frozenset(cover)
+    return frozenset(best[0] or ())
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ with empty root and leaf bags).
 Up to 14 agents a decomposition comes from the exact subset DP, so its width
 is optimal and the solvers' tie-breaks see the same decomposition for the
 same labelled graph; above 14 it comes from the min-fill elimination order.
-``decomposition_width`` answers the width alone, from min-fill wherever the
-minor-min-width lower bound certifies it optimal.
+A graph object keeps its decomposition and its nice form once built, so
+every width question and every DP on it reads the same one.
 """
 
 from dataclasses import dataclass
@@ -235,27 +235,6 @@ def _min_fill_order(G: SocialNetwork) -> list[int]:
     return order
 
 
-def _minor_min_width(G: SocialNetwork) -> int:
-    """Treewidth lower bound: contract a minimum-degree vertex into its
-    minimum-degree neighbour until no vertex is left; the treewidth is at least
-    the minimum degree of every minor met on the way."""
-    adj = {v: set(G.adj[v]) for v in range(G.n)}
-    bound = 0
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        neigh = adj.pop(v)
-        bound = max(bound, len(neigh))
-        if not neigh:
-            continue
-        u = min(neigh, key=lambda x: (len(adj[x]), x))
-        for w in neigh:
-            adj[w].discard(v)
-            if w != u:
-                adj[w].add(u)
-                adj[u].add(w)
-    return bound
-
-
 def decomposition_from_order(G: SocialNetwork, order: list[int]) -> TreeDecomposition:
     """Bags from an elimination order, connected into a tree in the standard way."""
     n = G.n
@@ -284,30 +263,19 @@ def decomposition_from_order(G: SocialNetwork, order: list[int]) -> TreeDecompos
     return TreeDecomposition(tuple(bags), tuple(edges), n)
 
 
-DEFAULT_EXACT_LIMIT = 14
+EXACT_LIMIT = 14
 
 
-def compute_decomposition(
-    G: SocialNetwork, exact_limit: int = DEFAULT_EXACT_LIMIT
-) -> TreeDecomposition:
-    """A valid decomposition: width-optimal for n <= exact_limit, min-fill beyond."""
-    if G.n <= exact_limit:
-        order = _exact_elimination_order(G)
-    else:
-        order = _min_fill_order(G)
-    td = decomposition_from_order(G, order)
-    ensure_valid(G, td)
+def compute_decomposition(G: SocialNetwork) -> TreeDecomposition:
+    """A valid decomposition, width-optimal up to ``EXACT_LIMIT`` agents and
+    from min-fill beyond; built once per graph object."""
+    td = G.structure.get("decomposition")
+    if td is None:
+        order = _exact_elimination_order(G) if G.n <= EXACT_LIMIT else _min_fill_order(G)
+        td = decomposition_from_order(G, order)
+        ensure_valid(G, td)
+        G.structure["decomposition"] = td
     return td
-
-
-def decomposition_width(G: SocialNetwork) -> int:
-    """``compute_decomposition(G).width()``, without the exact subset DP
-    wherever the min-fill width meets the minor-min-width lower bound, since
-    min-fill is then optimal too."""
-    width = decomposition_from_order(G, _min_fill_order(G)).width()
-    if G.n <= DEFAULT_EXACT_LIMIT and width > _minor_min_width(G):
-        return compute_decomposition(G).width()
-    return width
 
 
 def exact_treewidth(G: SocialNetwork) -> int:
@@ -451,4 +419,8 @@ def validate_nice(G: SocialNetwork, ntd: NiceTreeDecomposition) -> Union[int, Td
 
 
 def nice_decomposition(G: SocialNetwork) -> NiceTreeDecomposition:
-    return make_nice(compute_decomposition(G))
+    """``make_nice(compute_decomposition(G))``, built once per graph object."""
+    ntd = G.structure.get("nice")
+    if ntd is None:
+        ntd = G.structure["nice"] = make_nice(compute_decomposition(G))
+    return ntd

@@ -16,6 +16,7 @@ from sdgsolve.core import (
 from sdgsolve.bounds import (
     certify_outcome,
     compute_bound_report,
+    degree_bound_applies,
     degree_coalition_bound,
     stable_diameter_limit,
     treewidth_coalition_bound,
@@ -29,8 +30,15 @@ from conftest import complete_graph, path_graph, random_connected_graph
 
 class TestDegreeBound:
     def test_direct_substitution(self):
-        assert degree_coalition_bound(ScoringVector((1, 0, -1)), 3) == 12
-        assert degree_coalition_bound(ScoringVector((2, 1)), 2) == 6
+        assert degree_coalition_bound(ScoringVector((1, -3)), 3) == 6
+        assert degree_coalition_bound(ScoringVector((2, -2)), 2) == 6
+
+    @pytest.mark.parametrize("scores", [(1, 0, -1), (2, 1), (1, -1), (0, -2), (1, 1, -1)])
+    def test_rejects_vectors_outside_the_premise(self, scores):
+        s = ScoringVector(scores)
+        assert not degree_bound_applies(s, 3)
+        with pytest.raises(UnsupportedInputError):
+            degree_coalition_bound(s, 3)
 
     def test_degenerate_single_entry(self):
         assert degree_coalition_bound(ScoringVector((1,)), 5) == 10
@@ -158,6 +166,17 @@ class TestBoundReport:
         assert report.degree_size_bound == (1 + 1) * 4  # cutoff 2: (s1+1)*deg
         assert report.treewidth_size_bound == 2 * 2 * 3 + 1
         assert report.stable_diameter is None
+
+    def test_no_degree_bound_without_its_premise(self):
+        # Petersen graph under (1,0): every member of the grand coalition
+        # has utility 3, so no size below 10 bounds the optimum
+        petersen = SocialNetwork(10, [(i, (i + 1) % 5) for i in range(5)]
+                                 + [(i, i + 5) for i in range(5)]
+                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        s = ScoringVector((1, 0))
+        assert compute_bound_report(s, petersen).degree_size_bound is None
+        best = brute_force_solve(s, petersen, "welfare")
+        assert best.outcome == Outcome.from_blocks([range(10)]) and best.welfare == 30
 
     def test_open_vector_report(self, fig_a):
         s = ScoringVector((1, 0, -1), tail="open")

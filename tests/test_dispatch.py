@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sdgsolve import dispatch
+from sdgsolve import dispatch, treedecomp
 from sdgsolve.core import Outcome, ResourceLimitError, ScoringVector, SocialNetwork
 from sdgsolve.dispatch import choose_algorithm, solve
 from sdgsolve.generators import (
@@ -120,6 +120,46 @@ class TestRoutingByCap:
         assert got.algorithm == "brute"
         assert got.welfare == 26
         assert got.outcome == Outcome(((0, 4, 6, 8), (1, 3, 10), (2, 7), (5, 9)))
+
+
+class TestOneDecompositionPerGraph:
+    """A graph object gets one elimination order, whatever number of width
+    questions and DP runs read its decomposition."""
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        runs = []
+        for name in ("_exact_elimination_order", "_min_fill_order"):
+            def counted(G, order=getattr(treedecomp, name), name=name):
+                runs.append(name)
+                return order(G)
+
+            monkeypatch.setattr(treedecomp, name, counted)
+        return runs
+
+    def test_auto_twdp_on_a_60_agent_tree(self, orders):
+        G = random_partial_ktree(60, 1, 0)
+        assert solve(ScoringVector((1, 0, -1)), G).algorithm == "twdp"
+        assert orders == ["_min_fill_order"]
+
+    def test_auto_fptdp_on_a_30_agent_tree(self, orders):
+        G = random_partial_ktree(30, 1, 0)
+        assert solve(ScoringVector((2, -1), tail="open"), G).algorithm == "fptdp"
+        assert orders == ["_min_fill_order"]
+
+    def test_27_queries_on_one_8_agent_graph(self, orders):
+        G = random_solver_corpus_instance(8, (8, 8))
+        orders.clear()  # the generator checks the width on its own
+        queries = 0
+        for scores, tail in (((1,), "closed"), ((1, -3), "closed"), ((1, 0, -1), "closed"),
+                             ((1, 1, -1, -1, -1, -1), "closed"), ((2, -1), "open")):
+            s = ScoringVector(scores, tail)
+            for mode in ("welfare", "ir", "ns"):
+                for algo in ("twdp", "fptdp") if s.is_closed else ("fptdp",):
+                    solve(s, G, mode, algo=algo)
+                    queries += 1
+        assert queries == 27
+        assert orders == ["_exact_elimination_order"]
 
 
 class TestSolveFacade:

@@ -7,7 +7,7 @@ import pytest
 from sdgsolve import solver_fptdp
 from sdgsolve.core import NEG_INF, Outcome, ScoringVector, social_welfare
 from sdgsolve.dispatch import solve
-from sdgsolve.generators import random_partial_ktree
+from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.oracle import brute_force_solve, enumerate_partitions
 from sdgsolve.solver_fptdp import select_sz, solve_fpt
 from sdgsolve.stability import is_individually_rational, is_nash_stable
@@ -26,11 +26,11 @@ class TestSelectSz:
         assert select_sz(ScoringVector((1, -3)), path_graph(9)) == 4
 
     def test_degree_bound(self):
-        # cutoff 3 with a negative last entry: degree bound applies
+        # cutoff 3: the degree bound does not hold (on C5 the grand coalition
+        # is optimal), and score(2) = 0 rules out the treewidth bound
         G = cycle_graph(20)
         s = ScoringVector((1, 0, -1))
-        # treewidth bound inapplicable (score(2)=0); degree bound = 2*2*1 = 4
-        assert select_sz(s, G) == 4
+        assert select_sz(s, G) is None
 
     def test_absent_when_no_premise(self):
         s = ScoringVector((1, 0, 0))
@@ -40,6 +40,17 @@ class TestSelectSz:
     def test_clamped_to_n(self, fig_a):
         s = ScoringVector((1, -3))
         assert select_sz(s, fig_a) == 7  # raw bounds 13 and 8, clamped to n
+
+    @pytest.mark.parametrize("scores", [(-1, -2), (-1,), (-2, -3)])
+    def test_at_least_one(self, scores):
+        # raw treewidth bounds 1, 1 and -3: a singleton is always allowed
+        s = ScoringVector(scores)
+        G = cycle_graph(5)
+        assert select_sz(s, G) == 1
+        for mode in ("welfare", "ir", "ns"):
+            result = solve(s, G, mode, algo="fptdp")
+            assert (result.welfare, result.outcome) == (0, Outcome.singletons(5))
+            assert result.optimal
 
 
 class TestWelfare:
@@ -127,6 +138,28 @@ def test_oracle_equivalence_open(seed):
         ew = None if expect is None else (expect.welfare, expect.outcome)
         gw = None if got is None else (got.welfare, got.outcome)
         assert ew == gw, f"seed={seed} mode={mode} G={G.edges}"
+
+
+# (agents, max degree, seed) of random_bounded_degree; None for the cycles
+CERTIFIED_GRAPHS = [(4 + seed % 7, 2 + seed // 7, seed) for seed in range(14)] + [(5, None, 0), (6, None, 0)]
+
+
+@pytest.mark.parametrize("n,degree,seed", CERTIFIED_GRAPHS)
+def test_certified_size_matches_brute(n, degree, seed):
+    """fptdp with its own size bound (``sz=None``) against brute force, on
+    bounded-degree graphs and the cycles where a degree bound without its
+    premise cut the grand coalition."""
+    G = cycle_graph(n) if degree is None else random_bounded_degree(n, degree, seed)
+    for scores in ((1, -1), (1, 0, -1), (1, 1, -1), (2, -1), (2, 0, -1)):
+        s = ScoringVector(scores)
+        for mode in ("welfare", "ir", "ns"):
+            got = solve(s, G, mode, algo="fptdp")
+            expect = brute_force_solve(s, G, mode)
+            where = f"{scores} {mode} G={G.edges}"
+            assert (got is None) == (expect is None), where
+            if got is not None:
+                assert (got.welfare, got.outcome) == (expect.welfare, expect.outcome), where
+                assert got.optimal, where
 
 
 @pytest.mark.parametrize("mode", ["welfare", "ir"])

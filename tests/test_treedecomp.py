@@ -10,13 +10,11 @@ from sdgsolve import treedecomp
 from sdgsolve.core import SocialNetwork, iter_bits
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.treedecomp import (
-    _minor_min_width,
     TdParseError,
     TdViolation,
     TreeDecomposition,
     compute_decomposition,
     decomposition_from_order,
-    decomposition_width,
     exact_treewidth,
     make_nice,
     nice_decomposition,
@@ -107,7 +105,7 @@ class TestComputeDecomposition:
 
     def test_heuristic_also_valid(self):
         G = path_graph(20)
-        td = compute_decomposition(G, exact_limit=5)
+        td = decomposition_from_order(G, treedecomp._min_fill_order(G))
         assert validate(G, td) == td.width()
 
     @settings(max_examples=25, deadline=None)
@@ -276,25 +274,17 @@ class TestExactOrder:
 
 
 class TestDecompositionWidth:
-    """Min-fill's width stands where minor-min-width certifies it; elsewhere
-    the exact subset DP decides the width."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 8), st.floats(0, 4), st.randoms(use_true_random=False))
-    def test_minor_min_width_is_a_lower_bound(self, n, density, rng):
-        G = random_connected_graph(n, rng, density)
-        assert _minor_min_width(G) <= brute_force_treewidth(G)
+    """The width of ``compute_decomposition``: exact up to 14 agents, from
+    one subset DP run per graph object."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 10), st.floats(0, 4), st.randoms(use_true_random=False))
     def test_width_is_the_decompositions(self, n, density, rng):
         G = random_connected_graph(n, rng, density)
-        assert decomposition_width(G) == compute_decomposition(G).width() == exact_treewidth(G)
+        assert compute_decomposition(G).width() == exact_treewidth(G)
 
     def test_uncertified_min_fill_runs_the_exact_dp(self, monkeypatch):
         G = random_bounded_degree(10, 3, 0)
-        assert _minor_min_width(G) == 3
-        assert decomposition_from_order(G, treedecomp._min_fill_order(G)).width() == 4
         exact_order = treedecomp._exact_elimination_order
         calls = []
 
@@ -303,18 +293,10 @@ class TestDecompositionWidth:
             return exact_order(graph)
 
         monkeypatch.setattr(treedecomp, "_exact_elimination_order", counted)
-        assert decomposition_width(G) == 4
+        monkeypatch.setattr(treedecomp, "_min_fill_order", None)
+        assert compute_decomposition(G).width() == 4
+        assert validate_nice(G, nice_decomposition(G)) == 4
         assert calls == [G]
-        assert validate(G, compute_decomposition(G)) == 4
-
-    def test_certified_min_fill_skips_the_exact_dp(self, monkeypatch):
-        G = random_partial_ktree(13, 2, 1)
-
-        def refuse(graph):
-            raise AssertionError("exact DP ran on a certified graph")
-
-        monkeypatch.setattr(treedecomp, "_exact_elimination_order", refuse)
-        assert decomposition_width(G) == 2
 
     def test_bad_heuristic_order_is_not_trusted(self, monkeypatch):
         grid = SocialNetwork(
@@ -324,7 +306,15 @@ class TestDecompositionWidth:
         bad = [4, 0, 2, 6, 8, 1, 3, 5, 7]  # the centre first joins its four neighbours
         assert decomposition_from_order(grid, bad).width() > exact_treewidth(grid) == 3
         monkeypatch.setattr(treedecomp, "_min_fill_order", lambda G: bad)
-        assert decomposition_width(grid) == 3
+        assert compute_decomposition(grid).width() == 3
+
+    def test_kept_per_graph_object(self):
+        G = random_partial_ktree(20, 2, 0)
+        assert compute_decomposition(G) is compute_decomposition(G)
+        assert nice_decomposition(G) is nice_decomposition(G)
+        twin = SocialNetwork(G.n, G.edges)
+        assert twin == G and hash(twin) == hash(G) and not twin.structure
+        assert compute_decomposition(twin) == compute_decomposition(G)
 
 
 class TestMakeNice:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sdgsolve import solver_vc
-from sdgsolve.core import CoalitionEvaluator, Outcome, ScoringVector, SocialNetwork
+from sdgsolve.core import CoalitionEvaluator, Outcome, ResourceLimitError, ScoringVector, SocialNetwork
 from sdgsolve.generators import random_solver_corpus_instance
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_vc import (
@@ -41,6 +41,23 @@ class TestCover:
         cover = compute_vertex_cover(fig_a)
         assert len(cover) == 4
         assert all(u in cover or v in cover for u, v in fig_a.edges)
+
+    def test_searched_once_and_the_limit_raises_every_time(self, monkeypatch):
+        G = cycle_graph(7)
+        runs = []
+        search = solver_vc._minimum_cover
+
+        def counted(graph):
+            runs.append(graph)
+            return search(graph)
+
+        monkeypatch.setattr(solver_vc, "_minimum_cover", counted)
+        assert compute_vertex_cover(G) is compute_vertex_cover(G)
+        monkeypatch.setattr(solver_vc, "DEFAULT_COVER_LIMIT", 3)  # the cover has 4
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                compute_vertex_cover(G)
+        assert runs == [G]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_exhaustive(self, seed):
