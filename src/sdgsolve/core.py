@@ -106,8 +106,9 @@ class SocialNetwork:
     Adjacency is kept both as frozensets and as bitmasks; the bitmask form
     drives all BFS work in the solvers.  ``structure`` holds what is computed
     from the graph alone, on first use, by the function that computes it (the
-    tree decompositions, the minimum vertex cover), so every query on one
-    graph object reuses it; it takes no part in equality or hashing.
+    tree decompositions, the minimum vertex cover, the components'
+    subgraphs), so every query on one graph object reuses it; it takes no
+    part in equality or hashing.
     """
 
     __slots__ = ("n", "edges", "adj", "adj_mask", "_full_mask", "structure")

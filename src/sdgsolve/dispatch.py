@@ -105,8 +105,16 @@ def solve(
             raise ValueError(f"invalid nice decomposition: {width.kind}: {width.detail}")
         return _TW_SOLVERS[mode](s, G, decomposition)
 
-    components = G.components()
-    if len(components) == 1:
+    parts = G.structure.get("components")
+    if parts is None:
+        # each component's subgraph, with its agents in G ascending, is kept
+        # per graph object, so its decomposition and cover are built once; a
+        # connected G keeps none
+        components = G.components()
+        parts = G.structure["components"] = (
+            [(G.induced(c)[0], tuple(sorted(c))) for c in components] if len(components) > 1 else []
+        )
+    if not parts:
         return _solve_component(s, G, mode, algo, sz, brute_cap)
 
     blocks: list[tuple[int, ...]] = []
@@ -114,14 +122,12 @@ def solve(
     algorithms = []
     optimal = True
     size_limited = False
-    for comp in components:
-        sub, relabel = G.induced(comp)
-        back = {new: old for old, new in relabel.items()}
+    for sub, agents in parts:
         result = _solve_component(s, sub, mode, algo, sz, brute_cap)
         if result is None:
             return None
         for block in result.outcome:
-            blocks.append(tuple(back[v] for v in block))
+            blocks.append(tuple(agents[v] for v in block))
         welfare += result.welfare
         algorithms.append(result.algorithm)
         optimal &= result.optimal

@@ -10,13 +10,11 @@ forgotten member.  New agents can only attach to named vertices (a forgotten
 agent's neighbours are all introduced), so entries that share a key complete
 to isomorphic coalitions and their open parts add the same welfare; a
 witness's welfare counts completed coalitions only.  NS tables key a state
-by the same naming of bag members and anonymous forgotten ones (see
-``_ns_key``).
+by the state itself, so NS mode is the same DP as twdp's.
 
 Works for closed and open tails alike.
 """
 
-from functools import partial
 from typing import Optional
 
 from .canon import canonical_order
@@ -68,36 +66,6 @@ def _topology_key(G):
     return key
 
 
-def _ns_key(G, bag, state):
-    """Key of an NS state up to renaming forgotten agents: the open
-    coalitions by their bag members, the bag members' deviation values, and
-    one row per forgotten open member (its coalition's index and deviation
-    value) or pending settled agent (its utility), each with its bag
-    neighbours and its neighbours among the rows, rows in ``canonical_order``
-    with ties in ascending agent id."""
-    opens, pending, devs = state
-    devmap = dict(devs)
-    colors = {}
-    parts = sorted(b & bag for b in opens)
-    for b in opens:
-        part = parts.index(b & bag)
-        for a in iter_bits(b & ~bag):
-            colors[a] = ("a", part, devmap[a])
-    for t, u in pending:
-        colors[t] = ("g", u)
-    adj = G.adj_mask
-    rows = G.mask_of(colors)
-    nedges = {v: tuple(iter_bits(adj[v] & bag)) for v in colors}
-    adjacency = {v: tuple(iter_bits(adj[v] & rows)) for v in colors}
-    order = canonical_order(sorted(colors), colors, nedges, adjacency)
-    index = {v: i for i, v in enumerate(order)}
-    return (
-        tuple(parts),
-        tuple(d for d in devs if bag >> d[0] & 1),
-        tuple((colors[v], nedges[v], tuple(sorted(index[u] for u in adjacency[v]))) for v in order),
-    )
-
-
 def select_sz(s: ScoringVector, G: SocialNetwork) -> Optional[int]:
     """Smallest size bound of ``compute_bound_report``, clamped to 1..n (a
     singleton is always allowed), or None when neither size bound's premise
@@ -133,7 +101,7 @@ def solve_fpt(
         DEFAULT_STATE_BUDGET,
         f"topology DP exceeded its state budget ({DEFAULT_STATE_BUDGET})",
     )
-    key = partial(_ns_key, G) if mode == "ns" else _topology_key(G)
+    key = None if mode == "ns" else _topology_key(G)
     steps = coalition_steps(CoalitionEvaluator(s, G), budget, sz, mode, key)
     solved = best_outcome(run_postorder(decomposition, *steps))
     if solved is None:

@@ -35,9 +35,12 @@ commitments.  A join unites two consistent records with the same parts and
 commitments, which is consistent again.
 
 NS mode keeps coalitions explicit instead: it runs ``dp.coalition_steps``
-with no size cap, keyed by the state itself, so records hold the member
-bitmasks of open coalitions and every utility and deviation check runs on the
-real induced subgraph when a coalition completes.
+keyed by the state itself, as fptdp's NS mode does, so records hold the
+member bitmasks of open coalitions and every utility and deviation check runs
+on the real induced subgraph when a coalition completes.  Coalitions are
+capped by ``select_sz``'s certified size bound (n without one): its premise
+rules every larger coalition out of an IR outcome, so a capped state could
+never complete Nash stable and the root entry is the one cap n gives.
 """
 
 from itertools import combinations, product
@@ -61,6 +64,7 @@ from .dp import (
     run_postorder,
     self_check,
 )
+from .solver_fptdp import select_sz
 from .treedecomp import NiceTreeDecomposition, nice_decomposition
 
 _INF = 10**9
@@ -279,16 +283,19 @@ def _compressed_steps(s, G, budget, ir):
     return leaf, introduce, forget, join
 
 
-def _solve_tw(s, G, decomposition, budget, mode) -> Optional[SolveResult]:
+def _solve_tw(s, G, decomposition, mode) -> Optional[SolveResult]:
     if not s.is_closed:
         raise UnsupportedInputError(
             "the treewidth DP supports closed tails only; use fptdp, vc, or brute"
         )
     if decomposition is None:
         decomposition = nice_decomposition(G)
-    records = Budget(budget, f"treewidth DP exceeded its record budget ({budget})")
+    records = Budget(
+        DEFAULT_RECORD_BUDGET,
+        f"treewidth DP exceeded its record budget ({DEFAULT_RECORD_BUDGET})",
+    )
     if mode == "ns":
-        steps = coalition_steps(CoalitionEvaluator(s, G), records, G.n, "ns")
+        steps = coalition_steps(CoalitionEvaluator(s, G), records, select_sz(s, G) or G.n, "ns")
     else:
         steps = _compressed_steps(s, G, records, mode == "ir")
     solved = best_outcome(run_postorder(decomposition, *steps))
@@ -305,33 +312,30 @@ def solve_tw_welfare(
     s: ScoringVector,
     G: SocialNetwork,
     decomposition: Optional[NiceTreeDecomposition] = None,
-    budget: int = DEFAULT_RECORD_BUDGET,
 ) -> SolveResult:
     """Welfare-optimal outcome by dynamic programming over a nice decomposition."""
-    return _solve_tw(s, G, decomposition, budget, "welfare")
+    return _solve_tw(s, G, decomposition, "welfare")
 
 
 def solve_tw_ir(
     s: ScoringVector,
     G: SocialNetwork,
     decomposition: Optional[NiceTreeDecomposition] = None,
-    budget: int = DEFAULT_RECORD_BUDGET,
 ) -> SolveResult:
     """Maximum-welfare individually rational outcome; tallies carry the worst
     utility over the forgotten agents sharing a distance vector, and records
     whose completed coalition holds a negative-utility agent are dropped."""
-    return _solve_tw(s, G, decomposition, budget, "ir")
+    return _solve_tw(s, G, decomposition, "ir")
 
 
 def solve_tw_ns(
     s: ScoringVector,
     G: SocialNetwork,
     decomposition: Optional[NiceTreeDecomposition] = None,
-    budget: int = DEFAULT_RECORD_BUDGET,
 ) -> Optional[SolveResult]:
     """Maximum-welfare Nash-stable outcome, or None when no stable outcome
     exists.  Deviation checks run when a coalition completes: members are
     tested against their best earlier options, and every agent that could
     join the completed coalition is either re-checked (if settled) or has its
     pending best-deviation value raised (if its own coalition is still open)."""
-    return _solve_tw(s, G, decomposition, budget, "ns")
+    return _solve_tw(s, G, decomposition, "ns")

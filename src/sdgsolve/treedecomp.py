@@ -279,6 +279,10 @@ def compute_decomposition(G: SocialNetwork) -> TreeDecomposition:
 
 
 def exact_treewidth(G: SocialNetwork) -> int:
+    """Treewidth by the exact subset DP; up to ``EXACT_LIMIT`` agents that is
+    the kept decomposition's width."""
+    if G.n <= EXACT_LIMIT:
+        return compute_decomposition(G).width()
     return decomposition_from_order(G, _exact_elimination_order(G)).width()
 
 

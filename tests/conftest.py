@@ -20,11 +20,27 @@ import random
 
 import pytest
 
+from sdgsolve import dp
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
 
 # filled by tests/test_acceptance.py; echoed after the run so the
 # per-criterion lines survive output capturing
 ACCEPTANCE_LINES: list[str] = []
+
+
+def record_budgets(monkeypatch, *modules) -> list:
+    """List that collects every Budget the solver modules make from now on:
+    one per DP solve, its ``seen`` the solve's table insertions."""
+    budgets = []
+
+    class RecordedBudget(dp.Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    for module in modules:
+        monkeypatch.setattr(module, "Budget", RecordedBudget)
+    return budgets
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -149,7 +149,8 @@ class TestOneDecompositionPerGraph:
 
     def test_27_queries_on_one_8_agent_graph(self, orders):
         G = random_solver_corpus_instance(8, (8, 8))
-        orders.clear()  # the generator checks the width on its own
+        G = SocialNetwork(G.n, G.edges)  # nothing kept from the width check
+        orders.clear()  # the generator runs the subset DP
         queries = 0
         for scores, tail in (((1,), "closed"), ((1, -3), "closed"), ((1, 0, -1), "closed"),
                              ((1, 1, -1, -1, -1, -1), "closed"), ((2, -1), "open")):
@@ -160,6 +161,20 @@ class TestOneDecompositionPerGraph:
                     queries += 1
         assert queries == 27
         assert orders == ["_exact_elimination_order"]
+
+    def test_corpus_graph_keeps_its_width_check(self, orders):
+        """The generator's width check builds the kept decomposition, so the
+        accepted graph's first solve runs no subset DP."""
+        G = random_solver_corpus_instance(8, (8, 8))
+        orders.clear()  # rejected candidates run the subset DP too
+        solve(ScoringVector((1, -3)), G, algo="twdp")
+        assert orders == []
+
+    def test_components_keep_their_decompositions(self, orders):
+        G = SocialNetwork(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        for mode in ("welfare", "ir", "ns"):
+            assert solve(ScoringVector((1, -3)), G, mode, algo="twdp").welfare == 8
+        assert orders == ["_exact_elimination_order"] * 2
 
 
 class TestSolveFacade:

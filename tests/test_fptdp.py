@@ -12,7 +12,14 @@ from sdgsolve.oracle import brute_force_solve, enumerate_partitions
 from sdgsolve.solver_fptdp import select_sz, solve_fpt
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph, with_singletons
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    record_budgets,
+    star_graph,
+    with_singletons,
+)
 
 
 class TestSelectSz:
@@ -182,20 +189,13 @@ def test_large_tree_outcome_is_pinned(mode):
 PINNED_ADDS = [
     ((30, 1), ScoringVector((2, -1), tail="open"), {"welfare": 1687, "ir": 1595}),
     ((20, 2), ScoringVector((1, -3)), {"welfare": 19321, "ir": 17952}),
-    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 621, "ir": 602, "ns": 974}),
+    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 621, "ir": 602, "ns": 1273}),
 ]
 
 
 @pytest.mark.parametrize("graph,s,adds", PINNED_ADDS, ids=["tree30", "2tree20", "2tree12"])
 def test_table_adds_are_pinned(graph, s, adds, monkeypatch):
-    budgets = []
-
-    class RecordedBudget(solver_fptdp.Budget):
-        def __init__(self, *args):
-            super().__init__(*args)
-            budgets.append(self)
-
-    monkeypatch.setattr(solver_fptdp, "Budget", RecordedBudget)
+    budgets = record_budgets(monkeypatch, solver_fptdp)
     G = random_partial_ktree(*graph, 0)
     seen = {}
     for mode in adds:

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from sdgsolve import solver_fptdp, solver_twdp
 from sdgsolve.core import ResourceLimitError, ScoringVector
+from sdgsolve.generators import random_solver_corpus_instance
 from sdgsolve.solver_fptdp import solve_fpt
 from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.treedecomp import nice_decomposition
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, record_budgets
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -33,16 +35,36 @@ def test_fpt_with_full_size_equals_twdp(seed):
             assert a.outcome == b.outcome
 
 
-def test_record_budget_respected_on_small_instances():
+@pytest.mark.parametrize("seed", range(30))
+def test_twdp_and_fptdp_run_one_ns_dp(seed, monkeypatch):
+    """twdp's and fptdp's NS modes are one DP: the same cap, the same keys,
+    so the same outcome and the same table insertions."""
+    budgets = record_budgets(monkeypatch, solver_twdp, solver_fptdp)
+    G = random_solver_corpus_instance(seed)
+    for scores in ((1,), (1, -3), (1, 0, -1), (1, 1, -1, -1, -1, -1)):
+        s = ScoringVector(scores)
+        budgets.clear()
+        tw = solve_tw_ns(s, G)
+        fpt = solve_fpt(s, G, mode="ns")
+        where = f"seed={seed} {scores}"
+        assert (tw is None) == (fpt is None), where
+        if tw is not None:
+            assert (tw.welfare, tw.outcome) == (fpt.welfare, fpt.outcome), where
+        assert len(budgets) == 2 and budgets[0].seen == budgets[1].seen, where
+
+
+def test_record_budget_respected_on_small_instances(monkeypatch):
     # the treewidth DP's record count stays modest on width-bounded inputs
+    monkeypatch.setattr(solver_twdp, "DEFAULT_RECORD_BUDGET", 200_000)
     rng = random.Random(1)
     for _ in range(6):
         G = random_connected_graph(rng.randrange(4, 8), rng)
-        solve_tw_welfare(ScoringVector((1, 0, -1)), G, budget=200_000)
+        solve_tw_welfare(ScoringVector((1, 0, -1)), G)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(solver_twdp, "DEFAULT_RECORD_BUDGET", 10)
     rng = random.Random(2)
     G = random_connected_graph(7, rng, extra_edge_prob=2.0)
     with pytest.raises(ResourceLimitError):
-        solve_tw_welfare(ScoringVector((1, 1, -1, -1, -1, -1)), G, budget=10)
+        solve_tw_welfare(ScoringVector((1, 1, -1, -1, -1, -1)), G)

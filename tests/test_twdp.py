@@ -13,7 +13,14 @@ from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 from sdgsolve.treedecomp import nice_decomposition
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph, with_singletons
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    record_budgets,
+    star_graph,
+    with_singletons,
+)
 
 SWEEP_VECTORS = [
     ScoringVector((1,)),
@@ -164,14 +171,7 @@ LARGE_ADDS = {
 
 @pytest.mark.parametrize("graph,vec", list(LARGE_ADDS), ids=lambda v: ",".join(map(str, v)))
 def test_large_network_table_adds_are_pinned(graph, vec, monkeypatch):
-    budgets = []
-
-    class RecordedBudget(solver_twdp.Budget):
-        def __init__(self, *args):
-            super().__init__(*args)
-            budgets.append(self)
-
-    monkeypatch.setattr(solver_twdp, "Budget", RecordedBudget)
+    budgets = record_budgets(monkeypatch, solver_twdp)
     G = random_partial_ktree(*graph, 0)
     seen = []
     for mode in ("welfare", "ir"):
@@ -179,6 +179,18 @@ def test_large_network_table_adds_are_pinned(graph, vec, monkeypatch):
         solve(ScoringVector(vec), G, mode, algo="twdp")
         seen.append(sum(b.seen for b in budgets))
     assert tuple(seen) == LARGE_ADDS[graph, vec]
+
+
+def test_ns_on_a_24_agent_tree_is_capped_by_the_size_bound(monkeypatch):
+    """(1,-3) certifies coalitions of at most 2 agents, and auto's NS route
+    through twdp caps its coalitions by that bound."""
+    budgets = record_budgets(monkeypatch, solver_twdp)
+    s = ScoringVector((1, -3))
+    G = random_partial_ktree(24, 1, 0)
+    result = solve(s, G, "ns")
+    assert (result.algorithm, result.welfare) == ("twdp", 12)
+    assert is_nash_stable(s, G, result.outcome)
+    assert sum(b.seen for b in budgets) == 6248
 
 
 def test_long_path_solves_without_a_recursion_limit():
