@@ -56,14 +56,36 @@ class Budget:
         self.seen = 0
 
 
-def _witness_key(blocks):
-    return tuple(sorted(tuple(iter_bits(b)) for b in blocks))
+def _low_order(blocks):
+    """A witness's blocks sorted by lowest member.  Blocks are disjoint, so
+    this is also the order of their sorted agent tuples."""
+    return sorted(blocks, key=lambda b: b & -b)
+
+
+def _precedes(xs, ys) -> bool:
+    """Whether the witness whose low-ordered blocks are ``xs`` is smaller
+    than the one whose blocks are ``ys``, both compared as sorted tuples of
+    sorted agent tuples.  Two blocks a != b share every agent below x, the
+    lowest agent of ``a ^ b``: if x is in a, then a < b exactly when b has an
+    agent above x (else b is a prefix of a); otherwise a < b exactly when a
+    has none (a is then a prefix of b).  A witness that is a prefix of the
+    other is the smaller."""
+    for a, b in zip(xs, ys):
+        if a != b:
+            d = a ^ b
+            x = d & -d
+            if a & x:
+                return b >= x << 1
+            return a < x
+    return len(xs) < len(ys)
 
 
 class WitnessTable:
-    """key -> (welfare, witness_blocks, witness_key, state): maximum welfare,
-    then the lexicographically smallest witness, compared as sorted agent
-    tuples.  The witness key is None until a welfare tie needs it.
+    """key -> (welfare, witness_blocks, low_order, state): maximum welfare,
+    then the lexicographically smallest witness as sorted agent tuples.  A
+    witness's blocks are disjoint, so ``_precedes`` compares them as
+    bitmasks in lowest-member order; ``low_order``, the blocks in that order,
+    is None until a welfare tie needs it.
 
     ``add`` takes a state and keys it by ``canon(state)``, or by the state
     itself when ``canon`` is None; every call is charged to the budget first.
@@ -83,25 +105,29 @@ class WitnessTable:
             raise ResourceLimitError(budget.message)
         key = state if self.canon is None else self.canon(state)
         old = self.data.get(key)
-        wk = None
+        order = None
         if old is not None:
             if welfare < old[0]:
                 return
             if welfare == old[0]:
                 if old[2] is None:
-                    old = self.data[key] = (old[0], old[1], _witness_key(old[1]), old[3])
-                wk = _witness_key(blocks)
-                if wk >= old[2]:
+                    old = self.data[key] = (old[0], old[1], _low_order(old[1]), old[3])
+                order = _low_order(blocks)
+                if not _precedes(order, old[2]):
                     return
-        self.data[key] = (welfare, blocks, wk, state)
+        self.data[key] = (welfare, blocks, order, state)
 
 
 def best_outcome(table: WitnessTable) -> Optional[tuple[int, Outcome]]:
     """(welfare, outcome) of the table's best entry, or None when it is empty."""
-    if not table.data:
+    best = None
+    for welfare, blocks, _, _ in table.data.values():
+        order = _low_order(blocks)
+        if best is None or welfare > best[0] or (welfare == best[0] and _precedes(order, best[1])):
+            best = welfare, order
+    if best is None:
         return None
-    welfare, blocks, _, _ = min(table.data.values(), key=lambda e: (-e[0], _witness_key(e[1])))
-    return welfare, Outcome.from_blocks(iter_bits(b) for b in blocks)
+    return best[0], Outcome.from_blocks(iter_bits(b) for b in best[1])
 
 
 def grow_block(blocks, mates: int, a):
@@ -112,14 +138,31 @@ def grow_block(blocks, mates: int, a):
     return tuple(b | 1 << a if b & mates else b for b in blocks)
 
 
-def merge_blocks(blocks_y, blocks_z):
-    """Union of two branches' witness blocks; blocks sharing an agent fuse."""
+def part_index(blocks, bag: int) -> dict:
+    """Bag part -> index of the block of ``blocks`` that meets the bag
+    bitmask ``bag`` in it, for ``merge_blocks``."""
+    return {b & bag: i for i, b in enumerate(blocks) if b & bag}
+
+
+def merge_blocks(blocks_y, blocks_z, bag: int, at=None):
+    """Union of two branches' witness blocks at a join with bag bitmask
+    ``bag``: each block of ``blocks_z`` that meets the bag fuses into the
+    block of ``blocks_y`` with the same bag part, found through ``at``
+    (``part_index(blocks_y, bag)``, built here when not given; a join builds
+    it once per left record), and every other one is appended in order.
+
+    The two branches share only bag agents, so a block meets the bag exactly
+    when it is open, and the precondition is that both witnesses' open blocks
+    meet the bag in the same parts (a join pairs records whose parts agree).
+    The result is the tuple that fusing every block sharing an agent gives,
+    in O(|blocks_y| + |blocks_z|)."""
+    if at is None:
+        at = part_index(blocks_y, bag)
     out = list(blocks_y)
     for bz in blocks_z:
-        for i, b in enumerate(out):
-            if b & bz:
-                out[i] = b | bz
-                break
+        part = bz & bag
+        if part:
+            out[at[part]] |= bz
         else:
             out.append(bz)
     return tuple(out)
@@ -244,8 +287,11 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
             parts = {b & bag: b for b in opens}
             grouped.setdefault(tuple(sorted(parts)), []).append((wf, blocks, parts, pending, devs))
         for wf_y, blocks_y, _, (opens_y, pending_y, devs_y) in left.data.values():
-            sig = tuple(sorted(b & bag for b in opens_y))
-            for wf_z, blocks_z, parts, pending_z, devs_z in grouped.get(sig, ()):
+            matches = grouped.get(tuple(sorted(b & bag for b in opens_y)))
+            if not matches:
+                continue
+            at = part_index(blocks_y, bag)
+            for wf_z, blocks_z, parts, pending_z, devs_z in matches:
                 merged = tuple(sorted(b | parts[b & bag] for b in opens_y))
                 if any(b.bit_count() > cap for b in merged):
                     continue
@@ -255,7 +301,7 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
                 out.add(
                     (merged, tuple(sorted(pending_y + pending_z)), tuple(sorted(devmap.items()))),
                     wf_y + wf_z,
-                    merge_blocks(blocks_y, blocks_z),
+                    merge_blocks(blocks_y, blocks_z, bag, at),
                 )
         return out
 

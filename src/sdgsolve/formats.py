@@ -19,22 +19,34 @@ class GrParseError(ValueError):
 
 
 def read_gr(text: str) -> SocialNetwork:
-    n = None
+    """Parse a .gr file.  Raises GrParseError naming the offending line for a
+    malformed, repeated or empty header, a bad edge line, a repeated edge (in
+    either orientation), an endpoint above the vertex count, or an edge count
+    that disagrees with the edge lines (reported at the header)."""
+    n = m = header_line = None
     raw_pairs: list[tuple[int, int, int]] = []  # (line_no, u, v), 1-indexed
+    first_seen: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
+            if header_line is not None:
+                raise GrParseError(line_no, f"second header line {line!r} (the first is line {header_line})")
             if len(parts) != 4 or parts[1] not in ("tw", "sdg"):
                 raise GrParseError(line_no, f"malformed header {line!r}")
             try:
                 n = int(parts[2])
             except ValueError:
                 raise GrParseError(line_no, f"non-integer vertex count in {line!r}")
+            try:
+                m = int(parts[3])
+            except ValueError:
+                raise GrParseError(line_no, f"non-integer edge count in {line!r}")
             if n < 1:
                 raise GrParseError(line_no, "network needs at least one agent")
+            header_line = line_no
             continue
         if len(parts) != 2:
             raise GrParseError(line_no, f"malformed edge line {line!r}")
@@ -46,6 +58,9 @@ def read_gr(text: str) -> SocialNetwork:
             raise GrParseError(line_no, "vertex ids are 1-indexed and positive")
         if u == v:
             raise GrParseError(line_no, f"self-loop at agent {u}")
+        first = first_seen.setdefault((min(u, v), max(u, v)), line_no)
+        if first != line_no:
+            raise GrParseError(line_no, f"edge ({u},{v}) repeats the edge of line {first}")
         raw_pairs.append((line_no, u, v))
     if n is None:
         if not raw_pairs:
@@ -54,6 +69,8 @@ def read_gr(text: str) -> SocialNetwork:
     for line_no, u, v in raw_pairs:
         if u > n or v > n:
             raise GrParseError(line_no, f"edge ({u},{v}) exceeds declared vertex count {n}")
+    if m is not None and m != len(raw_pairs):
+        raise GrParseError(header_line, f"header declares {m} edges, the file has {len(raw_pairs)}")
     return SocialNetwork(n, [(u - 1, v - 1) for _, u, v in raw_pairs])
 
 

@@ -61,6 +61,7 @@ from .dp import (
     coalition_steps,
     grow_block,
     merge_blocks,
+    part_index,
     run_postorder,
     self_check,
 )
@@ -238,6 +239,7 @@ def _compressed_steps(s, G, budget, ir):
 
     def join(node, left, right):
         table = WitnessTable(budget)
+        bag = G.mask_of(node.bag)
         grouped: dict = {}
         for (parts, prom, cells), (w, blocks, _, _) in right.data.items():
             grouped.setdefault((parts, prom), []).append((cells, w, blocks))
@@ -247,6 +249,7 @@ def _compressed_steps(s, G, budget, ir):
                 continue
             # the bag pairs are counted by both sides
             over = 2 * sum(score(d) for _, d in prom)
+            at = part_index(blocks_y, bag)
             for cells_z, w_z, blocks_z in matches:
                 # cross contributions between the two sides' forgotten agents
                 delta = 0
@@ -277,7 +280,7 @@ def _compressed_steps(s, G, budget, ir):
                     both = [c[:3] + (c[3] + inc,) for inc, c in zip(cross_y + cross_z, both)]
                 # both sides' records are consistent, and so is their union
                 cells = tuple(sorted(_tally(both, ir)))
-                table.add((parts, prom, cells), w_y + w_z + delta - over, merge_blocks(blocks_y, blocks_z))
+                table.add((parts, prom, cells), w_y + w_z + delta - over, merge_blocks(blocks_y, blocks_z, bag, at))
         return table
 
     return leaf, introduce, forget, join

@@ -9,6 +9,7 @@ A graph object keeps its decomposition and its nice form once built, so
 every width question and every DP on it reads the same one.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -207,31 +208,43 @@ def _exact_elimination_order(G: SocialNetwork) -> list[int]:
 
 
 def _min_fill_order(G: SocialNetwork) -> list[int]:
-    n = G.n
-    adj = [set(G.adj[v]) for v in range(n)]
-    remaining = set(range(n))
+    """Min-fill elimination order: repeatedly eliminate the vertex whose
+    remaining neighbours miss the fewest edges among themselves, ties to the
+    lower remaining degree, then the lower id.  Eliminating v joins its
+    neighbours into a clique, which changes the keys of its neighbours and of
+    their neighbours only; those are recomputed, and the next vertex comes
+    off a heap that skips stale keys."""
+    adj = [set(G.adj[v]) for v in range(G.n)]
+
+    def key(v):
+        neigh = adj[v]
+        fill = sum(1 for u in neigh for w in neigh if u < w and w not in adj[u])
+        return (fill, len(neigh), v)
+
+    keys: list = [key(v) for v in range(G.n)]
+    heap = list(keys)
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        best = None
-        for v in sorted(remaining):
-            neigh = adj[v] & remaining
-            fill = sum(
-                1
-                for u in neigh
-                for w in neigh
-                if u < w and w not in adj[u]
-            )
-            key = (fill, len(neigh), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        neigh = adj[v] & remaining
-        for u in neigh:
-            for w in neigh:
-                if u != w:
-                    adj[u].add(w)
-        remaining.discard(v)
+    while heap:
+        top = heapq.heappop(heap)
+        v = top[2]
+        if keys[v] != top:
+            continue
+        keys[v] = None
         order.append(v)
+        neigh = adj[v]
+        for u in neigh:
+            adj[u].discard(v)
+            adj[u] |= neigh
+            adj[u].discard(u)
+        near = set(neigh)
+        for u in neigh:
+            near |= adj[u]
+        for x in near:
+            new = key(x)
+            if new != keys[x]:
+                keys[x] = new
+                heapq.heappush(heap, new)
     return order
 
 

@@ -55,6 +55,39 @@ class TestFormats:
             read_gr("c empty\np tw 0 0\n")
         assert str(err.value) == "line 2: network needs at least one agent"
 
+    def test_gr_second_header_reports_line(self):
+        with pytest.raises(GrParseError) as err:
+            read_gr("p tw 3 1\n1 2\np tw 2 1\n")
+        assert str(err.value) == "line 3: second header line 'p tw 2 1' (the first is line 1)"
+
+    def test_gr_non_integer_edge_count_reports_line(self):
+        with pytest.raises(GrParseError) as err:
+            read_gr("c count\np tw 3 x\n1 2\n")
+        assert str(err.value) == "line 2: non-integer edge count in 'p tw 3 x'"
+
+    def test_gr_edge_count_mismatch_reports_header_line(self):
+        with pytest.raises(GrParseError) as err:
+            read_gr("p tw 3 5\n1 2\n")
+        assert str(err.value) == "line 1: header declares 5 edges, the file has 1"
+        with pytest.raises(GrParseError, match="line 1: header declares 0 edges, the file has 1"):
+            read_gr("p tw 3 0\n1 2\n")
+
+    @pytest.mark.parametrize("repeat", ["1 2", "2 1"])
+    def test_gr_repeated_edge_reports_both_lines(self, repeat):
+        with pytest.raises(GrParseError) as err:
+            read_gr(f"p tw 3 3\n1 2\n2 3\n{repeat}\n")
+        assert str(err.value) == f"line 4: edge ({repeat.replace(' ', ',')}) repeats the edge of line 2"
+        # the headerless fallback rejects it too
+        with pytest.raises(GrParseError, match="line 3: edge"):
+            read_gr(f"1 2\n2 3\n{repeat}\n")
+
+    @pytest.mark.parametrize("name", ["fig_a", "fig_b", "fig_c"])
+    def test_data_files_declare_their_edge_counts(self, name):
+        text = (DATA / f"{name}.gr").read_text()
+        header = next(line.split() for line in text.splitlines() if line.startswith("p"))
+        G = read_gr(text)
+        assert (G.n, len(G.edges)) == (int(header[2]), int(header[3]))
+
     def test_outcome_round_trip(self):
         o = Outcome.from_blocks([[0, 2], [1]])
         assert read_outcome(write_outcome(o), 3) == o

@@ -12,17 +12,22 @@ from sdgsolve.core import (
     SocialNetwork,
     iter_bits,
 )
+from sdgsolve import dp, solver_twdp
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import (
     Budget,
     WitnessTable,
+    _low_order,
+    _precedes,
     best_outcome,
     coalition_steps,
     grow_block,
     merge_blocks,
+    part_index,
     run_postorder,
     self_check,
 )
+from sdgsolve.generators import random_solver_corpus_instance
 from sdgsolve.solver_fptdp import solve_fpt
 from sdgsolve.treedecomp import (
     NiceNode,
@@ -208,6 +213,35 @@ def test_lazy_witness_table_keeps_the_eager_tables_winners(n, rng):
     assert budget.seen == eager_budget.seen
 
 
+def _join_witnesses(n, rng):
+    """(bag, blocks_y, blocks_z): a random bag over agents 0..n-1 and the
+    witnesses of a join's two branches, whose open blocks meet the bag in the
+    same parts.  Each agent outside the bag belongs to one branch, and the
+    right branch may hold up to three more agents n, n+1, ...; a branch's own
+    agent joins one of the bag parts' blocks or a closed block."""
+    bag_agents = [a for a in range(n) if rng.random() < 0.4]
+    bag = sum(1 << a for a in bag_agents)
+    parts = _random_partition(bag_agents, rng)
+    own_y = [a for a in range(n) if not bag >> a & 1 and rng.random() < 0.5]
+    own_z = [a for a in range(n) if not bag >> a & 1 and a not in own_y]
+    own_z += list(range(n, n + rng.randrange(4)))
+
+    def side(own):
+        opens = list(parts)
+        closed: dict = {}
+        for a in own:
+            label = rng.randrange(len(opens) + len(own))
+            if label < len(opens):
+                opens[label] |= 1 << a
+            else:
+                closed[label] = closed.get(label, 0) | 1 << a
+        masks = opens + list(closed.values())
+        rng.shuffle(masks)
+        return tuple(masks)
+
+    return bag, side(own_y), side(own_z)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
 def test_mask_block_helpers_match_the_set_versions(n, rng):
@@ -217,10 +251,65 @@ def test_mask_block_helpers_match_the_set_versions(n, rng):
     mates = [a for a in range(n) if host >> a & 1 and rng.random() < 0.5]
     mates_mask = sum(1 << m for m in mates)
     assert _sets(grow_block(masks, mates_mask, n)) == _set_grow_block(_sets(masks), mates, n)
-    # two branches' witnesses that overlap on some shared agents
-    shared = [a for a in range(n) if rng.random() < 0.3]
-    other = _random_partition(shared + list(range(n, n + rng.randrange(4))), rng)
-    assert _sets(merge_blocks(masks, other)) == _set_merge_blocks(_sets(masks), _sets(other))
+    # two branches' witnesses that meet the join's bag in the same parts
+    bag, blocks_y, blocks_z = _join_witnesses(n, rng)
+    assert _sets(merge_blocks(blocks_y, blocks_z, bag)) == _set_merge_blocks(_sets(blocks_y), _sets(blocks_z))
+
+
+def _agent_key(blocks):
+    return tuple(sorted(tuple(iter_bits(b)) for b in blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.randoms(use_true_random=False))
+def test_bitmask_tie_order_is_the_agent_tuple_order(n, rng):
+    xs = _random_partition(range(n), rng)
+    # an equal partition a fifth of the time, so that equal witnesses are drawn too
+    ys = xs if rng.random() < 0.2 else _random_partition(range(n), rng)
+    assert _precedes(_low_order(xs), _low_order(ys)) == (_agent_key(xs) < _agent_key(ys))
+    assert _precedes(_low_order(ys), _low_order(xs)) == (_agent_key(ys) < _agent_key(xs))
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ((0b011, 0b100), (0b111,)),  # {0,1} is a prefix of {0,1,2}
+        ((0b111,), (0b011, 0b100)),
+        ((0b101, 0b010), (0b011, 0b100)),  # {0,2} against {0,1}
+        ((0b001, 0b110), (0b011, 0b100)),  # {0} against {0,1}
+        ((0b110, 0b001), (0b001, 0b110)),  # equal, in another block order
+        ((0b011,), (0b011, 0b100)),  # a witness that is a prefix of the other
+        ((), ()),
+    ],
+)
+def test_bitmask_tie_order_on_prefix_blocks(xs, ys):
+    assert _precedes(_low_order(xs), _low_order(ys)) == (_agent_key(xs) < _agent_key(ys))
+    assert _precedes(_low_order(ys), _low_order(xs)) == (_agent_key(ys) < _agent_key(xs))
+
+
+# criterion-4 seeds whose nice decompositions have join nodes
+@pytest.mark.parametrize("seed", [0, 5, 9, 10, 12, 19, 20, 24, 26, 27])
+def test_bag_merge_equals_the_set_merge_during_solves(seed, monkeypatch):
+    # at every join of a twdp or fptdp solve, the bag-keyed merge gives the
+    # tuple that fusing every pair of blocks sharing an agent gives
+    G = random_solver_corpus_instance(seed)
+    joins = []
+
+    def checked(blocks_y, blocks_z, bag, at):
+        assert at == part_index(blocks_y, bag)
+        merged = merge_blocks(blocks_y, blocks_z, bag, at)
+        assert _sets(merged) == _set_merge_blocks(_sets(blocks_y), _sets(blocks_z))
+        joins.append(bag)
+        return merged
+
+    monkeypatch.setattr(dp, "merge_blocks", checked)
+    monkeypatch.setattr(solver_twdp, "merge_blocks", checked)
+    for vec in ((1, -3), (1, 0, -1)):
+        s = ScoringVector(vec)
+        for mode in ("welfare", "ir", "ns"):
+            solve(s, G, mode, algo="twdp")
+            solve_fpt(s, G, mode=mode)
+    assert joins
 
 
 def test_witness_table_keys_states_by_canon():

@@ -273,6 +273,52 @@ class TestExactOrder:
         assert treedecomp._exact_elimination_order(G) == reference_elimination_order(G)
 
 
+def reference_min_fill_order(G: SocialNetwork) -> list[int]:
+    """Min-fill by a full scan: at each step every remaining vertex is priced
+    by (fill, remaining degree, id) and the smallest is eliminated."""
+    adj = [set(G.adj[v]) for v in range(G.n)]
+    remaining = set(range(G.n))
+    order = []
+    while remaining:
+        best = None
+        for v in sorted(remaining):
+            neigh = adj[v] & remaining
+            fill = sum(1 for u in neigh for w in neigh if u < w and w not in adj[u])
+            key = (fill, len(neigh), v)
+            if best is None or key < best:
+                best = key
+        v = best[2]
+        neigh = adj[v] & remaining
+        for u in neigh:
+            adj[u] |= neigh - {u}
+        remaining.discard(v)
+        order.append(v)
+    return order
+
+
+class TestMinFillOrder:
+    """Above 14 agents the min-fill order decides the decomposition, and with
+    it the outcome twdp and fptdp pick among equal-welfare optima, so its
+    order is pinned against the full scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_order_matches_the_scan(self, n, p, rng):
+        # any graph, disconnected ones included
+        G = SocialNetwork(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert treedecomp._min_fill_order(G) == reference_min_fill_order(G)
+
+    @pytest.mark.parametrize("G", [
+        random_partial_ktree(40, 1, 0),
+        random_partial_ktree(30, 2, 0),
+        random_partial_ktree(30, 3, 1),
+        random_bounded_degree(30, 3, 1),
+        path_graph(50),
+    ], ids=["tw1-n40-s0", "tw2-n30-s0", "tw3-n30-s1", "deg3-n30-s1", "path-50"])
+    def test_order_matches_the_scan_on_generated_graphs(self, G):
+        assert treedecomp._min_fill_order(G) == reference_min_fill_order(G)
+
+
 class TestDecompositionWidth:
     """The width of ``compute_decomposition``: exact up to 14 agents, from
     one subset DP run per graph object."""
