@@ -34,6 +34,18 @@ nothing.  Forgetting an agent keeps it too, since its new cell holds its own
 commitments.  A join unites two consistent records with the same parts and
 commitments, which is consistent again.
 
+A record's cells are sorted and unique per ``(part, vec)``, and each lies in
+one of the record's parts, so its cells tuple is one run per part,
+concatenated in ascending part order.  A join adds the welfare of every
+cross pair of forgotten members, one from each side, and pairs of different
+parts never meet; so whether a cross pair lies beyond the cutoff (the pair
+of records is dead), the welfare added, the IR worst-utility increments and
+the tallied union of one part depend on that part's two runs alone.  The
+join splits each record into its runs once, copies a run whose counterpart
+is empty, fuses every other pair of runs once per solve (the results are
+memoized for the solve's later joins) and concatenates the fused runs: the
+record that crossing and tallying all of both sides' cells gives, exactly.
+
 NS mode keeps coalitions explicit instead: it runs ``dp.coalition_steps``
 keyed by the state itself, as fptdp's NS mode does, so records hold the
 member bitmasks of open coalitions and every utility and deviation check runs
@@ -43,7 +55,8 @@ rules every larger coalition out of an IR outcome, so a capped state could
 never complete Nash stable and the root entry is the one cap n gives.
 """
 
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -131,6 +144,14 @@ def _tally(cells, ir):
     if ir:
         return [k + v for k, v in merged.items()]
     return [k + (v,) for k, v in merged.items()]
+
+
+def _runs(parts, cells):
+    """A record's cells split per part: one run for each part of ``parts``,
+    in order, empty for a part without cells.  Cells are sorted, so the runs
+    concatenate back to ``cells``."""
+    by = {p: tuple(run) for p, run in groupby(cells, itemgetter(0))}
+    return tuple(by.get(p, ()) for p in parts)
 
 
 def _compressed_steps(s, G, budget, ir):
@@ -237,50 +258,69 @@ def _compressed_steps(s, G, budget, ir):
                 table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, blocks_c)
         return table
 
+    # (run_y, run_z) -> (delta, fused run), or None when a cross pair of the
+    # two runs lies beyond the cutoff; shared by every join of the solve
+    fused: dict = {}
+
+    def fuse(run_y, run_z):
+        """Cross contributions between two runs of one part, and their
+        union tallied and sorted, or None when the pair is dead."""
+        delta = 0
+        cross_y = [0] * len(run_y)
+        cross_z = [0] * len(run_z)
+        for i, cy in enumerate(run_y):
+            for j, cz in enumerate(run_z):
+                best = _INF
+                for ey, ez in zip(cy[1], cz[1]):
+                    if ey + ez < best:
+                        best = ey + ez
+                if best > cutoff:
+                    return None
+                v = score(best)
+                delta += 2 * cy[2] * cz[2] * v
+                cross_y[i] += cz[2] * v
+                cross_z[j] += cy[2] * v
+        both = run_y + run_z
+        if ir:
+            both = [c[:3] + (c[3] + inc,) for inc, c in zip(cross_y + cross_z, both)]
+        return delta, tuple(sorted(_tally(both, ir)))
+
     def join(node, left, right):
         table = WitnessTable(budget)
         bag = G.mask_of(node.bag)
         grouped: dict = {}
         for (parts, prom, cells), (w, blocks, _, _) in right.data.items():
-            grouped.setdefault((parts, prom), []).append((cells, w, blocks))
+            grouped.setdefault((parts, prom), []).append((_runs(parts, cells), w, blocks))
         for (parts, prom, cells_y), (w_y, blocks_y, _, _) in left.data.items():
             matches = grouped.get((parts, prom))
             if not matches:
                 continue
+            runs_y = _runs(parts, cells_y)
             # the bag pairs are counted by both sides
             over = 2 * sum(score(d) for _, d in prom)
             at = part_index(blocks_y, bag)
-            for cells_z, w_z, blocks_z in matches:
-                # cross contributions between the two sides' forgotten agents
+            for runs_z, w_z, blocks_z in matches:
+                # cross contributions pair only cells of one part, so each
+                # part's two runs fuse on their own
                 delta = 0
-                cross_y = [0] * len(cells_y)
-                cross_z = [0] * len(cells_z)
-                dead = False
-                for i, cy in enumerate(cells_y):
-                    for j, cz in enumerate(cells_z):
-                        if cy[0] != cz[0]:
-                            continue
-                        best = _INF
-                        for ey, ez in zip(cy[1], cz[1]):
-                            if ey + ez < best:
-                                best = ey + ez
-                        if best > cutoff:
-                            dead = True
+                cells = ()
+                for run_y, run_z in zip(runs_y, runs_z):
+                    if not run_z:
+                        cells += run_y
+                    elif not run_y:
+                        cells += run_z
+                    else:
+                        try:
+                            hit = fused[run_y, run_z]
+                        except KeyError:
+                            hit = fused[run_y, run_z] = fuse(run_y, run_z)
+                        if hit is None:
                             break
-                        v = score(best)
-                        delta += 2 * cy[2] * cz[2] * v
-                        cross_y[i] += cz[2] * v
-                        cross_z[j] += cy[2] * v
-                    if dead:
-                        break
-                if dead:
-                    continue
-                both = cells_y + cells_z
-                if ir:
-                    both = [c[:3] + (c[3] + inc,) for inc, c in zip(cross_y + cross_z, both)]
-                # both sides' records are consistent, and so is their union
-                cells = tuple(sorted(_tally(both, ir)))
-                table.add((parts, prom, cells), w_y + w_z + delta - over, merge_blocks(blocks_y, blocks_z, bag, at))
+                        delta += hit[0]
+                        cells += hit[1]
+                else:
+                    # both sides' records are consistent, and so is their union
+                    table.add((parts, prom, cells), w_y + w_z + delta - over, merge_blocks(blocks_y, blocks_z, bag, at))
         return table
 
     return leaf, introduce, forget, join

@@ -41,10 +41,18 @@ class TdParseError(ValueError):
 
 
 def read_td(text: str) -> TreeDecomposition:
-    """Parse PACE-style .td content (1-indexed vertices, converted to 0-indexed)."""
+    """Parse PACE-style .td content (1-indexed vertices, converted to 0-indexed).
+
+    Raises TdParseError, with the offending line's number, for a malformed
+    or second solution line (naming the first), a malformed bag or tree edge
+    line or one before the solution line, a bag id outside the declared bag
+    count and a repeated bag id (naming the first line).  Vertex ranges and
+    the tree's shape are left to ``validate``."""
     n_bags = None
     n_vertices = None
+    header_line = None
     bags: dict[int, frozenset[int]] = {}
+    bag_lines: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -52,12 +60,15 @@ def read_td(text: str) -> TreeDecomposition:
             continue
         parts = line.split()
         if parts[0] == "s":
+            if header_line is not None:
+                raise TdParseError(line_no, f"second solution line {line!r} (the first is line {header_line})")
             if len(parts) != 5 or parts[1] != "td":
                 raise TdParseError(line_no, f"malformed solution line: {line!r}")
             try:
                 n_bags, _max_bag, n_vertices = int(parts[2]), int(parts[3]), int(parts[4])
             except ValueError:
                 raise TdParseError(line_no, f"non-integer header fields: {line!r}")
+            header_line = line_no
         elif parts[0] == "b":
             if n_bags is None:
                 raise TdParseError(line_no, "bag line before solution line")
@@ -70,6 +81,9 @@ def read_td(text: str) -> TreeDecomposition:
                 raise TdParseError(line_no, f"bag id {bag_id} outside 1..{n_bags}")
             if any(v < 0 for v in members):
                 raise TdParseError(line_no, "vertex ids must be positive")
+            first = bag_lines.setdefault(bag_id, line_no)
+            if first != line_no:
+                raise TdParseError(line_no, f"bag {bag_id} repeats the bag of line {first}")
             bags[bag_id] = frozenset(members)
         else:
             if n_bags is None:

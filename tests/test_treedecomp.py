@@ -57,6 +57,25 @@ class TestReadTd:
         td = read_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
         assert read_td(write_td(td)) == td
 
+    def test_repeated_bag_id_reports_both_lines(self):
+        # the second "b 1" would otherwise replace the first, leaving bag 2 empty
+        with pytest.raises(TdParseError) as err:
+            read_td("s td 2 2 3\nb 1 1 2\nc note\nb 1 2 3\n1 2\n")
+        assert err.value.line_no == 4
+        assert "line 2" in str(err.value)
+
+    def test_second_solution_line_reports_both_lines(self):
+        # the second header would otherwise shrink the bag count to 1
+        with pytest.raises(TdParseError) as err:
+            read_td("s td 2 2 3\nb 1 1 2\ns td 1 2 3\nb 2 2 3\n")
+        assert err.value.line_no == 3
+        assert "line 1" in str(err.value)
+
+    def test_repeated_header_before_any_bag_is_caught_too(self):
+        with pytest.raises(TdParseError) as err:
+            read_td("s td 2 2 3\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+        assert err.value.line_no == 2
+
 
 class TestValidate:
     def test_single_bag_all_agents(self, fig_a):

@@ -7,7 +7,8 @@ import pytest
 from sdgsolve import solver_twdp
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError
 from sdgsolve.dispatch import solve
-from sdgsolve.generators import random_partial_ktree
+from sdgsolve.dp import Budget, WitnessTable, merge_blocks, part_index
+from sdgsolve.generators import random_partial_ktree, random_solver_corpus_instance
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.stability import is_individually_rational, is_nash_stable
@@ -198,3 +199,129 @@ def test_long_path_solves_without_a_recursion_limit():
     building it must not recurse once per bag."""
     result = solve(ScoringVector((1, -3)), path_graph(600), "welfare")
     assert (result.algorithm, result.welfare) == ("twdp", 600)
+
+
+def _pairwise_join(s, G, ir):
+    """twdp's welfare/IR join as it was before the per-part fusion, kept as
+    the reference: every matched record pair crosses all of both sides'
+    cells, then tallies and sorts their union."""
+    score = s.score
+    cutoff = s.cutoff
+    budget = Budget(10**9, "unused")
+
+    def join(node, left, right):
+        table = WitnessTable(budget)
+        bag = G.mask_of(node.bag)
+        grouped: dict = {}
+        for (parts, prom, cells), (w, blocks, _, _) in right.data.items():
+            grouped.setdefault((parts, prom), []).append((cells, w, blocks))
+        for (parts, prom, cells_y), (w_y, blocks_y, _, _) in left.data.items():
+            matches = grouped.get((parts, prom))
+            if not matches:
+                continue
+            over = 2 * sum(score(d) for _, d in prom)
+            at = part_index(blocks_y, bag)
+            for cells_z, w_z, blocks_z in matches:
+                delta = 0
+                cross_y = [0] * len(cells_y)
+                cross_z = [0] * len(cells_z)
+                dead = False
+                for i, cy in enumerate(cells_y):
+                    for j, cz in enumerate(cells_z):
+                        if cy[0] != cz[0]:
+                            continue
+                        best = min(ey + ez for ey, ez in zip(cy[1], cz[1]))
+                        if best > cutoff:
+                            dead = True
+                            break
+                        v = score(best)
+                        delta += 2 * cy[2] * cz[2] * v
+                        cross_y[i] += cz[2] * v
+                        cross_z[j] += cy[2] * v
+                    if dead:
+                        break
+                if dead:
+                    continue
+                both = cells_y + cells_z
+                if ir:
+                    both = [c[:3] + (c[3] + inc,) for inc, c in zip(cross_y + cross_z, both)]
+                cells = tuple(sorted(solver_twdp._tally(both, ir)))
+                table.add((parts, prom, cells), w_y + w_z + delta - over, merge_blocks(blocks_y, blocks_z, bag, at))
+        return table
+
+    return join
+
+
+def _entries(table):
+    return [(key, w, blocks) for key, (w, blocks, _, _) in table.data.items()]
+
+
+# criterion-4 seeds whose nice decompositions have join nodes, and a partial
+# 2-tree whose joins pair thousands of records
+FUSION_GRAPHS = [0, 5, 9, 10, 12, 19, 20, 24, 26, 27, "ktree"]
+FUSION_VECTORS = [(1, -3), (1, 0, -1), (1, 1, -1, -1, -1, -1)]
+
+
+def _fusion_graph(case):
+    return random_partial_ktree(20, 2, 0) if case == "ktree" else random_solver_corpus_instance(case)
+
+
+def _solve_with_steps(G, wrap, monkeypatch):
+    """Welfare and IR twdp solves of G under FUSION_VECTORS, with the
+    compressed DP's steps replaced by ``wrap(s, ir, steps)``."""
+    compressed = solver_twdp._compressed_steps
+
+    def wrapped(s, G, budget, ir):
+        return wrap(s, ir, compressed(s, G, budget, ir))
+
+    monkeypatch.setattr(solver_twdp, "_compressed_steps", wrapped)
+    for vec in FUSION_VECTORS:
+        s = ScoringVector(vec)
+        solve_tw_welfare(s, G)
+        solve_tw_ir(s, G)
+
+
+@pytest.mark.parametrize("case", FUSION_GRAPHS)
+def test_fused_join_equals_the_pairwise_join(case, monkeypatch):
+    # at every join the per-part fusion builds the reference's table: the
+    # same keys in the same order, welfare and witness blocks
+    G = _fusion_graph(case)
+    joins = []
+
+    def wrap(s, ir, steps):
+        leaf, introduce, forget, join = steps
+        reference = _pairwise_join(s, G, ir)
+
+        def checked(node, left, right):
+            table = join(node, left, right)
+            assert _entries(table) == _entries(reference(node, left, right))
+            joins.append(len(table.data))
+            return table
+
+        return leaf, introduce, forget, checked
+
+    _solve_with_steps(G, wrap, monkeypatch)
+    assert any(joins)
+
+
+@pytest.mark.parametrize("case", FUSION_GRAPHS)
+def test_record_cells_are_sorted_runs_of_the_parts(case, monkeypatch):
+    # the fusion relies on it: a record's cells are sorted, unique per
+    # (part, vec) and each in a part of the record, so they are one run per
+    # part in ascending part order
+    G = _fusion_graph(case)
+    records = []
+
+    def check(table):
+        for parts, _, cells in table.data:
+            assert list(cells) == sorted(cells)
+            assert len({c[:2] for c in cells}) == len(cells)
+            assert {c[0] for c in cells} <= set(parts)
+            records.append(cells)
+        return table
+
+    def wrap(s, ir, steps):
+        return [lambda *args, step=step: check(step(*args)) for step in steps]
+
+    _solve_with_steps(G, wrap, monkeypatch)
+    assert any(records)
