@@ -11,11 +11,13 @@ vector ``(2,-1)`` for ``auto`` and ``fptdp``, in welfare and IR modes.
 Per algorithm the script hashes ``(welfare, outcome, algorithm, optimal,
 size_limited)`` of every answer (``None`` for an NS instance with no stable
 outcome, the exception's type and text for a resource or input error) into
-``outcomes``, and each solve's DP table insertions (``Budget.seen``, empty
-for brute and vc) into ``adds``; ``total_adds`` sums those insertions, and one
-line per algorithm and mode sums them per mode, so a change that alters the
-adds hash can state how far the tables grew, and in which mode.  Two
-checkouts give the same outcomes hash exactly when every answer is the same.
+``outcomes``, the same without the outcome into ``welfare``, and each
+solve's DP table insertions (``Budget.seen``, empty for brute and vc) into
+``adds``; ``total_adds`` sums those insertions, and one line per algorithm
+and mode sums them per mode, so a change that alters the adds hash can state
+how far the tables grew, and in which mode.  Two checkouts give the same
+outcomes hash exactly when every answer is the same, and the same welfare
+hash when they differ at most in which optimum breaks a tie.
 
     PYTHONPATH=src python3 scripts/outcome_digest.py
 """
@@ -77,6 +79,7 @@ def answer(s, G, mode, algo):
 def main():
     budgets = track_budgets()
     outcomes = {algo: hashlib.sha256() for algo in ALGOS}
+    welfares = {algo: hashlib.sha256() for algo in ALGOS}
     adds = {algo: hashlib.sha256() for algo in ALGOS}
     count = dict.fromkeys(ALGOS, 0)
     mode_adds = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
@@ -87,13 +90,16 @@ def main():
             got = answer(s, G, mode, algo)
             item = (label, s.scores, s.tail, mode)
             outcomes[algo].update(repr(item + (got,)).encode())
+            if got is not None and got[0] != "error":
+                got = got[:1] + got[2:]
+            welfares[algo].update(repr(item + (got,)).encode())
             adds[algo].update(repr(item + (tuple(b.seen for b in budgets),)).encode())
             count[algo] += 1
             mode_adds[algo, mode] += sum(b.seen for b in budgets)
     for algo in ALGOS:
         total = sum(mode_adds[algo, mode] for mode in MODES)
         print(f"{algo:6} solves={count[algo]} outcomes={outcomes[algo].hexdigest()} "
-              f"adds={adds[algo].hexdigest()} total_adds={total}")
+              f"welfare={welfares[algo].hexdigest()} adds={adds[algo].hexdigest()} total_adds={total}")
     for algo in ALGOS:
         print(f"{algo:6} " + " ".join(f"{mode}_adds={mode_adds[algo, mode]}" for mode in MODES))
     print(f"elapsed {time.perf_counter() - start:.1f} s")

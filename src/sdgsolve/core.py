@@ -109,9 +109,14 @@ class SocialNetwork:
     tree decompositions, the minimum vertex cover, the components'
     subgraphs), so every query on one graph object reuses it; it takes no
     part in equality or hashing.
+
+    Edge (u, v), u < v, of rank r in the sorted ``edges`` owns bit
+    ``m - 1 - r`` of an outcome's key, the OR of the bits of every edge
+    inside a coalition: the solvers' tie-break is the smallest key among the
+    maximum-welfare outcomes.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_full_mask", "structure")
+    __slots__ = ("n", "edges", "adj", "adj_mask", "_full_mask", "_key_top", "structure")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -135,6 +140,7 @@ class SocialNetwork:
         self.adj = tuple(frozenset(a) for a in adj)
         self.adj_mask = tuple(masks)
         self._full_mask = (1 << n) - 1
+        self._key_top = None
         self.structure: dict = {}
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -155,6 +161,39 @@ class SocialNetwork:
         for a in agents:
             m |= 1 << a
         return m
+
+    def edge_key_to(self, a: int, mask: int) -> int:
+        """Key bits of agent a's edges into the agents of ``mask``."""
+        adj, top = self.adj_mask, self._key_top
+        if top is None:
+            # edge (u, v), u < v, owns key bit top[u] less the number of u's
+            # neighbours below v, that is m - 1 less its rank in the sorted
+            # edges; built on first use, as generators make many throwaway graphs
+            tops, rank = [], 0
+            for u, nbrs in enumerate(adj):
+                tops.append(len(self.edges) - 1 - rank + (nbrs & ((1 << u) - 1)).bit_count())
+                rank += (nbrs >> (u + 1)).bit_count()
+            top = self._key_top = tuple(tops)
+        key = 0
+        for b in iter_bits(adj[a] & mask):
+            u, v = (a, b) if a < b else (b, a)
+            key |= 1 << (top[u] - (adj[u] & ((1 << v) - 1)).bit_count())
+        return key
+
+    def edge_key(self, mask: int) -> int:
+        """Key bits of the edges inside the agents of ``mask``."""
+        key = 0
+        for a in iter_bits(mask):
+            key |= self.edge_key_to(a, mask & ((1 << a) - 1))
+        return key
+
+    def outcome_of_key(self, key: int) -> "Outcome":
+        """The outcome whose coalitions are the components of the edges that
+        ``key`` sets.  A coalition of finite welfare is connected, so this
+        inverts the key of every such outcome."""
+        m = len(self.edges)
+        inside = SocialNetwork(self.n, [self.edges[m - 1 - bit] for bit in iter_bits(key)])
+        return Outcome.from_blocks(inside.components())
 
     def distances_in(self, members_mask: int, source: int) -> dict[int, int]:
         """BFS distances from ``source`` inside the induced subgraph on ``members_mask``.

@@ -91,12 +91,15 @@ def solve(
     """Solve one instance end to end; None only in ns mode with no stable
     outcome.  A user-supplied nice decomposition forces the treewidth DP; it
     must be a valid nice decomposition of G, else ValueError names the first
-    violated condition."""
+    violated condition.  A coalition size limit ``sz`` needs algo "fptdp",
+    the one solver that honours it."""
     check_mode(mode)
     if algo not in ("auto", "brute", "twdp", "fptdp", "vc"):
         raise ValueError(f"unknown algorithm {algo!r}")
     if brute_cap < 1:
         raise ValueError(f"brute-force cap must be at least 1, got {brute_cap}")
+    if sz is not None and algo != "fptdp":
+        raise ValueError("a coalition size limit only drives the fptdp algorithm")
     if decomposition is not None:
         if algo not in ("auto", "twdp"):
             raise ValueError("a tree decomposition only drives the twdp algorithm")

@@ -4,11 +4,22 @@ The treewidth DP (``solver_twdp``) and the coalition-topology DP
 (``solver_fptdp``) both walk a nice decomposition children first and keep,
 per node, a table from state keys to the best partial outcome reaching that
 state.  This module holds what they share: the postorder walk, the witness
-table with its budget counter, the helpers that grow and merge witness
-blocks, the open-coalition DP (fptdp runs it in every mode, twdp in NS
-mode), and the self-check every solver runs on its answer.  A witness is a
-tuple of blocks, each the member bitmask of one coalition built so far, open
-or completed.
+table with its budget counter, the open-coalition DP (fptdp runs it in every
+mode, twdp in NS mode), and the self-check every solver runs on its answer.
+
+A witness is one integer, the outcome key of ``SocialNetwork.edge_key``:
+the bits of the edges inside the coalitions built so far.  Ties between
+equal-welfare outcomes go to the smaller key, and one witness per state is
+exact for that rule because the key is additive over a state's completions.
+An edge's bit is fixed when the later of its ends is introduced: the other
+end is then in the bag (an introduced agent has no edge to a forgotten one),
+and bag agents in different coalitions never join later.  So the bits a
+completion adds are edges with an end not yet introduced, or edges inside
+the bag's coalitions, and both depend on the state alone; two branches at a
+join share exactly the bits of the bag's edges, so a join ORs their keys.
+Every coalition of finite welfare is connected, so the final key names the
+outcome: its coalitions are the components of the key's edges
+(``SocialNetwork.outcome_of_key``).
 """
 
 from functools import partial
@@ -56,36 +67,10 @@ class Budget:
         self.seen = 0
 
 
-def _low_order(blocks):
-    """A witness's blocks sorted by lowest member.  Blocks are disjoint, so
-    this is also the order of their sorted agent tuples."""
-    return sorted(blocks, key=lambda b: b & -b)
-
-
-def _precedes(xs, ys) -> bool:
-    """Whether the witness whose low-ordered blocks are ``xs`` is smaller
-    than the one whose blocks are ``ys``, both compared as sorted tuples of
-    sorted agent tuples.  Two blocks a != b share every agent below x, the
-    lowest agent of ``a ^ b``: if x is in a, then a < b exactly when b has an
-    agent above x (else b is a prefix of a); otherwise a < b exactly when a
-    has none (a is then a prefix of b).  A witness that is a prefix of the
-    other is the smaller."""
-    for a, b in zip(xs, ys):
-        if a != b:
-            d = a ^ b
-            x = d & -d
-            if a & x:
-                return b >= x << 1
-            return a < x
-    return len(xs) < len(ys)
-
-
 class WitnessTable:
-    """key -> (welfare, witness_blocks, low_order, state): maximum welfare,
-    then the lexicographically smallest witness as sorted agent tuples.  A
-    witness's blocks are disjoint, so ``_precedes`` compares them as
-    bitmasks in lowest-member order; ``low_order``, the blocks in that order,
-    is None until a welfare tie needs it.
+    """table key -> (welfare, key, state): maximum welfare, then the smallest
+    outcome key (``SocialNetwork.edge_key``) of the partial outcome, and the
+    state that entry reached.
 
     ``add`` takes a state and keys it by ``canon(state)``, or by the state
     itself when ``canon`` is None; every call is charged to the budget first.
@@ -98,77 +83,27 @@ class WitnessTable:
         self.canon = canon
         self.data: dict = {}
 
-    def add(self, state, welfare, blocks):
+    def add(self, state, welfare, key: int):
         budget = self.budget
         budget.seen += 1
         if budget.seen > budget.limit:
             raise ResourceLimitError(budget.message)
-        key = state if self.canon is None else self.canon(state)
-        old = self.data.get(key)
-        order = None
-        if old is not None:
-            if welfare < old[0]:
-                return
-            if welfare == old[0]:
-                if old[2] is None:
-                    old = self.data[key] = (old[0], old[1], _low_order(old[1]), old[3])
-                order = _low_order(blocks)
-                if not _precedes(order, old[2]):
-                    return
-        self.data[key] = (welfare, blocks, order, state)
+        slot = state if self.canon is None else self.canon(state)
+        old = self.data.get(slot)
+        if old is None or welfare > old[0] or (welfare == old[0] and key < old[1]):
+            self.data[slot] = (welfare, key, state)
 
 
-def best_outcome(table: WitnessTable) -> Optional[tuple[int, Outcome]]:
-    """(welfare, outcome) of the table's best entry, or None when it is empty."""
-    best = None
-    for welfare, blocks, _, _ in table.data.values():
-        order = _low_order(blocks)
-        if best is None or welfare > best[0] or (welfare == best[0] and _precedes(order, best[1])):
-            best = welfare, order
-    if best is None:
+def best_outcome(G, table: WitnessTable) -> Optional[tuple[int, Outcome]]:
+    """(welfare, outcome) of the table's best entry, the outcome decoded
+    from its key, or None when the table is empty."""
+    if not table.data:
         return None
-    return best[0], Outcome.from_blocks(iter_bits(b) for b in best[1])
+    welfare, key, _ = max(table.data.values(), key=lambda e: (e[0], -e[1]))
+    return welfare, G.outcome_of_key(key)
 
 
-def grow_block(blocks, mates: int, a):
-    """Witness blocks with agent ``a`` added to the block that meets the
-    bitmask ``mates``, or as a new singleton block when ``mates`` is 0."""
-    if not mates:
-        return blocks + (1 << a,)
-    return tuple(b | 1 << a if b & mates else b for b in blocks)
-
-
-def part_index(blocks, bag: int) -> dict:
-    """Bag part -> index of the block of ``blocks`` that meets the bag
-    bitmask ``bag`` in it, for ``merge_blocks``."""
-    return {b & bag: i for i, b in enumerate(blocks) if b & bag}
-
-
-def merge_blocks(blocks_y, blocks_z, bag: int, at=None):
-    """Union of two branches' witness blocks at a join with bag bitmask
-    ``bag``: each block of ``blocks_z`` that meets the bag fuses into the
-    block of ``blocks_y`` with the same bag part, found through ``at``
-    (``part_index(blocks_y, bag)``, built here when not given; a join builds
-    it once per left record), and every other one is appended in order.
-
-    The two branches share only bag agents, so a block meets the bag exactly
-    when it is open, and the precondition is that both witnesses' open blocks
-    meet the bag in the same parts (a join pairs records whose parts agree).
-    The result is the tuple that fusing every block sharing an agent gives,
-    in O(|blocks_y| + |blocks_z|)."""
-    if at is None:
-        at = part_index(blocks_y, bag)
-    out = list(blocks_y)
-    for bz in blocks_z:
-        part = bz & bag
-        if part:
-            out[at[part]] |= bz
-        else:
-            out.append(bz)
-    return tuple(out)
-
-
-def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str, key=None):
+def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str, canon=None):
     """(leaf, introduce, forget, join) of the open-coalition DP, for
     ``run_postorder``, over coalitions of at most ``cap`` members.
 
@@ -189,8 +124,9 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
       best deviation, or the coalition tempts a settled neighbour;
     * join: coalitions glue at their shared bag members.
 
-    Tables key a state by ``key(bag_mask, state)``, or by the state itself
-    when ``key`` is None."""
+    An introduce into an open coalition ORs the new agent's edge bits into
+    the entry's key, and a join ORs both sides' keys.  Tables key a state by ``canon(bag_mask, state)``, or by the state itself
+    when ``canon`` is None."""
     G = ev.G
     adj = G.adj_mask
     ns = mode == "ns"
@@ -213,44 +149,44 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
         return hit
 
     def table(bag):
-        return WitnessTable(budget, None if key is None else partial(key, bag))
+        return WitnessTable(budget, None if canon is None else partial(canon, bag))
 
     def leaf(node):
         out = table(0)
-        out.add(((), (), ()), 0, ())
+        out.add(((), (), ()), 0, 0)
         return out
 
     def introduce(node, child):
         out = table(G.mask_of(node.bag))
         a = node.agent
         bit = 1 << a
-        for wf, blocks, _, (opens, pending, devs) in child.data.values():
+        for wf, key, (opens, pending, devs) in child.data.values():
             if ns:
                 devs = tuple(sorted(devs + ((a, 0),)))
             for block in opens:
                 if block.bit_count() >= cap:
                     continue
                 grown = tuple(sorted(b | bit if b == block else b for b in opens))
-                out.add((grown, pending, devs), wf, grow_block(blocks, block, a))
-            out.add((tuple(sorted(opens + (bit,))), pending, devs), wf, blocks + (bit,))
+                out.add((grown, pending, devs), wf, key | G.edge_key_to(a, block))
+            out.add((tuple(sorted(opens + (bit,))), pending, devs), wf, key)
         return out
 
     def forget(node, child):
         bag = G.mask_of(node.bag)
         out = table(bag)
         w = node.agent
-        for wf, blocks, _, state in child.data.values():
+        for wf, key, state in child.data.values():
             opens, pending, devs = state
             block = next(b for b in opens if b >> w & 1)
             if block & bag:
                 if anchored(block, block & bag):
-                    out.add(state, wf, blocks)
+                    out.add(state, wf, key)
                 continue
             welfare, worst, utils = ev.stats(block)
             rest = tuple(b for b in opens if b != block)
             if not ns:
                 if welfare != NEG_INF and not (ir and worst < 0):
-                    out.add((rest, (), ()), wf + welfare, blocks)
+                    out.add((rest, (), ()), wf + welfare, key)
                 continue
             devmap = dict(devs)
             if any(u < 0 or u < devmap[i] for i, u in utils.items()):
@@ -276,22 +212,21 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
                 del devmap[i]
                 if adj[i] & rest_mask:
                     still.append((i, u))
-            out.add((rest, tuple(sorted(still)), tuple(sorted(devmap.items()))), wf + welfare, blocks)
+            out.add((rest, tuple(sorted(still)), tuple(sorted(devmap.items()))), wf + welfare, key)
         return out
 
     def join(node, left, right):
         bag = G.mask_of(node.bag)
         out = table(bag)
         grouped: dict = {}
-        for wf, blocks, _, (opens, pending, devs) in right.data.values():
+        for wf, key, (opens, pending, devs) in right.data.values():
             parts = {b & bag: b for b in opens}
-            grouped.setdefault(tuple(sorted(parts)), []).append((wf, blocks, parts, pending, devs))
-        for wf_y, blocks_y, _, (opens_y, pending_y, devs_y) in left.data.values():
+            grouped.setdefault(tuple(sorted(parts)), []).append((wf, key, parts, pending, devs))
+        for wf_y, key_y, (opens_y, pending_y, devs_y) in left.data.values():
             matches = grouped.get(tuple(sorted(b & bag for b in opens_y)))
             if not matches:
                 continue
-            at = part_index(blocks_y, bag)
-            for wf_z, blocks_z, parts, pending_z, devs_z in matches:
+            for wf_z, key_z, parts, pending_z, devs_z in matches:
                 merged = tuple(sorted(b | parts[b & bag] for b in opens_y))
                 if any(b.bit_count() > cap for b in merged):
                     continue
@@ -301,7 +236,7 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
                 out.add(
                     (merged, tuple(sorted(pending_y + pending_z)), tuple(sorted(devmap.items()))),
                     wf_y + wf_z,
-                    merge_blocks(blocks_y, blocks_z, bag, at),
+                    key_y | key_z,
                 )
         return out
 

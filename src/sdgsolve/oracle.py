@@ -8,6 +8,10 @@ generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).
 Every utility comes from one ``CoalitionEvaluator`` per solve, which caches
 it by member bitmask; the NS search tests each candidate partition with the
 same deviation search as ``stability.find_deviation``.
+Both searches carry a partition as its outcome key, the OR of its blocks'
+``SocialNetwork.edge_key``, take the smallest key among the best partitions
+and decode it at the end: the blocks are connected, so they are the
+components of the key's edges.
 ``enumerate_partitions`` keeps the plain Bell enumeration for tests.
 """
 
@@ -17,13 +21,11 @@ from .core import (
     NEG_INF,
     CoalitionEvaluator,
     ExtInt,
-    Outcome,
     ResourceLimitError,
     ScoringVector,
     SocialNetwork,
     SolveResult,
     check_mode,
-    iter_bits,
 )
 from .stability import first_deviation
 
@@ -96,56 +98,62 @@ def _admissible_blocks(
             yield block, welfare
 
 
-def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> tuple[ExtInt, tuple]:
+def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> tuple[ExtInt, int]:
     """Subset DP: best(rem) = max of w(B) + best(rem ^ B) over admissible B
-    holding the lowest agent of rem.  Its key (B,) + key(rem ^ B) lists the
-    blocks by smallest member, so ties break on the canonical outcome."""
-    memo: dict[int, tuple[ExtInt, tuple]] = {0: (0, ())}
+    holding the lowest agent of rem, ties to the smallest outcome key.  The
+    key of B plus rem ^ B's partition is the sum of their keys (no edge is
+    inside both), so the smallest key of rem ^ B completes B best."""
+    G = ev.G
+    memo: dict[int, tuple[ExtInt, int]] = {0: (0, 0)}
+    block_keys: dict[int, int] = {}
 
-    def best(rem: int) -> tuple[ExtInt, tuple]:
+    def best(rem: int) -> tuple[ExtInt, int]:
         hit = memo.get(rem)
         if hit is not None:
             return hit
         top_w: ExtInt = NEG_INF
-        top_key = ()
+        top_key = 0
         for block, w in _admissible_blocks(ev, rem, need_ir):
             rest_w, rest_key = best(rem ^ block)
             total = w + rest_w
             if total < top_w:
                 continue
-            key = (tuple(iter_bits(block)),) + rest_key
+            key = block_keys.get(block)
+            if key is None:
+                key = block_keys[block] = G.edge_key(block)
+            key |= rest_key
             if total > top_w or key < top_key:
                 top_w, top_key = total, key
         memo[rem] = (top_w, top_key)
         return top_w, top_key
 
-    return best(ev.G.full_mask)
+    return best(G.full_mask)
 
 
-def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, tuple]]:
+def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, int]]:
     """Best Nash-stable partition, by enumerating the partitions into
     IR-admissible blocks: every NS outcome is IR, since leaving for a
     singleton is one of the moves tested."""
+    G = ev.G
     best_welfare: ExtInt = NEG_INF  # every partition searched scores higher
     best_key = None
     masks: list[int] = []
 
-    def rec(rem: int, welfare: ExtInt):
+    def rec(rem: int, welfare: ExtInt, key: int):
         nonlocal best_welfare, best_key
         if rem == 0:
             if welfare < best_welfare:
                 return
-            key = tuple(tuple(iter_bits(m)) for m in masks)
             if welfare > best_welfare or key < best_key:
                 if first_deviation(ev, masks, "ns") is None:
                     best_welfare, best_key = welfare, key
             return
         for block, w in _admissible_blocks(ev, rem, True):
             masks.append(block)
-            rec(rem ^ block, welfare + w)
+            rec(rem ^ block, welfare + w, key | G.edge_key(block))
             masks.pop()
 
-    rec(ev.G.full_mask, 0)
+    rec(G.full_mask, 0, 0)
     return None if best_key is None else (best_welfare, best_key)
 
 
@@ -157,7 +165,7 @@ def brute_force_solve(
     Welfare and IR run the subset DP over connected admissible blocks; NS
     enumerates the partitions into IR-admissible connected blocks.  Returns
     None only in ns mode when no Nash-stable outcome exists.  Ties break
-    toward the lexicographically smallest canonical outcome.
+    toward the smallest outcome key (``SocialNetwork.edge_key``).
     """
     check_mode(mode)
     if G.n > cap:
@@ -171,8 +179,8 @@ def brute_force_solve(
         solved = _best_partition(ev, need_ir=mode == "ir")
     if solved is None:
         return None
-    welfare, blocks = solved
-    return SolveResult(Outcome.from_blocks(blocks), welfare, mode, True, "brute")
+    welfare, key = solved
+    return SolveResult(G.outcome_of_key(key), welfare, mode, True, "brute")
 
 
 def decide_welfare_at_least(

@@ -1,15 +1,17 @@
 """Coalition-topology dynamic program: treewidth plus maximum coalition size.
 
 fptdp runs ``dp.coalition_steps`` in every mode with the size cap ``sz``: a
-state is its open coalitions, the witness blocks that meet the bag, held as
-member bitmasks (NS mode adds pending settled agents and deviation values).
+state is its open coalitions, those that meet the bag, held as member
+bitmasks (NS mode adds pending settled agents and deviation values).
 Welfare and IR tables key a state by the sorted topologies of its open
 coalitions, so isomorphic states share one entry.  A topology is the explicit
 graph on a coalition's bag members ("named") plus one anonymous vertex per
 forgotten member.  New agents can only attach to named vertices (a forgotten
 agent's neighbours are all introduced), so entries that share a key complete
 to isomorphic coalitions and their open parts add the same welfare; a
-witness's welfare counts completed coalitions only.  NS tables key a state
+witness's welfare counts completed coalitions only.  They also have the same
+bag parts, so a completion adds the same outcome-key bits to each, and the
+table's one witness per key keeps the smallest key exactly.  NS tables key a state
 by the state itself, so NS mode is the same DP as twdp's.
 
 Works for closed and open tails alike.
@@ -34,7 +36,7 @@ DEFAULT_STATE_BUDGET = 3_000_000
 
 
 def _topology_key(G):
-    """Table key of a welfare/IR state, ``key(bag_mask, state)``: the sorted
+    """Table key of a welfare/IR state, ``canon(bag_mask, state)``: the sorted
     topologies of its open coalitions, each computed once per (member mask,
     bag members) pair of the solve."""
     adj = G.adj_mask
@@ -60,10 +62,10 @@ def _topology_key(G):
             topo = topologies[mask, named] = (tuple(iter_bits(named)), len(order), tuple(an), tuple(aa))
         return topo
 
-    def key(bag, state):
+    def canon(bag, state):
         return tuple(sorted(topology(b, b & bag) for b in state[0]))
 
-    return key
+    return canon
 
 
 def select_sz(s: ScoringVector, G: SocialNetwork) -> Optional[int]:
@@ -101,9 +103,9 @@ def solve_fpt(
         DEFAULT_STATE_BUDGET,
         f"topology DP exceeded its state budget ({DEFAULT_STATE_BUDGET})",
     )
-    key = None if mode == "ns" else _topology_key(G)
-    steps = coalition_steps(CoalitionEvaluator(s, G), budget, sz, mode, key)
-    solved = best_outcome(run_postorder(decomposition, *steps))
+    canon = None if mode == "ns" else _topology_key(G)
+    steps = coalition_steps(CoalitionEvaluator(s, G), budget, sz, mode, canon)
+    solved = best_outcome(G, run_postorder(decomposition, *steps))
     if solved is None:
         return None
     welfare, outcome = solved

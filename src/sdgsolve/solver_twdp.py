@@ -4,7 +4,7 @@ Welfare and IR modes run a compressed leaf-to-root DP.  A record's state is
 ``(parts, promises, cells)``:
 
 * ``parts`` is the sorted tuple of bag parts: each is the member bitmask of
-  one coalition's agents in the bag (``b & bag`` of a witness block ``b``);
+  one coalition's agents in the bag;
 * ``promises`` commits, for every pair of agents in the same part, the pair's
   final intra-coalition distance the moment both are in the bag.  A committed
   distance may be guessed below what current structure realizes (the missing
@@ -46,6 +46,9 @@ is empty, fuses every other pair of runs once per solve (the results are
 memoized for the solve's later joins) and concatenates the fused runs: the
 record that crossing and tallying all of both sides' cells gives, exactly.
 
+A record's witness is its outcome key (``dp``): an introduce into part L adds
+the new agent's edges into L, and a join ORs both sides' keys.
+
 NS mode keeps coalitions explicit instead: it runs ``dp.coalition_steps``
 keyed by the state itself, as fptdp's NS mode does, so records hold the
 member bitmasks of open coalitions and every utility and deviation check runs
@@ -72,9 +75,6 @@ from .dp import (
     WitnessTable,
     best_outcome,
     coalition_steps,
-    grow_block,
-    merge_blocks,
-    part_index,
     run_postorder,
     self_check,
 )
@@ -163,7 +163,7 @@ def _compressed_steps(s, G, budget, ir):
 
     def leaf(node):
         table = WitnessTable(budget)
-        table.add(((), (), ()), 0, ())
+        table.add(((), (), ()), 0, 0)
         return table
 
     def introduce(node, child):
@@ -174,11 +174,12 @@ def _compressed_steps(s, G, budget, ir):
         near = balls.get(a)
         if near is None:
             near = balls[a] = _ball(G, a, cutoff)
-        for (parts_c, prom_c, cells_c), (w_c, blocks_c, _, _) in child.data.items():
-            table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c), w_c, blocks_c + (bit,))
+        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
+            table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c), w_c, key_c)
             promises_c = dict(prom_c)
             for L in parts_c:
                 mates = list(iter_bits(L))
+                key = key_c | G.edge_key_to(a, L)
                 # candidate committed distances per new pair
                 options = []
                 for b in mates:
@@ -224,14 +225,14 @@ def _compressed_steps(s, G, budget, ir):
                             vec = vec[:pos] + (entry,) + vec[pos:]
                             cells.append((part, vec) + ((cell[2], cell[3] + v) if ir else cell[2:]))
                         else:
-                            table.add(_sig(parts, promises, cells), w_c + delta, grow_block(blocks_c, L, a))
+                            table.add(_sig(parts, promises, cells), w_c + delta, key)
         return table
 
     def forget(node, child):
         table = WitnessTable(budget)
         w = node.agent
         bit = 1 << w
-        for (parts_c, prom_c, cells_c), (w_c, blocks_c, _, _) in child.data.items():
+        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
             L = next(p for p in parts_c if p & bit)
             rest = L ^ bit
             promises_c = dict(prom_c)
@@ -249,13 +250,13 @@ def _compressed_steps(s, G, budget, ir):
                 vec_w = tuple(promises_c[_pkey(w, b)] for b in iter_bits(rest))
                 cells.append((rest, vec_w, 1, util) if ir else (rest, vec_w, 1))
                 promises = {p: d for p, d in promises_c.items() if w not in p}
-                table.add(_sig(parts, promises, _tally(cells, ir)), w_c, blocks_c)
+                table.add(_sig(parts, promises, _tally(cells, ir)), w_c, key_c)
             else:
                 # the coalition completes; only the IR screen remains
                 if ir and (util < 0 or any(c[0] == L and c[3] < 0 for c in cells_c)):
                     continue
                 parts = tuple(p for p in parts_c if p != L)
-                table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, blocks_c)
+                table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, key_c)
         return table
 
     # (run_y, run_z) -> (delta, fused run), or None when a cross pair of the
@@ -287,19 +288,17 @@ def _compressed_steps(s, G, budget, ir):
 
     def join(node, left, right):
         table = WitnessTable(budget)
-        bag = G.mask_of(node.bag)
         grouped: dict = {}
-        for (parts, prom, cells), (w, blocks, _, _) in right.data.items():
-            grouped.setdefault((parts, prom), []).append((_runs(parts, cells), w, blocks))
-        for (parts, prom, cells_y), (w_y, blocks_y, _, _) in left.data.items():
+        for (parts, prom, cells), (w, key, _) in right.data.items():
+            grouped.setdefault((parts, prom), []).append((_runs(parts, cells), w, key))
+        for (parts, prom, cells_y), (w_y, key_y, _) in left.data.items():
             matches = grouped.get((parts, prom))
             if not matches:
                 continue
             runs_y = _runs(parts, cells_y)
             # the bag pairs are counted by both sides
             over = 2 * sum(score(d) for _, d in prom)
-            at = part_index(blocks_y, bag)
-            for runs_z, w_z, blocks_z in matches:
+            for runs_z, w_z, key_z in matches:
                 # cross contributions pair only cells of one part, so each
                 # part's two runs fuse on their own
                 delta = 0
@@ -320,7 +319,7 @@ def _compressed_steps(s, G, budget, ir):
                         cells += hit[1]
                 else:
                     # both sides' records are consistent, and so is their union
-                    table.add((parts, prom, cells), w_y + w_z + delta - over, merge_blocks(blocks_y, blocks_z, bag, at))
+                    table.add((parts, prom, cells), w_y + w_z + delta - over, key_y | key_z)
         return table
 
     return leaf, introduce, forget, join
@@ -341,7 +340,7 @@ def _solve_tw(s, G, decomposition, mode) -> Optional[SolveResult]:
         steps = coalition_steps(CoalitionEvaluator(s, G), records, select_sz(s, G) or G.n, "ns")
     else:
         steps = _compressed_steps(s, G, records, mode == "ir")
-    solved = best_outcome(run_postorder(decomposition, *steps))
+    solved = best_outcome(G, run_postorder(decomposition, *steps))
     if solved is None:
         # all-singletons is an IR lineage, so only NS mode can come back empty
         assert mode == "ns"

@@ -18,14 +18,14 @@ optima whenever a minimum cover splits a class's neighborhood across parts.
 One ``solve_vc`` call builds the classes, one ``CoalitionEvaluator`` and each
 cover part's connected declarations with their quotient distance tables once;
 the structures carry their tables.  Every program works against one incumbent
-(welfare, outcome) for the whole solve: a candidate below it is never
-materialized, and a tie goes to the smaller outcome.  ``_materialize`` gives
-the smallest outcome of a (structure, assignment), and that is exact because
-the members of a class are false twins: any permutation of them is an
-automorphism of the network, so which members fill a part changes neither
-welfare nor stability, only the outcome's canonical form.  The optimum is
-therefore the smallest of all optimal outcomes, the same one brute force
-returns.
+(welfare, outcome key) for the whole solve: a candidate below it is never
+materialized, and a tie goes to the smaller key (``SocialNetwork.edge_key``).
+``_materialize`` gives the smallest-key outcome of a (structure, assignment),
+and that is exact because the members of a class are false twins: any
+permutation of them is an automorphism of the network, so which members fill
+a part changes neither welfare nor stability, only which edges are inside a
+coalition.  Every coalition of a structure is connected, so the best key
+decodes to the outcome, the smallest-key optimum that brute force returns.
 """
 
 from dataclasses import dataclass
@@ -41,6 +41,7 @@ from .core import (
     SocialNetwork,
     SolveResult,
     check_mode,
+    iter_bits,
 )
 from .dp import self_check
 from .stability import first_deviation
@@ -201,47 +202,52 @@ def enumerate_structures(G: SocialNetwork, cover: frozenset) -> Iterator[CoverSt
         yield from rec(0, [], {})
 
 
-def _materialize(G, structure, classes, assignment) -> Outcome:
-    """The smallest outcome of the structure under the assignment.  Agents go
-    in ascending order, and each unplaced agent starts the next coalition:
-    a singleton if it is isolated or its class has spare members, else its
-    own part or, for a class member, the declaring part with quota left
-    whose filled coalition is smallest.  A part is filled with the smallest
-    unplaced members of each declared class.  Each coalition is then the
-    smallest that can start with its agent, so the outcome is the smallest."""
-    part_of = {u: pi for pi, part in enumerate(structure.parts) for u in part}
-    class_of = {v: w for w, members in classes.items() for v in members}
-    unplaced = {w: list(members) for w, members in classes.items()}
-    spare = {w: len(members) for w, members in classes.items()}
-    for (_, w), x in assignment.items():
-        spare[w] -= x
-    open_parts = set(range(len(structure.parts)))
-
-    def filled(pi):
-        taken = (unplaced[w][: assignment[(pi, w)]] for w in structure.declared[pi])
-        return tuple(sorted(structure.parts[pi] + tuple(v for vs in taken for v in vs)))
-
-    blocks, placed = [], set()
-    for a in range(G.n):
-        if a in placed:
+def _materialize(G, structure, classes, assignment) -> list[int]:
+    """Member bitmasks of every coalition of the structure under the
+    assignment, singletons included, with each class's members placed to
+    give the smallest outcome key.  A class's members differ only in their
+    edges' key bits, and for each cover agent a smaller member's edge is the
+    more significant, so the smallest members stay spare and the rest are
+    placed by ``_place``."""
+    blocks = [G.mask_of(part) for part in structure.parts]
+    for w, members in classes.items():
+        where = [pi for pi, decl in enumerate(structure.declared) if w in decl]
+        if not where:
             continue
-        w, pi = class_of.get(a), part_of.get(a)
-        if pi is None and (w is None or spare[w]):
-            if w is not None:
-                spare[w] -= 1
-                unplaced[w].remove(a)
-            blocks.append((a,))
-            placed.add(a)
-            continue
-        if pi is None:
-            pi = min((p for p in open_parts if w in structure.declared[p]), key=filled)
-        block = filled(pi)
-        open_parts.remove(pi)
-        for c in structure.declared[pi]:
-            del unplaced[c][: assignment[(pi, c)]]
-        blocks.append(block)
-        placed.update(block)
-    return Outcome(tuple(blocks))
+        need = [assignment[pi, w] for pi in where]
+        placed = members[len(members) - sum(need):]
+        for m, i in zip(placed, _place(G, placed, [structure.parts[pi] for pi in where], need)):
+            blocks[where[i]] |= 1 << m
+    covered = sum(blocks)
+    return blocks + [1 << a for a in range(G.n) if not covered >> a & 1]
+
+
+def _place(G, members, parts, need) -> list[int]:
+    """For each of a class's ``members``, the index of its part in ``parts``,
+    part i taking ``need[i]`` of them, with the smallest key.  A greedy over
+    the members' edges into the parts, most significant first, forbids
+    ``member -> part`` whenever a full placement remains (Hall's condition:
+    the members confined to any set of parts fit its quota), so the earliest
+    edge that can stay out of the key does."""
+    full = (1 << len(parts)) - 1
+    allowed = dict.fromkeys(members, full)
+    part_of = {u: i for i, part in enumerate(parts) for u in part}
+
+    def placeable():
+        return all(
+            sum(1 for a in allowed.values() if not a & ~T) <= sum(need[i] for i in iter_bits(T))
+            for T in range(1, full)
+        )
+
+    # (edge, member, part index), in the edges' rank order
+    edges = sorted(((min(m, u), max(m, u)), m, part_of[u]) for m in members for u in G.adj[m] if u in part_of)
+    for _, m, i in edges:
+        bit = 1 << i
+        if allowed[m] & bit and allowed[m] != bit:
+            allowed[m] ^= bit
+            if not placeable():
+                allowed[m] |= bit
+    return [allowed[m].bit_length() - 1 for m in members]
 
 
 def _compositions(total: int, k: int):
@@ -256,7 +262,7 @@ def _compositions(total: int, k: int):
 
 def solve_qp(s, G, mode, structure, classes, ev, best):
     """Search one structure's assignments against the incumbent ``best``, a
-    (welfare, outcome) pair or None.  Welfare is a constant plus linear terms
+    (welfare, outcome key) pair or None.  Welfare is a constant plus linear terms
     per (part, class) count, a same-class term score(2) per ordered pair and
     cross terms per pair of counts in one part, all read from the tables.
     Returns the new incumbent, or None when the structure does not improve
@@ -293,12 +299,13 @@ def solve_qp(s, G, mode, structure, classes, ev, best):
             value += c * assignment[k1] * assignment[k2]
         if best is not None and value < best[0]:
             continue
-        outcome = _materialize(G, structure, classes, assignment)
-        if best is not None and value == best[0] and outcome.coalitions >= best[1].coalitions:
+        masks = _materialize(G, structure, classes, assignment)
+        key = sum(map(G.edge_key, masks))  # disjoint coalitions' keys share no bit
+        if best is not None and value == best[0] and key >= best[1]:
             continue
-        if mode != "welfare" and first_deviation(ev, [G.mask_of(b) for b in outcome], mode) is not None:
+        if mode != "welfare" and first_deviation(ev, masks, mode) is not None:
             continue
-        best = (value, outcome)
+        best = (value, key)
     return None if best is incumbent else best
 
 
@@ -316,11 +323,12 @@ def solve_vc(
         return SolveResult(Outcome.singletons(G.n), 0, mode, True, "vc")
     classes = neighborhood_classes(G, cover)
     ev = CoalitionEvaluator(s, G)
-    best: Optional[tuple[int, Outcome]] = None
+    best: Optional[tuple[int, int]] = None
     for structure in enumerate_structures(G, cover):
         best = solve_qp(s, G, mode, structure, classes, ev, best) or best
     if best is None:
         return None
-    welfare, outcome = best
+    welfare, key = best
+    outcome = G.outcome_of_key(key)
     self_check(s, G, mode, welfare, outcome, "vc")
     return SolveResult(outcome, welfare, mode, True, "vc")

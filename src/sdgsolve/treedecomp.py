@@ -2,11 +2,12 @@
 construction, and conversion to nice form (leaf/introduce/forget/join nodes
 with empty root and leaf bags).
 
-Up to 14 agents a decomposition comes from the exact subset DP, so its width
-is optimal and the solvers' tie-breaks see the same decomposition for the
-same labelled graph; above 14 it comes from the min-fill elimination order.
-A graph object keeps its decomposition and its nice form once built, so
-every width question and every DP on it reads the same one.
+Every decomposition the solvers use comes from the min-fill elimination
+order, at every size: the solvers' tie-break, the smallest outcome key, does
+not depend on the decomposition, so nothing pins one.  A graph object keeps
+its decomposition and its nice form once built, so every width question and
+every DP on it reads the same one.  The exact subset DP over vertex sets
+stays behind ``exact_treewidth`` only.
 """
 
 import heapq
@@ -290,27 +291,24 @@ def decomposition_from_order(G: SocialNetwork, order: list[int]) -> TreeDecompos
     return TreeDecomposition(tuple(bags), tuple(edges), n)
 
 
-EXACT_LIMIT = 14
-
-
 def compute_decomposition(G: SocialNetwork) -> TreeDecomposition:
-    """A valid decomposition, width-optimal up to ``EXACT_LIMIT`` agents and
-    from min-fill beyond; built once per graph object."""
+    """A valid decomposition from the min-fill elimination order, built once
+    per graph object."""
     td = G.structure.get("decomposition")
     if td is None:
-        order = _exact_elimination_order(G) if G.n <= EXACT_LIMIT else _min_fill_order(G)
-        td = decomposition_from_order(G, order)
+        td = decomposition_from_order(G, _min_fill_order(G))
         ensure_valid(G, td)
         G.structure["decomposition"] = td
     return td
 
 
 def exact_treewidth(G: SocialNetwork) -> int:
-    """Treewidth by the exact subset DP; up to ``EXACT_LIMIT`` agents that is
-    the kept decomposition's width."""
-    if G.n <= EXACT_LIMIT:
-        return compute_decomposition(G).width()
-    return decomposition_from_order(G, _exact_elimination_order(G)).width()
+    """Treewidth by the exact subset DP, once per graph object.  It never
+    reads the kept decomposition, whose min-fill width may be larger."""
+    tw = G.structure.get("treewidth")
+    if tw is None:
+        tw = G.structure["treewidth"] = decomposition_from_order(G, _exact_elimination_order(G)).width()
+    return tw
 
 
 @dataclass(frozen=True)

@@ -146,3 +146,15 @@ def with_singletons(n: int, coalitions) -> Outcome:
     """Outcome of ``n`` agents: the given coalitions, everyone else alone."""
     placed = {v for c in coalitions for v in c}
     return Outcome.from_blocks(list(coalitions) + [[v] for v in range(n) if v not in placed])
+
+
+def plain_key(G: SocialNetwork, blocks) -> int:
+    """The outcome key written plainly: edge (u, v) of rank r in the sorted
+    edge list adds 2 ** (m - 1 - r) when u and v share a block."""
+    m = len(G.edges)
+    where = {a: i for i, block in enumerate(blocks) for a in block}
+    return sum(
+        1 << (m - 1 - r)
+        for r, (u, v) in enumerate(G.edges)
+        if u in where and v in where and where[u] == where[v]
+    )

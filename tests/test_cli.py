@@ -171,6 +171,16 @@ class TestSolveCommand:
         expect = brute_force_solve(ScoringVector((1, 0, -1)), G, "welfare")
         assert report["welfare"] == expect.welfare
 
+    def test_size_limit_without_fptdp_errors(self, tmp_path, capsys):
+        path = tmp_path / "tw2.gr"
+        path.write_text(write_gr(random_partial_ktree(8, 2, 0)))
+        argv = ["solve", "--graph", str(path), "--scores", "1", "--sz", "2", "--format", "json"]
+        assert main(argv) == 1
+        assert "size limit only drives the fptdp" in capsys.readouterr().err
+        assert main(argv + ["--algo", "fptdp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["size_limited"] and max(map(len, report["outcome"])) <= 2
+
     def test_unsupported_combination_errors(self, capsys):
         code = main(
             [

@@ -16,7 +16,7 @@ from sdgsolve.core import (
     social_welfare,
 )
 
-from conftest import random_connected_graph
+from conftest import plain_key, random_connected_graph
 
 
 class TestNegInf:
@@ -215,3 +215,48 @@ class TestOutcome:
         o = Outcome.from_blocks([[0, 2], [1]])
         assert o.coalition_of(2) == (0, 2)
         assert o.coalition_index_of(1) == 1
+
+
+def _connected_partition(G, rng):
+    """A random partition of G's agents into connected coalitions: each
+    unplaced agent, in random order, grows a block through unplaced
+    neighbours, taking each it meets with probability one half."""
+    order = list(range(G.n))
+    rng.shuffle(order)
+    placed, blocks = set(), []
+    for a in order:
+        if a in placed:
+            continue
+        block, frontier = {a}, [a]
+        placed.add(a)
+        while frontier:
+            for b in sorted(G.adj[frontier.pop()]):
+                if b not in placed and rng.random() < 0.5:
+                    block.add(b)
+                    placed.add(b)
+                    frontier.append(b)
+        blocks.append(tuple(sorted(block)))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.floats(0, 3), st.randoms(use_true_random=False))
+def test_outcome_key_round_trip(n, density, rng):
+    # a partition into connected coalitions -> key -> the same partition,
+    # and the key is the OR of the blocks' keys
+    G = random_connected_graph(n, rng, density)
+    blocks = _connected_partition(G, rng)
+    key = 0
+    for block in blocks:
+        key |= G.edge_key(G.mask_of(block))
+    assert key == plain_key(G, blocks)
+    assert G.outcome_of_key(key) == Outcome.from_blocks(blocks)
+
+
+def test_outcome_key_bits_follow_the_edge_rank():
+    # edges (0,1), (0,2), (1,2), (2,3) own bits 3, 2, 1, 0
+    G = SocialNetwork(4, [(2, 3), (1, 2), (0, 2), (0, 1)])
+    assert [G.edge_key(G.mask_of(e)) for e in G.edges] == [0b1000, 0b0100, 0b0010, 0b0001]
+    assert G.edge_key_to(2, G.mask_of((0, 1, 3))) == 0b0111
+    assert G.outcome_of_key(0b1001) == Outcome(((0, 1), (2, 3)))
+    assert G.outcome_of_key(0) == Outcome.singletons(4)

@@ -110,8 +110,8 @@ class TestRoutingByCap:
 
     @pytest.mark.parametrize("mode", ("welfare", "ir"))
     def test_relabelled_degree3_gets_the_canonical_optimum(self, mode):
-        # a relabelling of random_bounded_degree(11, 3, 1); fptdp picks another
-        # optimum of welfare 26 here, ((0,4,6,8),(1,9,10),(2,5),(3,7))
+        # a relabelling of random_bounded_degree(11, 3, 1); under the old tie
+        # rule fptdp picked another optimum of welfare 26 here than brute force
         G = SocialNetwork(11, [
             (0, 4), (0, 6), (1, 10), (2, 4), (2, 5), (2, 7), (3, 7),
             (3, 10), (4, 8), (5, 9), (6, 8), (6, 9), (7, 8), (9, 10),
@@ -119,12 +119,14 @@ class TestRoutingByCap:
         got = solve(ScoringVector((2, -1), tail="open"), G, mode)
         assert got.algorithm == "brute"
         assert got.welfare == 26
-        assert got.outcome == Outcome(((0, 4, 6, 8), (1, 3, 10), (2, 7), (5, 9)))
+        assert got.outcome == Outcome(((0, 6), (1, 3, 10), (2, 4, 7, 8), (5, 9)))
+        assert solve(ScoringVector((2, -1), tail="open"), G, mode, algo="fptdp").outcome == got.outcome
 
 
 class TestOneDecompositionPerGraph:
-    """A graph object gets one elimination order, whatever number of width
-    questions and DP runs read its decomposition."""
+    """A graph object gets one elimination order, min-fill's, whatever
+    number of width questions and DP runs read its decomposition; solving
+    never runs the exact subset DP."""
 
     @pytest.fixture
     def orders(self, monkeypatch):
@@ -160,21 +162,24 @@ class TestOneDecompositionPerGraph:
                     solve(s, G, mode, algo=algo)
                     queries += 1
         assert queries == 27
-        assert orders == ["_exact_elimination_order"]
+        assert orders == ["_min_fill_order"]
 
     def test_corpus_graph_keeps_its_width_check(self, orders):
-        """The generator's width check builds the kept decomposition, so the
-        accepted graph's first solve runs no subset DP."""
+        """The generator's width check keeps the exact width apart from the
+        decomposition: asking again runs no subset DP, and the accepted
+        graph's solves run min-fill once."""
         G = random_solver_corpus_instance(8, (8, 8))
         orders.clear()  # rejected candidates run the subset DP too
-        solve(ScoringVector((1, -3)), G, algo="twdp")
-        assert orders == []
+        assert exact_treewidth(G) <= 3
+        for mode in ("welfare", "ir", "ns"):
+            solve(ScoringVector((1, -3)), G, mode, algo="twdp")
+        assert orders == ["_min_fill_order"]
 
     def test_components_keep_their_decompositions(self, orders):
         G = SocialNetwork(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         for mode in ("welfare", "ir", "ns"):
             assert solve(ScoringVector((1, -3)), G, mode, algo="twdp").welfare == 8
-        assert orders == ["_exact_elimination_order"] * 2
+        assert orders == ["_min_fill_order"] * 2
 
 
 class TestSolveFacade:
@@ -205,6 +210,15 @@ class TestSolveFacade:
         for algo in ("auto", "brute", "twdp", "fptdp", "vc"):
             res = solve(long_vec, fig_c, mode="ns", algo=algo)
             assert res.welfare == 46, algo
+
+    @pytest.mark.parametrize("algo", ["auto", "twdp", "brute", "vc"])
+    def test_rejects_a_size_limit_without_fptdp(self, algo):
+        # these solvers would ignore sz and return a 3-agent coalition as optimal
+        G = random_partial_ktree(8, 2, 0)
+        with pytest.raises(ValueError, match="size limit only drives the fptdp"):
+            solve(ScoringVector((1,)), G, "welfare", algo=algo, sz=2)
+        result = solve(ScoringVector((1,)), G, "welfare", algo="fptdp", sz=2)
+        assert max(map(len, result.outcome)) <= 2 and result.size_limited
 
     def test_rejects_unknown_algo(self, fig_a):
         with pytest.raises(ValueError):
@@ -256,9 +270,7 @@ def _assert_auto_matches_brute(s, G, mode):
     if expect is None:
         return
     assert got.welfare == expect.welfare, where
-    # vc may return another optimum of equal welfare
-    if got.algorithm in ("twdp", "fptdp"):
-        assert got.outcome == expect.outcome, where
+    assert got.outcome == expect.outcome, where
 
 
 @pytest.mark.slow

@@ -12,23 +12,20 @@ from sdgsolve.core import (
     SocialNetwork,
     iter_bits,
 )
-from sdgsolve import dp, solver_twdp
+from sdgsolve import dp, solver_fptdp, solver_twdp, treedecomp
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import (
     Budget,
     WitnessTable,
-    _low_order,
-    _precedes,
     best_outcome,
     coalition_steps,
-    grow_block,
-    merge_blocks,
-    part_index,
     run_postorder,
     self_check,
 )
 from sdgsolve.generators import random_solver_corpus_instance
+from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_fptdp import solve_fpt
+from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.treedecomp import (
     NiceNode,
     NiceTreeDecomposition,
@@ -37,7 +34,7 @@ from sdgsolve.treedecomp import (
     validate_nice,
 )
 
-from conftest import path_graph, random_connected_graph
+from conftest import complete_graph, path_graph, plain_key, random_connected_graph
 
 
 def _reachable(ntd):
@@ -97,88 +94,15 @@ def test_postorder_rejects_a_root_bag_that_is_not_empty():
 
 
 def test_witness_table_prefers_welfare_then_smallest_witness():
+    # on the triangle, edge (0,1) owns key bit 2, (0,2) bit 1 and (1,2) bit 0
+    G = complete_graph(3)
     table = WitnessTable(Budget(10, "unused"))
-    table.add("k", 3, (0b100, 0b011))
-    table.add("k", 2, (0b111,))
-    table.add("k", 3, (0b001, 0b110))
-    table.add("k", 3, (0b101, 0b010))
-    assert best_outcome(table) == (3, Outcome(((0,), (1, 2))))
+    table.add("k", 3, 0b100)  # ((0,1),(2,))
+    table.add("k", 2, 0b000)
+    table.add("k", 3, 0b001)  # ((0,),(1,2))
+    table.add("k", 3, 0b010)  # ((0,2),(1,))
+    assert best_outcome(G, table) == (3, Outcome(((0,), (1, 2))))
     assert table.budget.seen == 4
-
-
-# The witness table with frozenset blocks and an eagerly computed witness key,
-# as it was before blocks became bitmasks: the reference for the lazy table.
-
-
-def _eager_witness_key(blocks):
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-class _EagerTable:
-    def __init__(self, budget, canon=None):
-        self.budget = budget
-        self.canon = canon
-        self.data = {}
-
-    def add(self, state, welfare, blocks):
-        budget = self.budget
-        budget.seen += 1
-        if budget.seen > budget.limit:
-            raise ResourceLimitError(budget.message)
-        key = state if self.canon is None else self.canon(state)
-        old = self.data.get(key)
-        wk = None
-        if old is not None:
-            if welfare < old[0]:
-                return
-            if welfare == old[0]:
-                wk = _eager_witness_key(blocks)
-                if wk >= old[2]:
-                    return
-        if wk is None:
-            wk = _eager_witness_key(blocks)
-        self.data[key] = (welfare, blocks, wk, state)
-
-
-def _eager_best_outcome(table):
-    if not table.data:
-        return None
-    welfare, blocks, _, _ = min(table.data.values(), key=lambda e: (-e[0], e[2]))
-    return welfare, Outcome.from_blocks(blocks)
-
-
-def _set_grow_block(blocks, mates, a):
-    mates_set = set(mates)
-    out = []
-    grown = False
-    for b in blocks:
-        if b & mates_set:
-            out.append(b | {a})
-            grown = True
-        else:
-            out.append(b)
-    if not grown:
-        out.append(frozenset({a}))
-    return tuple(out)
-
-
-def _set_merge_blocks(blocks_y, blocks_z):
-    out = [set(b) for b in blocks_y]
-    for bz in blocks_z:
-        hit = None
-        for b in out:
-            if b & bz:
-                hit = b
-                break
-        if hit is None:
-            out.append(set(bz))
-        else:
-            hit |= bz
-    return tuple(frozenset(b) for b in out)
-
-
-def _sets(masks):
-    return tuple(frozenset(iter_bits(m)) for m in masks)
 
 
 def _random_partition(agents, rng):
@@ -192,82 +116,70 @@ def _random_partition(agents, rng):
     return tuple(masks)
 
 
+def _blocks(masks):
+    return [tuple(iter_bits(m)) for m in masks]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), st.randoms(use_true_random=False))
-def test_lazy_witness_table_keeps_the_eager_tables_winners(n, rng):
-    budget, eager_budget = Budget(10**6, "unused"), Budget(10**6, "unused")
-    first = lambda state: state[0]
-    table, eager = WitnessTable(budget, canon=first), _EagerTable(eager_budget, canon=first)
+def test_witness_table_keeps_the_best_entry_per_slot(n, rng):
+    # against a plain list of every add: per slot the highest welfare, then
+    # the smallest key, then the earliest add
+    G = complete_graph(n)
+    table = WitnessTable(Budget(10**6, "unused"), canon=lambda state: state[0])
+    adds = []
     for step in range(rng.randrange(1, 40)):
-        # few keys and a narrow welfare range, so that most adds tie
+        # few slots and a narrow welfare range, so that most adds tie
         state = (rng.randrange(3), step)
         welfare = rng.randrange(-1, 2)
-        masks = _random_partition(range(n), rng)
-        table.add(state, welfare, masks)
-        eager.add(state, welfare, _sets(masks))
-    assert list(table.data) == list(eager.data)
-    for key, (welfare, masks, _, state) in table.data.items():
-        eager_welfare, blocks, _, eager_state = eager.data[key]
-        assert (welfare, _sets(masks), state) == (eager_welfare, blocks, eager_state)
-    assert best_outcome(table) == _eager_best_outcome(eager)
-    assert budget.seen == eager_budget.seen
-
-
-def _join_witnesses(n, rng):
-    """(bag, blocks_y, blocks_z): a random bag over agents 0..n-1 and the
-    witnesses of a join's two branches, whose open blocks meet the bag in the
-    same parts.  Each agent outside the bag belongs to one branch, and the
-    right branch may hold up to three more agents n, n+1, ...; a branch's own
-    agent joins one of the bag parts' blocks or a closed block."""
-    bag_agents = [a for a in range(n) if rng.random() < 0.4]
-    bag = sum(1 << a for a in bag_agents)
-    parts = _random_partition(bag_agents, rng)
-    own_y = [a for a in range(n) if not bag >> a & 1 and rng.random() < 0.5]
-    own_z = [a for a in range(n) if not bag >> a & 1 and a not in own_y]
-    own_z += list(range(n, n + rng.randrange(4)))
-
-    def side(own):
-        opens = list(parts)
-        closed: dict = {}
-        for a in own:
-            label = rng.randrange(len(opens) + len(own))
-            if label < len(opens):
-                opens[label] |= 1 << a
-            else:
-                closed[label] = closed.get(label, 0) | 1 << a
-        masks = opens + list(closed.values())
-        rng.shuffle(masks)
-        return tuple(masks)
-
-    return bag, side(own_y), side(own_z)
+        key = plain_key(G, _blocks(_random_partition(range(n), rng)))
+        table.add(state, welfare, key)
+        adds.append((state[0], -welfare, key, step, state))
+    expect = {}
+    for slot, neg_welfare, key, _, state in sorted(adds):
+        expect.setdefault(slot, (-neg_welfare, key, state))
+    assert table.data == expect
+    welfare, key, _ = min(expect.values(), key=lambda e: (-e[0], e[1]))
+    assert best_outcome(G, table) == (welfare, G.outcome_of_key(key))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.randoms(use_true_random=False))
-def test_mask_block_helpers_match_the_set_versions(n, rng):
-    masks = _random_partition(range(n), rng)
-    # a new agent joins the block of some mates, or opens a block of its own
-    host = masks[rng.randrange(len(masks))]
-    mates = [a for a in range(n) if host >> a & 1 and rng.random() < 0.5]
-    mates_mask = sum(1 << m for m in mates)
-    assert _sets(grow_block(masks, mates_mask, n)) == _set_grow_block(_sets(masks), mates, n)
-    # two branches' witnesses that meet the join's bag in the same parts
-    bag, blocks_y, blocks_z = _join_witnesses(n, rng)
-    assert _sets(merge_blocks(blocks_y, blocks_z, bag)) == _set_merge_blocks(_sets(blocks_y), _sets(blocks_z))
+@given(st.integers(1, 8), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_mask_block_helpers_match_the_set_versions(n, p, rng):
+    # a block's key and an agent's key bits into a block, against the plain
+    # key of the block's agents with and without the agent
+    G = SocialNetwork(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    for mask in _random_partition(range(n), rng):
+        block = tuple(iter_bits(mask))
+        assert G.edge_key(mask) == plain_key(G, [block])
+        a = rng.randrange(n)
+        rest = tuple(b for b in block if b != a)
+        assert G.edge_key_to(a, mask) == plain_key(G, [rest + (a,)]) - plain_key(G, [rest])
 
 
-def _agent_key(blocks):
-    return tuple(sorted(tuple(iter_bits(b)) for b in blocks))
+def _edge_indicators(G, masks):
+    """Per edge in rank order, whether some block holds both its ends."""
+    return tuple(any(m >> u & 1 and m >> v & 1 for m in masks) for u, v in G.edges)
+
+
+def _key(G, masks):
+    key = 0
+    for mask in masks:
+        key |= G.edge_key(mask)
+    return key
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9), st.randoms(use_true_random=False))
-def test_bitmask_tie_order_is_the_agent_tuple_order(n, rng):
+@given(st.integers(1, 9), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_key_order_is_the_edge_rank_order(n, p, rng):
+    # the smaller key leaves out the first edge in rank order where two
+    # partitions differ
+    G = SocialNetwork(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
     xs = _random_partition(range(n), rng)
     # an equal partition a fifth of the time, so that equal witnesses are drawn too
     ys = xs if rng.random() < 0.2 else _random_partition(range(n), rng)
-    assert _precedes(_low_order(xs), _low_order(ys)) == (_agent_key(xs) < _agent_key(ys))
-    assert _precedes(_low_order(ys), _low_order(xs)) == (_agent_key(ys) < _agent_key(xs))
+    assert (_key(G, xs) < _key(G, ys)) == (_edge_indicators(G, xs) < _edge_indicators(G, ys))
+    assert (_key(G, ys) < _key(G, xs)) == (_edge_indicators(G, ys) < _edge_indicators(G, xs))
 
 
 @pytest.mark.parametrize(
@@ -283,55 +195,135 @@ def test_bitmask_tie_order_is_the_agent_tuple_order(n, rng):
     ],
 )
 def test_bitmask_tie_order_on_prefix_blocks(xs, ys):
-    assert _precedes(_low_order(xs), _low_order(ys)) == (_agent_key(xs) < _agent_key(ys))
-    assert _precedes(_low_order(ys), _low_order(xs)) == (_agent_key(ys) < _agent_key(xs))
+    # the keys of bitmask witnesses on the triangle, where every pair of
+    # agents is an edge
+    G = complete_graph(3)
+    assert (_key(G, xs) < _key(G, ys)) == (_edge_indicators(G, xs) < _edge_indicators(G, ys))
+    assert (_key(G, ys) < _key(G, xs)) == (_edge_indicators(G, ys) < _edge_indicators(G, xs))
+
+
+def _set_join(G, cap, node, left, right):
+    """The open-coalition DP's join written over sets: every pair of entries
+    whose open coalitions meet the bag in the same parts, with coalitions
+    fused where they share an agent, dropped when one outgrows ``cap``;
+    pending lists concatenate, deviations take the larger value per agent,
+    welfare adds and keys OR."""
+    bag = set(node.bag)
+    table = WitnessTable(Budget(10**9, "unused"), left.canon)
+    for wf_y, key_y, (opens_y, pending_y, devs_y) in left.data.values():
+        for wf_z, key_z, (opens_z, pending_z, devs_z) in right.data.values():
+            sets_y = [set(iter_bits(b)) for b in opens_y]
+            sets_z = [set(iter_bits(b)) for b in opens_z]
+            if sorted(sorted(b & bag) for b in sets_y) != sorted(sorted(b & bag) for b in sets_z):
+                continue
+            merged = [b | next(c for c in sets_z if b & c) for b in sets_y]
+            if any(len(b) > cap for b in merged):
+                continue
+            devs = dict(devs_y)
+            for t, d in devs_z:
+                devs[t] = max(devs.get(t, 0), d)
+            state = (
+                tuple(sorted(G.mask_of(b) for b in merged)),
+                tuple(sorted(pending_y + pending_z)),
+                tuple(sorted(devs.items())),
+            )
+            table.add(state, wf_y + wf_z, key_y | key_z)
+    return table
 
 
 # criterion-4 seeds whose nice decompositions have join nodes
 @pytest.mark.parametrize("seed", [0, 5, 9, 10, 12, 19, 20, 24, 26, 27])
 def test_bag_merge_equals_the_set_merge_during_solves(seed, monkeypatch):
-    # at every join of a twdp or fptdp solve, the bag-keyed merge gives the
-    # tuple that fusing every pair of blocks sharing an agent gives
+    # at every join of the open-coalition DP (twdp in NS mode, fptdp in
+    # every mode) the bag-keyed merge builds the table that merging the
+    # entries as sets builds
     G = random_solver_corpus_instance(seed)
     joins = []
+    steps = dp.coalition_steps
 
-    def checked(blocks_y, blocks_z, bag, at):
-        assert at == part_index(blocks_y, bag)
-        merged = merge_blocks(blocks_y, blocks_z, bag, at)
-        assert _sets(merged) == _set_merge_blocks(_sets(blocks_y), _sets(blocks_z))
-        joins.append(bag)
-        return merged
+    def wrapped(ev, budget, cap, mode, canon=None):
+        leaf, introduce, forget, join = steps(ev, budget, cap, mode, canon)
 
-    monkeypatch.setattr(dp, "merge_blocks", checked)
-    monkeypatch.setattr(solver_twdp, "merge_blocks", checked)
+        def checked(node, left, right):
+            table = join(node, left, right)
+            assert list(table.data.items()) == list(_set_join(G, cap, node, left, right).data.items())
+            joins.append(len(table.data))
+            return table
+
+        return leaf, introduce, forget, checked
+
+    monkeypatch.setattr(solver_twdp, "coalition_steps", wrapped)
+    monkeypatch.setattr(solver_fptdp, "coalition_steps", wrapped)
     for vec in ((1, -3), (1, 0, -1)):
         s = ScoringVector(vec)
         for mode in ("welfare", "ir", "ns"):
             solve(s, G, mode, algo="twdp")
             solve_fpt(s, G, mode=mode)
-    assert joins
+    assert any(joins)
+
+
+def _relabelled_degree3_graph():
+    """Relabelling 2 of random_bounded_degree(11, 3, 1): under the old tie
+    rule fptdp returned another welfare-26 optimum here than brute force."""
+    return SocialNetwork(11, [
+        (0, 4), (0, 6), (1, 10), (2, 4), (2, 5), (2, 7), (3, 7),
+        (3, 10), (4, 8), (5, 9), (6, 8), (6, 9), (7, 8), (9, 10),
+    ])
+
+
+# criterion-4 seeds whose nice decompositions have join nodes, the graph
+# above, and the 6-agent graph whose tie twdp broke by the decomposition
+INDEPENDENCE_GRAPHS = {
+    **{f"seed{seed}": (lambda seed=seed: random_solver_corpus_instance(seed))
+       for seed in (0, 5, 9, 10, 12, 19, 20, 24, 26, 27)},
+    "degree3-n11": _relabelled_degree3_graph,
+    "tie-n6": lambda: SocialNetwork(6, [(0, 2), (0, 4), (1, 4), (3, 4), (3, 5)]),
+}
+
+
+@pytest.mark.parametrize("case", list(INDEPENDENCE_GRAPHS))
+def test_outcome_does_not_depend_on_the_decomposition(case):
+    # twdp and fptdp on the subset DP's and on min-fill's nice decomposition
+    # give byte-equal answers, brute force's, in every mode
+    G = INDEPENDENCE_GRAPHS[case]()
+    decompositions = [
+        make_nice(decomposition_from_order(G, order(G)))
+        for order in (treedecomp._exact_elimination_order, treedecomp._min_fill_order)
+    ]
+    twdp = {"welfare": solve_tw_welfare, "ir": solve_tw_ir, "ns": solve_tw_ns}
+    vectors = [ScoringVector(v) for v in ((1,), (1, -3), (1, 0, -1), (1, 1, -1, -1, -1, -1))]
+    for s in vectors + [ScoringVector((2, -1), tail="open")]:
+        for mode in ("welfare", "ir", "ns"):
+            expect = brute_force_solve(s, G, mode)
+            answers = {repr(None if expect is None else (expect.welfare, expect.outcome))}
+            for ntd in decompositions:
+                got = [solve_fpt(s, G, decomposition=ntd, mode=mode)]
+                if s.is_closed:
+                    got.append(twdp[mode](s, G, ntd))
+                answers |= {repr(None if r is None else (r.welfare, r.outcome)) for r in got}
+            assert len(answers) == 1, (str(s), mode, answers)
 
 
 def test_witness_table_keys_states_by_canon():
     table = WitnessTable(Budget(10, "unused"), canon=len)
-    table.add("ab", 1, ())
-    table.add("cd", 2, ())
+    table.add("ab", 1, 0)
+    table.add("cd", 2, 0)
     assert list(table.data) == [2]
-    assert table.data[2][3] == "cd"
+    assert table.data[2][2] == "cd"
 
 
 def test_budget_charges_every_add_and_raises_past_its_limit():
     budget = Budget(3, "out of records (3)")
     left, right = WitnessTable(budget), WitnessTable(budget)
-    left.add("a", 0, ())
-    right.add("a", -1, ())
-    left.add("a", -1, ())
+    left.add("a", 0, 0)
+    right.add("a", -1, 0)
+    left.add("a", -1, 0)
     with pytest.raises(ResourceLimitError, match=r"out of records \(3\)"):
-        right.add("b", 0, ())
+        right.add("b", 0, 0)
 
 
 def test_best_outcome_of_empty_table_is_none():
-    assert best_outcome(WitnessTable(Budget(1, "unused"))) is None
+    assert best_outcome(path_graph(2), WitnessTable(Budget(1, "unused"))) is None
 
 
 def test_self_check_rejects_wrong_welfare_and_unstable_outcomes():
@@ -367,7 +359,7 @@ def test_forget_drops_a_coalition_its_forgotten_member_cannot_reach(mode):
     for agent in (0, 2, 1):
         bag = bag | {agent}
         table = introduce(NiceNode("introduce", bag, (0,), agent), table)
-    assert any(0b101 in opens for opens, _, _ in (e[3] for e in table.data.values()))
+    assert any(0b101 in opens for opens, _, _ in (e[2] for e in table.data.values()))
     table = forget(NiceNode("forget", frozenset({1, 2}), (0,), 0), table)
-    states = [e[3] for e in table.data.values()]
+    states = [e[2] for e in table.data.values()]
     assert states and all(0b101 not in opens for opens, _, _ in states)

@@ -24,7 +24,7 @@ from sdgsolve.oracle import (
 )
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
-from conftest import VECTORS, path_graph, random_connected_graph
+from conftest import VECTORS, path_graph, plain_key, random_connected_graph
 
 
 class TestEnumeration:
@@ -152,15 +152,16 @@ def test_mode_ordering_and_certificates(n, rng, vi):
 
 def _bell_reference(s, G):
     """Per mode, the best partition over the plain Bell enumeration: highest
-    welfare, then smallest outcome, among those passing the mode's predicate
-    (None if none does).  Welfare is the sum of ``coalition_welfare`` over the
-    blocks, as in ``social_welfare``, cached per block so that the 10-agent
-    figures stay fast."""
+    welfare, then smallest outcome key (``plain_key``), among those passing
+    the mode's predicate (None if none does).  Welfare is the sum of
+    ``coalition_welfare`` over the blocks, as in ``social_welfare``, cached
+    per block so that the 10-agent figures stay fast."""
     block_welfare = functools.cache(lambda block: coalition_welfare(s, G, block))
-    # enumerate_partitions lists blocks by smallest member, members ascending:
-    # each partition is already its Outcome's sort key
+    # partitions of equal key differ only in disconnected blocks, of welfare
+    # minus infinity; the blocks break that tie
     ranked = sorted(
-        (-sum(map(block_welfare, blocks)), blocks) for blocks in enumerate_partitions(G.n)
+        (-sum(map(block_welfare, blocks)), plain_key(G, blocks), blocks)
+        for blocks in enumerate_partitions(G.n)
     )
     accept = {
         "welfare": lambda o: True,
@@ -168,7 +169,7 @@ def _bell_reference(s, G):
         "ns": lambda o: is_nash_stable(s, G, o),
     }
     best = dict.fromkeys(accept)
-    for neg_welfare, blocks in ranked:
+    for neg_welfare, _, blocks in ranked:
         outcome = Outcome.from_blocks(blocks)
         for mode, ok in accept.items():
             if best[mode] is None and ok(outcome):

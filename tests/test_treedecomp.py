@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdgsolve import treedecomp
-from sdgsolve.core import SocialNetwork, iter_bits
+from sdgsolve.core import ScoringVector, SocialNetwork, iter_bits
+from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.treedecomp import (
     TdParseError,
@@ -272,9 +273,8 @@ def reference_elimination_order(G: SocialNetwork) -> list[int]:
 
 
 class TestExactOrder:
-    """The subset DP's order decides the decomposition up to 14 agents, and
-    with it the outcome twdp and fptdp pick among equal-welfare optima, so
-    its order is pinned, not only its width."""
+    """The subset DP's order, behind ``exact_treewidth``, is pinned against
+    the plain DP, not only its width."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 9), st.floats(0, 4), st.randoms(use_true_random=False))
@@ -316,9 +316,8 @@ def reference_min_fill_order(G: SocialNetwork) -> list[int]:
 
 
 class TestMinFillOrder:
-    """Above 14 agents the min-fill order decides the decomposition, and with
-    it the outcome twdp and fptdp pick among equal-welfare optima, so its
-    order is pinned against the full scan."""
+    """The min-fill order decides every decomposition the solvers use, so
+    its order is pinned against the full scan."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 24), st.floats(0, 1), st.randoms(use_true_random=False))
@@ -339,29 +338,41 @@ class TestMinFillOrder:
 
 
 class TestDecompositionWidth:
-    """The width of ``compute_decomposition``: exact up to 14 agents, from
-    one subset DP run per graph object."""
+    """The width of ``compute_decomposition``: min-fill's at every size, one
+    run per graph object; ``exact_treewidth`` runs the subset DP apart from
+    it, and solving never does."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 10), st.floats(0, 4), st.randoms(use_true_random=False))
     def test_width_is_the_decompositions(self, n, density, rng):
         G = random_connected_graph(n, rng, density)
-        assert compute_decomposition(G).width() == exact_treewidth(G)
+        td = compute_decomposition(G)
+        assert td == decomposition_from_order(G, reference_min_fill_order(G))
+        assert validate(G, td) == td.width() >= exact_treewidth(G)
 
-    def test_uncertified_min_fill_runs_the_exact_dp(self, monkeypatch):
-        G = random_bounded_degree(10, 3, 0)
-        exact_order = treedecomp._exact_elimination_order
-        calls = []
+    def test_solve_never_runs_the_subset_dp(self, monkeypatch):
+        def refused(G):
+            raise AssertionError("the solve path ran the exact subset DP")
 
-        def counted(graph):
-            calls.append(graph)
-            return exact_order(graph)
+        monkeypatch.setattr(treedecomp, "_exact_elimination_order", refused)
+        graphs = [random_bounded_degree(10, 3, 0), random_partial_ktree(14, 2, 3), path_graph(20)]
+        for G in graphs:
+            for s in (ScoringVector((1, -3)), ScoringVector((2, -1), tail="open")):
+                for mode in ("welfare", "ir", "ns"):
+                    for algo in ("auto", "twdp", "fptdp"):
+                        if algo != "twdp" or s.is_closed:
+                            solve(s, G, mode, algo=algo)
 
-        monkeypatch.setattr(treedecomp, "_exact_elimination_order", counted)
-        monkeypatch.setattr(treedecomp, "_min_fill_order", None)
-        assert compute_decomposition(G).width() == 4
-        assert validate_nice(G, nice_decomposition(G)) == 4
-        assert calls == [G]
+    def test_exact_width_is_not_the_kept_min_fill_width(self):
+        # min-fill's decomposition of this 10-agent graph has width 6, one
+        # above its treewidth
+        G = SocialNetwork(10, [
+            (0, 1), (0, 3), (0, 5), (0, 7), (0, 9), (1, 2), (1, 3), (1, 4), (2, 5),
+            (2, 6), (2, 7), (3, 5), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8),
+            (4, 9), (5, 6), (5, 7), (5, 8), (6, 9), (7, 8), (8, 9),
+        ])
+        assert compute_decomposition(G).width() == 6
+        assert exact_treewidth(G) == decomposition_from_order(G, reference_elimination_order(G)).width() == 5
 
     def test_bad_heuristic_order_is_not_trusted(self, monkeypatch):
         grid = SocialNetwork(
@@ -369,9 +380,10 @@ class TestDecompositionWidth:
             + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
         )
         bad = [4, 0, 2, 6, 8, 1, 3, 5, 7]  # the centre first joins its four neighbours
-        assert decomposition_from_order(grid, bad).width() > exact_treewidth(grid) == 3
         monkeypatch.setattr(treedecomp, "_min_fill_order", lambda G: bad)
-        assert compute_decomposition(grid).width() == 3
+        # the kept decomposition follows the heuristic; the exact width does not
+        assert compute_decomposition(grid).width() == decomposition_from_order(grid, bad).width() > 3
+        assert exact_treewidth(grid) == 3
 
     def test_kept_per_graph_object(self):
         G = random_partial_ktree(20, 2, 0)

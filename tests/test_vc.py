@@ -18,7 +18,7 @@ from sdgsolve.solver_vc import (
 )
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
-from conftest import complete_graph, cycle_graph, random_connected_graph, star_graph
+from conftest import complete_graph, cycle_graph, plain_key, random_connected_graph, star_graph
 
 
 def brute_min_cover_size(G):
@@ -142,7 +142,8 @@ class TestSolve:
 class TestCanonicalOutcome:
     @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
     def test_star_tie_goes_to_the_smallest_outcome(self, mode):
-        # a centre-leaf pair ties with any other; (3,4) leaves 0 alone
+        # a centre-leaf pair ties with any other; (3,4) is the last edge in
+        # rank order, so its key is the smallest
         G = SocialNetwork(5, [(3, 0), (3, 1), (3, 2), (3, 4)])
         res = solve_vc(ScoringVector((1, -3)), G, mode)
         assert res.outcome == Outcome(((0,), (1,), (2,), (3, 4)))
@@ -150,7 +151,9 @@ class TestCanonicalOutcome:
     def test_corpus_seed_52(self):
         G = random_solver_corpus_instance(52)
         res = solve_vc(ScoringVector((1,)), G, "welfare")
-        assert res.outcome == Outcome(((0,), (1, 2, 3), (4, 5)))
+        # eight welfare-8 optima of two cliques; this one holds edges
+        # (1,4), (1,5), (2,3) and (4,5), key 0b0000011101
+        assert res.outcome == Outcome(((0,), (1, 4, 5), (2, 3)))
 
     def test_optimum_as_incumbent_is_never_improved(self, fig_a):
         s = ScoringVector((1, -3))
@@ -158,7 +161,7 @@ class TestCanonicalOutcome:
         cover = compute_vertex_cover(fig_a)
         classes = neighborhood_classes(fig_a, cover)
         ev = CoalitionEvaluator(s, fig_a)
-        incumbent = (expect.welfare, expect.outcome)
+        incumbent = (expect.welfare, plain_key(fig_a, expect.outcome))
         for structure in enumerate_structures(fig_a, cover):
             assert solve_qp(s, fig_a, "welfare", structure, classes, ev, incumbent) is None
 
@@ -215,3 +218,33 @@ def test_oracle_equivalence(seed):
             assert is_individually_rational(s, G, got.outcome)
         if got is not None and mode == "ns":
             assert is_nash_stable(s, G, got.outcome)
+
+
+def _complete_bipartite(a, b):
+    return SocialNetwork(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+# false-twin-heavy graphs: stars and K(2,b), K(3,b), each under its own
+# labels and two relabellings, so the twins' placement meets every edge order
+TWIN_GRAPHS = {
+    **{f"star{b}": star_graph(b) for b in (2, 3, 5)},
+    **{f"k2-{b}": _complete_bipartite(2, b) for b in (2, 3, 5)},
+    **{f"k3-{b}": _complete_bipartite(3, b) for b in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("relabel", range(3))
+@pytest.mark.parametrize("name", list(TWIN_GRAPHS))
+def test_false_twins_match_brute(name, relabel):
+    base = TWIN_GRAPHS[name]
+    perm = list(range(base.n))
+    if relabel:
+        random.Random(relabel).shuffle(perm)
+    G = SocialNetwork(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    for s in VECTORS + [ScoringVector((1, 1)), ScoringVector((2, -1), tail="open")]:
+        for mode in ("welfare", "ir", "ns"):
+            expect = brute_force_solve(s, G, mode)
+            got = solve_vc(s, G, mode)
+            ew = None if expect is None else (expect.welfare, expect.outcome)
+            gw = None if got is None else (got.welfare, got.outcome)
+            assert ew == gw, f"s={s} mode={mode} G={G.edges}"
