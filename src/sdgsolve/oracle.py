@@ -2,9 +2,12 @@
 
 Every other solver in the package is differential-tested against this one.
 A coalition of finite welfare is connected, so the search runs over connected
-blocks only: a subset DP for welfare and IR, and an enumeration of the
+blocks only: a subset DP for welfare and IR, and a branch and bound over the
 partitions into IR-admissible connected blocks for NS (coalition structure
-generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).
+generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).  Every NS
+outcome is IR, so the IR subset DP's value of the agents still to place
+bounds each NS branch exactly, and the search starts from the IR optimum
+(branch and bound with a DP bound: Rahwan et al., JAIR 2009).
 Every utility comes from one ``CoalitionEvaluator`` per solve, which caches
 it by member bitmask; the NS search tests each candidate partition with the
 same deviation search as ``stability.find_deviation``.
@@ -15,7 +18,7 @@ components of the key's edges.
 ``enumerate_partitions`` keeps the plain Bell enumeration for tests.
 """
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     NEG_INF,
@@ -98,11 +101,12 @@ def _admissible_blocks(
             yield block, welfare
 
 
-def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> tuple[ExtInt, int]:
+def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> Callable[[int], tuple[ExtInt, int]]:
     """Subset DP: best(rem) = max of w(B) + best(rem ^ B) over admissible B
     holding the lowest agent of rem, ties to the smallest outcome key.  The
     key of B plus rem ^ B's partition is the sum of their keys (no edge is
-    inside both), so the smallest key of rem ^ B completes B best."""
+    inside both), so the smallest key of rem ^ B completes B best.  Returns
+    ``best``, memoised per bitmask for the evaluator's lifetime."""
     G = ev.G
     memo: dict[int, tuple[ExtInt, int]] = {0: (0, 0)}
     block_keys: dict[int, int] = {}
@@ -127,34 +131,51 @@ def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> tuple[ExtInt, int]
         memo[rem] = (top_w, top_key)
         return top_w, top_key
 
-    return best(G.full_mask)
+    return best
 
 
 def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, int]]:
-    """Best Nash-stable partition, by enumerating the partitions into
-    IR-admissible blocks: every NS outcome is IR, since leaving for a
-    singleton is one of the moves tested."""
+    """Best Nash-stable partition, by branch and bound over the partitions
+    into IR-admissible blocks: every NS outcome is IR, since leaving for a
+    singleton is one of the moves tested.
+
+    The IR subset DP bounds every branch exactly.  An IR partition of ``rem``
+    has welfare at most ``bound(rem)[0]``, and at that welfare a key at least
+    ``bound(rem)[1]``, since keys of disjoint edge sets add; so a branch
+    returns once it cannot beat the incumbent's welfare, or tie it with a
+    smaller key.  Blocks are tried in descending ``w(B) + bound(rem ^ B)[0]``,
+    ties to the smaller key, so the first partition reached is the IR
+    optimum: when it is Nash stable, every other branch is cut."""
     G = ev.G
+    bound = _best_partition(ev, need_ir=True)
     best_welfare: ExtInt = NEG_INF  # every partition searched scores higher
-    best_key = None
+    best_key = 0
     masks: list[int] = []
 
     def rec(rem: int, welfare: ExtInt, key: int):
         nonlocal best_welfare, best_key
-        if rem == 0:
-            if welfare < best_welfare:
-                return
-            if welfare > best_welfare or key < best_key:
-                if first_deviation(ev, masks, "ns") is None:
-                    best_welfare, best_key = welfare, key
+        top_w, top_key = bound(rem)
+        top_w += welfare
+        if top_w < best_welfare or (top_w == best_welfare and key | top_key >= best_key):
             return
+        if rem == 0:
+            # this partition would replace the incumbent
+            if first_deviation(ev, masks, "ns") is None:
+                best_welfare, best_key = welfare, key
+            return
+        order = []
         for block, w in _admissible_blocks(ev, rem, True):
+            rest_w, rest_key = bound(rem ^ block)
+            block_key = G.edge_key(block)
+            order.append((-(w + rest_w), block_key | rest_key, block, w, block_key))
+        order.sort()
+        for _, _, block, w, block_key in order:
             masks.append(block)
-            rec(rem ^ block, welfare + w, key | G.edge_key(block))
+            rec(rem ^ block, welfare + w, key | block_key)
             masks.pop()
 
     rec(G.full_mask, 0, 0)
-    return None if best_key is None else (best_welfare, best_key)
+    return None if best_welfare == NEG_INF else (best_welfare, best_key)
 
 
 def brute_force_solve(
@@ -163,9 +184,11 @@ def brute_force_solve(
     """Maximum-welfare outcome under the mode's stability predicate.
 
     Welfare and IR run the subset DP over connected admissible blocks; NS
-    enumerates the partitions into IR-admissible connected blocks.  Returns
-    None only in ns mode when no Nash-stable outcome exists.  Ties break
-    toward the smallest outcome key (``SocialNetwork.edge_key``).
+    searches the partitions into IR-admissible connected blocks, bounded by
+    the IR subset DP, so it holds the IR memo and its memory equals IR
+    mode's.  Returns None only in ns mode when no Nash-stable outcome
+    exists.  Ties break toward the smallest outcome key
+    (``SocialNetwork.edge_key``).
     """
     check_mode(mode)
     if G.n > cap:
@@ -176,7 +199,7 @@ def brute_force_solve(
     if mode == "ns":
         solved = _best_nash_stable(ev)
     else:
-        solved = _best_partition(ev, need_ir=mode == "ir")
+        solved = _best_partition(ev, need_ir=mode == "ir")(G.full_mask)
     if solved is None:
         return None
     welfare, key = solved

@@ -46,6 +46,17 @@ is empty, fuses every other pair of runs once per solve (the results are
 memoized for the solve's later joins) and concatenates the fused runs: the
 record that crossing and tallying all of both sides' cells gives, exactly.
 
+Records that share their parts and promises share every step's work on the
+bag, so each step groups its child table by ``(parts, promises)`` first.
+Introduce works out once per group each part's candidate distances, the
+choices that keep every triangle, their promises and those pairs' welfare,
+and per record only updates the cells.  Forget works out once per group the
+forgotten agent's part, the new parts and promises, its own cell's vector
+and promise utility, and settles each commitment that an edge or a third
+member realizes; per record it checks the commitments left against the
+cells' routes, trims and tallies the cells and screens IR.  The join matches
+the left records against the right table's groups.
+
 A record's witness is its outcome key (``dp``): an introduce into part L adds
 the new agent's edges into L, and a join ORs both sides' keys.
 
@@ -107,29 +118,6 @@ def _ball(G, source, radius):
     return dist
 
 
-def _realized(w, b, part, promises, cells) -> bool:
-    """Whether known structure realizes the commitment between members w and
-    b of ``part`` without their own virtual edge: a real edge, a route through
-    a tallied forgotten member, or one through a third member.  In a
-    consistent record no route is shorter, and a route of more hops is no
-    shorter than the two-hop route through its first member."""
-    d = promises[_pkey(w, b)]
-    if d == 1:
-        return True
-    i = (part & ((1 << w) - 1)).bit_count()
-    j = (part & ((1 << b) - 1)).bit_count()
-    if any(c[0] == part and c[1][i] + c[1][j] == d for c in cells):
-        return True
-    return any(
-        promises[_pkey(w, t)] + promises[_pkey(t, b)] == d
-        for t in iter_bits(part & ~(1 << w | 1 << b))
-    )
-
-
-def _sig(parts, promises, cells):
-    return tuple(sorted(parts)), tuple(sorted(promises.items())), tuple(sorted(cells))
-
-
 def _tally(cells, ir):
     """Tally cells merged per (part, distance vector): counts add up and, in
     IR mode, the worst utility is the minimum of the merged ones."""
@@ -144,6 +132,16 @@ def _tally(cells, ir):
     if ir:
         return [k + v for k, v in merged.items()]
     return [k + (v,) for k, v in merged.items()]
+
+
+def _grouped(table):
+    """A table's records grouped by ``(parts, promises)``: the group's
+    ``(cells, welfare, key)`` per record.  Every step's work on the bag
+    depends on the parts and promises alone, so it runs once per group."""
+    groups: dict = {}
+    for (parts, prom, cells), (w, key, _) in table.data.items():
+        groups.setdefault((parts, prom), []).append((cells, w, key))
+    return groups
 
 
 def _runs(parts, cells):
@@ -174,12 +172,13 @@ def _compressed_steps(s, G, budget, ir):
         near = balls.get(a)
         if near is None:
             near = balls[a] = _ball(G, a, cutoff)
-        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
-            table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c), w_c, key_c)
+        for (parts_c, prom_c), group in _grouped(child).items():
+            alone = tuple(sorted(parts_c + (bit,)))
+            for cells_c, w_c, key_c in group:
+                table.add((alone, prom_c, cells_c), w_c, key_c)
             promises_c = dict(prom_c)
             for L in parts_c:
                 mates = list(iter_bits(L))
-                key = key_c | G.edge_key_to(a, L)
                 # candidate committed distances per new pair
                 options = []
                 for b in mates:
@@ -191,12 +190,11 @@ def _compressed_steps(s, G, budget, ir):
                         break
                     options.append(range(lo, cutoff + 1))
                 else:
-                    part = L | bit
-                    parts = [part if p == L else p for p in parts_c]
-                    pos = (L & (bit - 1)).bit_count()
+                    # the grown part stays consistent exactly when every
+                    # triangle through a holds; (choice, promises, welfare of
+                    # the new pairs) of each choice that keeps them all
+                    moves = []
                     for choice in product(*options):
-                        # the grown part stays consistent exactly when every
-                        # triangle through a holds
                         pairs = list(zip(mates, choice))
                         if not all(
                             abs(d - e) <= promises_c[b, c] <= d + e
@@ -208,55 +206,82 @@ def _compressed_steps(s, G, budget, ir):
                         for b, d in pairs:
                             promises[_pkey(a, b)] = d
                             delta += 2 * score(d)
-                        cells = []
-                        for cell in cells_c:
-                            if cell[0] != L:
-                                cells.append(cell)
-                                continue
-                            vec = cell[1]
-                            entry = _INF
-                            for e, d in zip(vec, choice):
-                                if e + d < entry:
-                                    entry = e + d
-                            if entry > cutoff:
-                                break
-                            v = score(entry)
-                            delta += 2 * cell[2] * v
-                            vec = vec[:pos] + (entry,) + vec[pos:]
-                            cells.append((part, vec) + ((cell[2], cell[3] + v) if ir else cell[2:]))
-                        else:
-                            table.add(_sig(parts, promises, cells), w_c + delta, key)
+                        moves.append((choice, tuple(sorted(promises.items())), delta))
+                    part = L | bit
+                    parts = tuple(sorted(part if p == L else p for p in parts_c))
+                    pos = (L & (bit - 1)).bit_count()
+                    edges_a = G.edge_key_to(a, L)
+                    for cells_c, w_c, key_c in group:
+                        key = key_c | edges_a
+                        for choice, promises, delta in moves:
+                            cells = []
+                            for cell in cells_c:
+                                if cell[0] != L:
+                                    cells.append(cell)
+                                    continue
+                                vec = cell[1]
+                                entry = _INF
+                                for e, d in zip(vec, choice):
+                                    if e + d < entry:
+                                        entry = e + d
+                                if entry > cutoff:
+                                    break
+                                v = score(entry)
+                                delta += 2 * cell[2] * v
+                                vec = vec[:pos] + (entry,) + vec[pos:]
+                                cells.append((part, vec) + ((cell[2], cell[3] + v) if ir else cell[2:]))
+                            else:
+                                table.add((parts, promises, tuple(sorted(cells))), w_c + delta, key)
         return table
 
     def forget(node, child):
         table = WitnessTable(budget)
         w = node.agent
         bit = 1 << w
-        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
+        for (parts_c, prom_c), group in _grouped(child).items():
             L = next(p for p in parts_c if p & bit)
             rest = L ^ bit
-            promises_c = dict(prom_c)
             pos = (L & (bit - 1)).bit_count()
+            promises_c = dict(prom_c)
+            mates = list(iter_bits(rest))
+            vec_w = tuple(promises_c[_pkey(w, b)] for b in mates)
             # every commitment of the forgotten agent must be realized by known
-            # structure at this point
-            if not all(_realized(w, b, L, promises_c, cells_c) for b in iter_bits(rest)):
-                continue
+            # structure at this point: a real edge or a route through a third
+            # member settles it for the whole group, and a route through a
+            # tallied forgotten member is left to each record's cells.  In a
+            # consistent record no route is shorter, and a route of more hops
+            # is no shorter than the two-hop route through its first member.
+            unsettled = [
+                ((L & ((1 << b) - 1)).bit_count(), d)
+                for b, d in zip(mates, vec_w)
+                if d > 1
+                and not any(promises_c[_pkey(w, t)] + promises_c[_pkey(t, b)] == d for t in mates if t != b)
+            ]
             if ir:
-                util = sum(score(promises_c[_pkey(w, b)]) for b in iter_bits(rest))
-                util += sum(c[2] * score(c[1][pos]) for c in cells_c if c[0] == L)
+                util_w = sum(score(d) for d in vec_w)
             if rest:
-                parts = [rest if p == L else p for p in parts_c]
-                cells = [(rest, c[1][:pos] + c[1][pos + 1 :]) + c[2:] if c[0] == L else c for c in cells_c]
-                vec_w = tuple(promises_c[_pkey(w, b)] for b in iter_bits(rest))
-                cells.append((rest, vec_w, 1, util) if ir else (rest, vec_w, 1))
-                promises = {p: d for p, d in promises_c.items() if w not in p}
-                table.add(_sig(parts, promises, _tally(cells, ir)), w_c, key_c)
+                parts = tuple(sorted(rest if p == L else p for p in parts_c))
+                promises = tuple(item for item in prom_c if w not in item[0])
             else:
-                # the coalition completes; only the IR screen remains
-                if ir and (util < 0 or any(c[0] == L and c[3] < 0 for c in cells_c)):
-                    continue
                 parts = tuple(p for p in parts_c if p != L)
-                table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, key_c)
+            for cells_c, w_c, key_c in group:
+                run = [c for c in cells_c if c[0] == L]
+                if not all(any(c[1][pos] + c[1][j] == d for c in run) for j, d in unsettled):
+                    continue
+                if ir:
+                    util = util_w + sum(c[2] * score(c[1][pos]) for c in run)
+                if rest:
+                    # only the forgotten agent's part changes; its cells drop
+                    # the agent's entry and tally with its own new cell
+                    grown = [(rest, c[1][:pos] + c[1][pos + 1 :]) + c[2:] for c in run]
+                    grown.append((rest, vec_w, 1, util) if ir else (rest, vec_w, 1))
+                    cells = [c for c in cells_c if c[0] != L] + _tally(grown, ir)
+                    table.add((parts, promises, tuple(sorted(cells))), w_c, key_c)
+                else:
+                    # the coalition completes; only the IR screen remains
+                    if ir and (util < 0 or any(c[3] < 0 for c in run)):
+                        continue
+                    table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, key_c)
         return table
 
     # (run_y, run_z) -> (delta, fused run), or None when a cross pair of the
@@ -288,9 +313,10 @@ def _compressed_steps(s, G, budget, ir):
 
     def join(node, left, right):
         table = WitnessTable(budget)
-        grouped: dict = {}
-        for (parts, prom, cells), (w, key, _) in right.data.items():
-            grouped.setdefault((parts, prom), []).append((_runs(parts, cells), w, key))
+        grouped = {
+            (parts, prom): [(_runs(parts, cells), w, key) for cells, w, key in group]
+            for (parts, prom), group in _grouped(right).items()
+        }
         for (parts, prom, cells_y), (w_y, key_y, _) in left.data.items():
             matches = grouped.get((parts, prom))
             if not matches:

@@ -17,7 +17,8 @@ class Deviation:
     """A profitable move for one agent.
 
     ``kind`` is "to-singleton" (leave and stand alone) or "to-coalition"
-    (join the coalition at canonical index ``target``).  ``gain`` is the
+    (join the coalition at index ``target`` of the partition as searched:
+    the outcome's canonical order from ``find_deviation``).  ``gain`` is the
     utility improvement; None encodes an unbounded gain away from a
     NEG_INF-utility coalition.
     """
@@ -57,8 +58,9 @@ def find_deviation(
 
 
 def first_deviation(ev: CoalitionEvaluator, masks: list[int], mode: str) -> Optional[Deviation]:
-    """``find_deviation`` on the partition with coalition bitmasks ``masks``
-    (canonical order), reading every utility from ``ev``."""
+    """``find_deviation`` on the partition with coalition bitmasks ``masks``,
+    reading every utility from ``ev``.  The masks may come in any order;
+    it sets only ``Deviation.target``, an index into ``masks``."""
     adj = ev.G.adj_mask
     for i in range(ev.G.n):
         own = next((t for t, mask in enumerate(masks) if mask >> i & 1), None)

@@ -1,13 +1,16 @@
 """Brute-force solver and partition enumeration."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdgsolve import oracle
 from sdgsolve.core import (
     NEG_INF,
+    CoalitionEvaluator,
     Outcome,
     ResourceLimitError,
     ScoringVector,
@@ -15,16 +18,18 @@ from sdgsolve.core import (
     coalition_welfare,
     iter_bits,
 )
+from sdgsolve.generators import random_partial_ktree
 from sdgsolve.oracle import (
+    _admissible_blocks,
     _connected_blocks,
     bell_number,
     brute_force_solve,
     decide_welfare_at_least,
     enumerate_partitions,
 )
-from sdgsolve.stability import is_individually_rational, is_nash_stable
+from sdgsolve.stability import first_deviation, is_individually_rational, is_nash_stable
 
-from conftest import VECTORS, path_graph, plain_key, random_connected_graph
+from conftest import VECTORS, _fig_b, _fig_c, path_graph, plain_key, random_connected_graph
 
 
 class TestEnumeration:
@@ -228,3 +233,93 @@ def test_welfare_dominates_every_partition(n, rng):
     best = brute_force_solve(s, G, "welfare").welfare
     for blocks in enumerate_partitions(n):
         assert social_welfare(s, G, Outcome.from_blocks(blocks)) <= best
+
+
+def _exhaustive_nash_stable(ev):
+    """Brute force's NS search before its branch and bound, kept as the
+    reference: every partition into IR-admissible blocks, with the deviation
+    check on each one that would replace the incumbent."""
+    G = ev.G
+    best_welfare = NEG_INF
+    best_key = None
+    masks = []
+
+    def rec(rem, welfare, key):
+        nonlocal best_welfare, best_key
+        if rem == 0:
+            if welfare < best_welfare:
+                return
+            if welfare > best_welfare or key < best_key:
+                if first_deviation(ev, masks, "ns") is None:
+                    best_welfare, best_key = welfare, key
+            return
+        for block, w in _admissible_blocks(ev, rem, True):
+            masks.append(block)
+            rec(rem ^ block, welfare + w, key | G.edge_key(block))
+            masks.pop()
+
+    rec(G.full_mask, 0, 0)
+    return None if best_key is None else (best_welfare, best_key)
+
+
+def _gap_network(seed):
+    """fig_b or fig_c bridged by one edge to a random tree of 1-3 agents, and
+    relabelled: 11-13 agents whose modes' optima differ."""
+    rng = random.Random(seed)
+    base = (_fig_b, _fig_c)[seed % 2]()
+    n = base.n + rng.randint(1, 3)
+    edges = list(base.edges)
+    edges += [(rng.randrange(base.n, v), v) for v in range(base.n + 1, n)]
+    edges.append((rng.randrange(base.n), rng.randrange(base.n, n)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return SocialNetwork(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+GAP_VECTORS = [s for s in VECTORS if s.is_closed] + [ScoringVector((2, -1), tail="open")]
+# seeds of _gap_network whose optima differ under the long vector: welfare
+# above IR (2, 18), IR above NS (25, 41, 55, 59), or an IR and an NS optimum
+# of equal welfare (1, 19).  And a 2-tree whose IR optimum is not Nash
+# stable while two Nash-stable outcomes reach its welfare: of 420 random
+# networks of 8-13 agents, the one where a bound that cut ties of welfare
+# without comparing keys returned the larger key
+NS_CASES = (1, 2, 18, 19, 25, 41, 55, 59, "ktree")
+
+
+def _ns_network(case):
+    return random_partial_ktree(10, 2, 1) if case == "ktree" else _gap_network(case)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", NS_CASES)
+def test_nash_stable_search_matches_the_exhaustive_search(case):
+    G = _ns_network(case)
+    for s in GAP_VECTORS:
+        expect = _exhaustive_nash_stable(CoalitionEvaluator(s, G))
+        got = brute_force_solve(s, G, "ns")
+        if expect is None:
+            assert got is None, s
+        else:
+            assert (got.welfare, got.outcome) == (expect[0], G.outcome_of_key(expect[1])), s
+
+
+@pytest.mark.parametrize("case,checks", [("fig_b", 1), (25, 4)])
+def test_nash_stable_search_starts_from_the_ir_optimum(case, checks, long_vec, monkeypatch):
+    """The first partition reached is the IR optimum, and the bound cuts
+    every branch that cannot beat the incumbent.  On fig_b the IR optimum is
+    Nash stable, so one deviation check runs; on gap network 25 the NS
+    optimum lies below it and four run.  The exhaustive search ran 4531 and
+    2029."""
+    G = _fig_b() if case == "fig_b" else _gap_network(case)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return first_deviation(*args)
+
+    monkeypatch.setattr(oracle, "first_deviation", counted)
+    ns = brute_force_solve(long_vec, G, "ns")
+    assert len(calls) == checks
+    if case == "fig_b":
+        ir = brute_force_solve(long_vec, G, "ir")
+        assert (ns.welfare, ns.outcome) == (ir.welfare, ir.outcome)

@@ -1,11 +1,12 @@
 """Treewidth DP vs the brute-force oracle, plus the reference-network values."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
 from sdgsolve import solver_twdp
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError
+from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError, iter_bits
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import Budget, WitnessTable
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree, random_solver_corpus_instance
@@ -272,6 +273,116 @@ def _pairwise_join(s, G, ir):
     return join
 
 
+def _per_record_steps(s, G, ir):
+    """twdp's welfare/IR introduce and forget as they were before the steps
+    grouped records by (parts, promises), kept as the reference: each record
+    rebuilds its promises, options, triangle checks and commitment routes on
+    its own."""
+    score = s.score
+    cutoff = s.cutoff
+    budget = Budget(10**9, "unused")
+    pkey, INF = solver_twdp._pkey, solver_twdp._INF
+
+    def realized(w, b, part, promises, cells):
+        d = promises[pkey(w, b)]
+        if d == 1:
+            return True
+        i = (part & ((1 << w) - 1)).bit_count()
+        j = (part & ((1 << b) - 1)).bit_count()
+        if any(c[0] == part and c[1][i] + c[1][j] == d for c in cells):
+            return True
+        return any(
+            promises[pkey(w, t)] + promises[pkey(t, b)] == d
+            for t in iter_bits(part & ~(1 << w | 1 << b))
+        )
+
+    def sig(parts, promises, cells):
+        return tuple(sorted(parts)), tuple(sorted(promises.items())), tuple(sorted(cells))
+
+    def introduce(node, child):
+        table = WitnessTable(budget)
+        a = node.agent
+        bit = 1 << a
+        near = solver_twdp._ball(G, a, cutoff)
+        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
+            table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c), w_c, key_c)
+            promises_c = dict(prom_c)
+            for L in parts_c:
+                mates = list(iter_bits(L))
+                key = key_c | G.edge_key_to(a, L)
+                options = []
+                for b in mates:
+                    if G.has_edge(a, b):
+                        options.append((1,))
+                        continue
+                    lo = max(2, near.get(b, INF))
+                    if lo > cutoff:
+                        break
+                    options.append(range(lo, cutoff + 1))
+                else:
+                    part = L | bit
+                    parts = [part if p == L else p for p in parts_c]
+                    pos = (L & (bit - 1)).bit_count()
+                    for choice in product(*options):
+                        pairs = list(zip(mates, choice))
+                        if not all(
+                            abs(d - e) <= promises_c[b, c] <= d + e
+                            for (b, d), (c, e) in combinations(pairs, 2)
+                        ):
+                            continue
+                        promises = dict(promises_c)
+                        delta = 0
+                        for b, d in pairs:
+                            promises[pkey(a, b)] = d
+                            delta += 2 * score(d)
+                        cells = []
+                        for cell in cells_c:
+                            if cell[0] != L:
+                                cells.append(cell)
+                                continue
+                            vec = cell[1]
+                            entry = min(e + d for e, d in zip(vec, choice))
+                            if entry > cutoff:
+                                break
+                            v = score(entry)
+                            delta += 2 * cell[2] * v
+                            vec = vec[:pos] + (entry,) + vec[pos:]
+                            cells.append((part, vec) + ((cell[2], cell[3] + v) if ir else cell[2:]))
+                        else:
+                            table.add(sig(parts, promises, cells), w_c + delta, key)
+        return table
+
+    def forget(node, child):
+        table = WitnessTable(budget)
+        w = node.agent
+        bit = 1 << w
+        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
+            L = next(p for p in parts_c if p & bit)
+            rest = L ^ bit
+            promises_c = dict(prom_c)
+            pos = (L & (bit - 1)).bit_count()
+            if not all(realized(w, b, L, promises_c, cells_c) for b in iter_bits(rest)):
+                continue
+            if ir:
+                util = sum(score(promises_c[pkey(w, b)]) for b in iter_bits(rest))
+                util += sum(c[2] * score(c[1][pos]) for c in cells_c if c[0] == L)
+            if rest:
+                parts = [rest if p == L else p for p in parts_c]
+                cells = [(rest, c[1][:pos] + c[1][pos + 1 :]) + c[2:] if c[0] == L else c for c in cells_c]
+                vec_w = tuple(promises_c[pkey(w, b)] for b in iter_bits(rest))
+                cells.append((rest, vec_w, 1, util) if ir else (rest, vec_w, 1))
+                promises = {p: d for p, d in promises_c.items() if w not in p}
+                table.add(sig(parts, promises, solver_twdp._tally(cells, ir)), w_c, key_c)
+            else:
+                if ir and (util < 0 or any(c[0] == L and c[3] < 0 for c in cells_c)):
+                    continue
+                parts = tuple(p for p in parts_c if p != L)
+                table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, key_c)
+        return table
+
+    return introduce, forget
+
+
 def _entries(table):
     return [(state, w, key) for state, (w, key, _) in table.data.items()]
 
@@ -283,7 +394,11 @@ FUSION_VECTORS = [(1, -3), (1, 0, -1), (1, 1, -1, -1, -1, -1)]
 
 
 def _fusion_graph(case):
-    return random_partial_ktree(20, 2, 0) if case == "ktree" else random_solver_corpus_instance(case)
+    if case == "ktree":
+        return random_partial_ktree(20, 2, 0)
+    if case == "tree":
+        return random_partial_ktree(30, 1, 0)
+    return random_solver_corpus_instance(case)
 
 
 def _solve_with_steps(G, wrap, monkeypatch):
@@ -322,6 +437,33 @@ def test_fused_join_equals_the_pairwise_join(case, monkeypatch):
 
     _solve_with_steps(G, wrap, monkeypatch)
     assert any(joins)
+
+
+@pytest.mark.parametrize("case", FUSION_GRAPHS + ["tree"])
+def test_grouped_steps_equal_the_per_record_steps(case, monkeypatch):
+    # at every introduce and forget the steps that work once per (parts,
+    # promises) group build the reference's table: the same states, welfare
+    # and outcome keys, in any order
+    G = _fusion_graph(case)
+    steps_seen = []
+
+    def wrap(s, ir, steps):
+        leaf, introduce, forget, join = steps
+        ref_introduce, ref_forget = _per_record_steps(s, G, ir)
+
+        def checked(step, reference):
+            def run(node, child):
+                table = step(node, child)
+                assert table.data == reference(node, child).data
+                steps_seen.append(len(table.data))
+                return table
+
+            return run
+
+        return leaf, checked(introduce, ref_introduce), checked(forget, ref_forget), join
+
+    _solve_with_steps(G, wrap, monkeypatch)
+    assert any(steps_seen)
 
 
 @pytest.mark.parametrize("case", FUSION_GRAPHS)
