@@ -118,6 +118,17 @@ def compute_bound_report(
     )
 
 
+def select_sz(s: ScoringVector, G: SocialNetwork) -> Optional[int]:
+    """Smallest size bound of ``compute_bound_report``, clamped to 1..n (a
+    singleton is always allowed), or None when neither size bound's premise
+    holds."""
+    report = compute_bound_report(s, G)
+    bounds = [b for b in (report.degree_size_bound, report.treewidth_size_bound) if b is not None]
+    if not bounds:
+        return None
+    return max(1, min(min(bounds), G.n))
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Independent validation of one outcome against a mode's requirements."""

@@ -17,8 +17,9 @@ from .core import (
     SolveResult,
     check_mode,
 )
+from .bounds import select_sz
 from .oracle import DEFAULT_AGENT_CAP, brute_force_solve
-from .solver_fptdp import select_sz, solve_fpt
+from .solver_fptdp import solve_fpt
 from .solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from .solver_vc import compute_vertex_cover, solve_vc
 from .treedecomp import (

@@ -1,11 +1,11 @@
 """Shared machinery of the dynamic programs over a nice tree decomposition.
 
-The treewidth DP (``solver_twdp``) and the coalition-topology DP
-(``solver_fptdp``) both walk a nice decomposition children first and keep,
-per node, a table from state keys to the best partial outcome reaching that
-state.  This module holds what they share: the postorder walk, the witness
-table with its budget counter, the open-coalition DP (fptdp runs it in every
-mode, twdp in NS mode), and the self-check every solver runs on its answer.
+twdp and fptdp (``solver_twdp``, ``solver_fptdp``) both walk a nice
+decomposition children first and keep, per node, a table from states to the
+best partial outcome reaching that state.  This module holds what they
+share: the postorder walk, the witness table with its budget counter, the
+open-coalition DP that both run in NS mode, and the self-check every solver
+runs on its answer.
 
 A witness is one integer, the outcome key of ``SocialNetwork.edge_key``:
 the bits of the edges inside the coalitions built so far.  Ties between
@@ -22,10 +22,9 @@ outcome: its coalitions are the components of the key's edges
 (``SocialNetwork.outcome_of_key``).
 """
 
-from functools import partial
 from typing import Optional
 
-from .core import NEG_INF, CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits, validate_outcome
+from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits, validate_outcome
 from .stability import first_deviation
 
 
@@ -68,19 +67,15 @@ class Budget:
 
 
 class WitnessTable:
-    """table key -> (welfare, key, state): maximum welfare, then the smallest
-    outcome key (``SocialNetwork.edge_key``) of the partial outcome, and the
-    state that entry reached.
+    """state -> (welfare, key): the maximum welfare of a partial outcome
+    reaching the state, then the smallest outcome key
+    (``SocialNetwork.edge_key``) among those of that welfare.  Every ``add``
+    is charged to the budget first."""
 
-    ``add`` takes a state and keys it by ``canon(state)``, or by the state
-    itself when ``canon`` is None; every call is charged to the budget first.
-    """
+    __slots__ = ("budget", "data")
 
-    __slots__ = ("budget", "canon", "data")
-
-    def __init__(self, budget: Budget, canon=None):
+    def __init__(self, budget: Budget):
         self.budget = budget
-        self.canon = canon
         self.data: dict = {}
 
     def add(self, state, welfare, key: int):
@@ -88,10 +83,9 @@ class WitnessTable:
         budget.seen += 1
         if budget.seen > budget.limit:
             raise ResourceLimitError(budget.message)
-        slot = state if self.canon is None else self.canon(state)
-        old = self.data.get(slot)
+        old = self.data.get(state)
         if old is None or welfare > old[0] or (welfare == old[0] and key < old[1]):
-            self.data[slot] = (welfare, key, state)
+            self.data[state] = (welfare, key)
 
 
 def best_outcome(G, table: WitnessTable) -> Optional[tuple[int, Outcome]]:
@@ -99,38 +93,32 @@ def best_outcome(G, table: WitnessTable) -> Optional[tuple[int, Outcome]]:
     from its key, or None when the table is empty."""
     if not table.data:
         return None
-    welfare, key, _ = max(table.data.values(), key=lambda e: (e[0], -e[1]))
+    welfare, key = max(table.data.values(), key=lambda e: (e[0], -e[1]))
     return welfare, G.outcome_of_key(key)
 
 
-def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str, canon=None):
-    """(leaf, introduce, forget, join) of the open-coalition DP, for
+def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int):
+    """(leaf, introduce, forget, join) of the open-coalition NS DP, for
     ``run_postorder``, over coalitions of at most ``cap`` members.
 
     A state is ``(opens, pending, devs)``: the member bitmasks of the open
-    coalitions (those meeting the bag), sorted; in NS mode also ``(agent,
-    utility)`` of every settled agent that still neighbours an open coalition
-    it could later want to join, and ``(agent, best deviation so far)`` of
-    every open member (both stay empty in welfare and IR mode).
+    coalitions (those meeting the bag), sorted; ``(agent, utility)`` of every
+    settled agent that still neighbours an open coalition it could later want
+    to join; and ``(agent, best deviation so far)`` of every open member.
 
     * introduce: the agent joins an open coalition below ``cap`` members, or
       opens one of its own;
     * forget: a coalition with bag members left stays open while every member
       reaches one of them inside it (a forgotten agent gains no neighbours,
       so one that cannot is cut off for good); otherwise it completes and
-      adds its welfare, read from ``ev``, unless that is NEG_INF
-      (disconnected, or a pair beyond a closed tail), or in IR mode a member
-      scores below 0, or in NS mode a member scores below 0 or below its
-      best deviation, or the coalition tempts a settled neighbour;
+      adds its welfare, read from ``ev``, unless a member scores below 0 or
+      below its best deviation, or the coalition tempts a settled neighbour;
     * join: coalitions glue at their shared bag members.
 
     An introduce into an open coalition ORs the new agent's edge bits into
-    the entry's key, and a join ORs both sides' keys.  Tables key a state by ``canon(bag_mask, state)``, or by the state itself
-    when ``canon`` is None."""
+    the entry's key, and a join ORs both sides' keys."""
     G = ev.G
     adj = G.adj_mask
-    ns = mode == "ns"
-    ir = mode == "ir"
     anchored_cache: dict = {}
 
     def anchored(mask, part):
@@ -148,21 +136,17 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
             hit = anchored_cache[mask, part] = reached == mask
         return hit
 
-    def table(bag):
-        return WitnessTable(budget, None if canon is None else partial(canon, bag))
-
     def leaf(node):
-        out = table(0)
+        out = WitnessTable(budget)
         out.add(((), (), ()), 0, 0)
         return out
 
     def introduce(node, child):
-        out = table(G.mask_of(node.bag))
+        out = WitnessTable(budget)
         a = node.agent
         bit = 1 << a
-        for wf, key, (opens, pending, devs) in child.data.values():
-            if ns:
-                devs = tuple(sorted(devs + ((a, 0),)))
+        for (opens, pending, devs), (wf, key) in child.data.items():
+            devs = tuple(sorted(devs + ((a, 0),)))
             for block in opens:
                 if block.bit_count() >= cap:
                     continue
@@ -173,21 +157,17 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
 
     def forget(node, child):
         bag = G.mask_of(node.bag)
-        out = table(bag)
+        out = WitnessTable(budget)
         w = node.agent
-        for wf, key, state in child.data.values():
+        for state, (wf, key) in child.data.items():
             opens, pending, devs = state
             block = next(b for b in opens if b >> w & 1)
             if block & bag:
                 if anchored(block, block & bag):
                     out.add(state, wf, key)
                 continue
-            welfare, worst, utils = ev.stats(block)
+            welfare, _, utils = ev.stats(block)
             rest = tuple(b for b in opens if b != block)
-            if not ns:
-                if welfare != NEG_INF and not (ir and worst < 0):
-                    out.add((rest, (), ()), wf + welfare, key)
-                continue
             devmap = dict(devs)
             if any(u < 0 or u < devmap[i] for i, u in utils.items()):
                 continue
@@ -217,12 +197,12 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int, mode: str,
 
     def join(node, left, right):
         bag = G.mask_of(node.bag)
-        out = table(bag)
+        out = WitnessTable(budget)
         grouped: dict = {}
-        for wf, key, (opens, pending, devs) in right.data.values():
+        for (opens, pending, devs), (wf, key) in right.data.items():
             parts = {b & bag: b for b in opens}
             grouped.setdefault(tuple(sorted(parts)), []).append((wf, key, parts, pending, devs))
-        for wf_y, key_y, (opens_y, pending_y, devs_y) in left.data.values():
+        for (opens_y, pending_y, devs_y), (wf_y, key_y) in left.data.items():
             matches = grouped.get(tuple(sorted(b & bag for b in opens_y)))
             if not matches:
                 continue

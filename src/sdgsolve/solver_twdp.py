@@ -1,7 +1,9 @@
-"""Treewidth dynamic programs over a nice tree decomposition (closed tails).
+"""Treewidth dynamic programs over a nice tree decomposition.
 
-Welfare and IR modes run a compressed leaf-to-root DP.  A record's state is
-``(parts, promises, cells)``:
+``solve_nice`` is the solve body of twdp (closed tails) and of fptdp (both
+tails): the best outcome whose coalitions have at most ``cap`` members.
+Welfare and IR modes run a compressed leaf-to-root DP, the record.  A
+record's state is ``(parts, promises, cells, links)``:
 
 * ``parts`` is the sorted tuple of bag parts: each is the member bitmask of
   one coalition's agents in the bag;
@@ -16,12 +18,37 @@ Welfare and IR modes run a compressed leaf-to-root DP.  A record's state is
   of the coalition whose bag part is ``part`` and whose final distances to
   that part's members, in ascending agent id, are ``vec``.  IR mode adds a
   fourth entry: the worst utility over those members ("critical agents"),
-  checked when their coalition completes.
+  checked when their coalition completes;
+* ``links``, empty unless distances fold (below), splits each part's bag
+  members into groups joined by their coalition's edges so far.
 
-Committed distances and cell entries never exceed the vector's cutoff, so
-each member pair's welfare contribution is finite, added exactly once (when
-the later of the two is introduced, or at a join for pairs split across
-branches) and never revised.
+Committed distances and cell entries never exceed the reach, so each member
+pair's welfare contribution is finite, added exactly once (when the later
+of the two is introduced, or at a join for pairs split across branches) and
+never revised.  The reach is ``min(cutoff, cap - 1)`` for a closed tail, and
+for an open one with ``cap - 1 <= cutoff``; a pair past it (a candidate
+distance, a cell entry, a cross pair at a join) kills its record.  No
+outcome within the cap is lost: a coalition of finite welfare is connected,
+and a connected coalition of at most ``cap`` members has diameter at most
+``cap - 1``.
+
+Otherwise distances fold: an open tail scores every distance past its
+cutoff alike, so they all become the reach ``cutoff + 1``.  Sums and minima
+stay exact below it (``fold(x + y) = fold(fold(x) + fold(y))``), and so do
+every check and the welfare.  But an exact commitment is grounded in
+strictly shorter ones and a folded one is not: two could realize each other
+between agents that no path joins.  So a folded commitment needs no route
+at forget, and ``links`` keeps coalitions connected instead.  An introduce
+unites the new agent with the groups its edges into its part reach, a join
+unites both sides' groups, and a forget drops a record whose agent leaves
+its group without another bag member (it gains no edges later, so the
+group is cut off).  Every completed coalition is then connected.
+
+A part's size is its bag members plus its cells' counts: every member its
+coalition has in the subtree.  Introduce skips a part that already has
+``cap`` bag members and drops a record whose grown part exceeds ``cap``,
+forget keeps sizes, and a join's fuse kills a pair of runs whose part and
+counts exceed ``cap``.  So every record stays within the cap.
 
 Every record is consistent: on each part the commitments satisfy the
 triangle inequality (a real edge is a commitment of 1), and no cell's route
@@ -38,16 +65,16 @@ A record's cells are sorted and unique per ``(part, vec)``, and each lies in
 one of the record's parts, so its cells tuple is one run per part,
 concatenated in ascending part order.  A join adds the welfare of every
 cross pair of forgotten members, one from each side, and pairs of different
-parts never meet; so whether a cross pair lies beyond the cutoff (the pair
-of records is dead), the welfare added, the IR worst-utility increments and
-the tallied union of one part depend on that part's two runs alone.  The
-join splits each record into its runs once, copies a run whose counterpart
+parts never meet; so whether the pair of records is dead, the welfare
+added, the IR worst-utility increments and the tallied union of one part
+depend on that part's two runs alone.  The join splits each record into its
+runs once, copies a run whose counterpart
 is empty, fuses every other pair of runs once per solve (the results are
 memoized for the solve's later joins) and concatenates the fused runs: the
 record that crossing and tallying all of both sides' cells gives, exactly.
 
-Records that share their parts and promises share every step's work on the
-bag, so each step groups its child table by ``(parts, promises)`` first.
+Records that share their parts, promises and links share every step's work
+on the bag, so introduce and forget group the child table by them first.
 Introduce works out once per group each part's candidate distances, the
 choices that keep every triangle, their promises and those pairs' welfare,
 and per record only updates the cells.  Forget works out once per group the
@@ -55,24 +82,27 @@ forgotten agent's part, the new parts and promises, its own cell's vector
 and promise utility, and settles each commitment that an edge or a third
 member realizes; per record it checks the commitments left against the
 cells' routes, trims and tallies the cells and screens IR.  The join matches
-the left records against the right table's groups.
+each left record against the right records of its parts and promises.
 
 A record's witness is its outcome key (``dp``): an introduce into part L adds
 the new agent's edges into L, and a join ORs both sides' keys.
 
-NS mode keeps coalitions explicit instead: it runs ``dp.coalition_steps``
-keyed by the state itself, as fptdp's NS mode does, so records hold the
-member bitmasks of open coalitions and every utility and deviation check runs
-on the real induced subgraph when a coalition completes.  Coalitions are
-capped by ``select_sz``'s certified size bound (n without one): its premise
-rules every larger coalition out of an IR outcome, so a capped state could
-never complete Nash stable and the root entry is the one cap n gives.
+NS mode keeps coalitions explicit instead: it runs ``dp.coalition_steps``,
+so records hold the member bitmasks of open coalitions and every utility and
+deviation check runs on the real induced subgraph when a coalition
+completes.
+
+twdp caps coalitions by ``select_sz``'s certified bound (n without one).
+Its premise gives every larger coalition negative welfare, so no such
+coalition is in a welfare optimum, an IR outcome or an NS one (which is IR),
+and the capped answer is the one cap n gives.
 """
 
 from itertools import combinations, groupby, product
 from operator import itemgetter
 from typing import Optional
 
+from .bounds import select_sz
 from .core import (
     CoalitionEvaluator,
     ScoringVector,
@@ -89,7 +119,6 @@ from .dp import (
     run_postorder,
     self_check,
 )
-from .solver_fptdp import select_sz
 from .treedecomp import NiceTreeDecomposition, nice_decomposition
 
 _INF = 10**9
@@ -135,13 +164,23 @@ def _tally(cells, ir):
 
 
 def _grouped(table):
-    """A table's records grouped by ``(parts, promises)``: the group's
+    """A table's records grouped by ``(parts, promises, links)``: the group's
     ``(cells, welfare, key)`` per record.  Every step's work on the bag
-    depends on the parts and promises alone, so it runs once per group."""
+    depends on these alone, so it runs once per group."""
     groups: dict = {}
-    for (parts, prom, cells), (w, key, _) in table.data.items():
-        groups.setdefault((parts, prom), []).append((cells, w, key))
+    for (parts, prom, cells, links), (w, key) in table.data.items():
+        groups.setdefault((parts, prom, links), []).append((cells, w, key))
     return groups
+
+
+def _unite(links, more):
+    """``links`` with each group of ``more`` added, united with the groups
+    it meets; for two partitions of one bag, the groups both sides join."""
+    merged = list(links)
+    for g in more:
+        # the groups g meets are disjoint, so their sum is their union
+        merged = [m for m in merged if not m & g] + [g | sum(m for m in merged if m & g)]
+    return tuple(sorted(merged))
 
 
 def _runs(parts, cells):
@@ -152,16 +191,21 @@ def _runs(parts, cells):
     return tuple(by.get(p, ()) for p in parts)
 
 
-def _compressed_steps(s, G, budget, ir):
+def _compressed_steps(s, G, budget, ir, cap):
     """(leaf, introduce, forget, join) of the welfare DP, or of the IR DP
-    when ``ir`` is set, for ``run_postorder``."""
+    when ``ir`` is set, over coalitions of at most ``cap`` members, for
+    ``run_postorder``."""
     score = s.score
-    cutoff = s.cutoff
+    fold = not s.is_closed and cap - 1 > s.cutoff
+    reach = s.cutoff + 1 if fold else min(s.cutoff, cap - 1)
+    # what a distance past the reach becomes: the reach, or dead
+    top = reach if fold else _INF
+    adj = G.adj_mask
     balls: dict[int, dict[int, int]] = {}
 
     def leaf(node):
         table = WitnessTable(budget)
-        table.add(((), (), ()), 0, 0)
+        table.add(((), (), (), ()), 0, 0)
         return table
 
     def introduce(node, child):
@@ -171,13 +215,16 @@ def _compressed_steps(s, G, budget, ir):
         # distances in the full network lower-bound every coalition distance
         near = balls.get(a)
         if near is None:
-            near = balls[a] = _ball(G, a, cutoff)
-        for (parts_c, prom_c), group in _grouped(child).items():
+            near = balls[a] = _ball(G, a, reach)
+        for (parts_c, prom_c, links_c), group in _grouped(child).items():
             alone = tuple(sorted(parts_c + (bit,)))
+            links_alone = _unite(links_c, (bit,)) if fold else ()
             for cells_c, w_c, key_c in group:
-                table.add((alone, prom_c, cells_c), w_c, key_c)
+                table.add((alone, prom_c, cells_c, links_alone), w_c, key_c)
             promises_c = dict(prom_c)
             for L in parts_c:
+                if L.bit_count() >= cap:
+                    continue
                 mates = list(iter_bits(L))
                 # candidate committed distances per new pair
                 options = []
@@ -185,10 +232,10 @@ def _compressed_steps(s, G, budget, ir):
                     if G.has_edge(a, b):
                         options.append((1,))
                         continue
-                    lo = max(2, near.get(b, _INF))
-                    if lo > cutoff:
+                    lo = max(2, near.get(b, top))
+                    if lo > reach:
                         break
-                    options.append(range(lo, cutoff + 1))
+                    options.append(range(lo, reach + 1))
                 else:
                     # the grown part stays consistent exactly when every
                     # triangle through a holds; (choice, promises, welfare of
@@ -211,7 +258,12 @@ def _compressed_steps(s, G, budget, ir):
                     parts = tuple(sorted(part if p == L else p for p in parts_c))
                     pos = (L & (bit - 1)).bit_count()
                     edges_a = G.edge_key_to(a, L)
+                    # a's edges into L unite it with the groups they reach
+                    links = _unite(links_c, (bit | adj[a] & L,)) if fold else ()
                     for cells_c, w_c, key_c in group:
+                        # the grown part's bag members and tallied members
+                        if len(mates) + 1 + sum(c[2] for c in cells_c if c[0] == L) > cap:
+                            continue
                         key = key_c | edges_a
                         for choice, promises, delta in moves:
                             cells = []
@@ -220,27 +272,35 @@ def _compressed_steps(s, G, budget, ir):
                                     cells.append(cell)
                                     continue
                                 vec = cell[1]
-                                entry = _INF
+                                entry = top
                                 for e, d in zip(vec, choice):
                                     if e + d < entry:
                                         entry = e + d
-                                if entry > cutoff:
+                                if entry > reach:
                                     break
                                 v = score(entry)
                                 delta += 2 * cell[2] * v
                                 vec = vec[:pos] + (entry,) + vec[pos:]
                                 cells.append((part, vec) + ((cell[2], cell[3] + v) if ir else cell[2:]))
                             else:
-                                table.add((parts, promises, tuple(sorted(cells))), w_c + delta, key)
+                                table.add((parts, promises, tuple(sorted(cells)), links), w_c + delta, key)
         return table
 
     def forget(node, child):
         table = WitnessTable(budget)
         w = node.agent
         bit = 1 << w
-        for (parts_c, prom_c), group in _grouped(child).items():
+        for (parts_c, prom_c, links_c), group in _grouped(child).items():
             L = next(p for p in parts_c if p & bit)
             rest = L ^ bit
+            links = ()
+            if fold:
+                # a forgotten agent gains no edges: a group it leaves without
+                # another bag member of its part is cut off for good
+                g = next(g for g in links_c if g & bit)
+                if g == bit and rest:
+                    continue
+                links = tuple(sorted(h & ~bit for h in links_c if h != bit))
             pos = (L & (bit - 1)).bit_count()
             promises_c = dict(prom_c)
             mates = list(iter_bits(rest))
@@ -251,10 +311,12 @@ def _compressed_steps(s, G, budget, ir):
             # tallied forgotten member is left to each record's cells.  In a
             # consistent record no route is shorter, and a route of more hops
             # is no shorter than the two-hop route through its first member.
+            # A folded commitment only needs some route, which the links
+            # guarantee.
             unsettled = [
                 ((L & ((1 << b) - 1)).bit_count(), d)
                 for b, d in zip(mates, vec_w)
-                if d > 1
+                if 1 < d != top
                 and not any(promises_c[_pkey(w, t)] + promises_c[_pkey(t, b)] == d for t in mates if t != b)
             ]
             if ir:
@@ -276,31 +338,35 @@ def _compressed_steps(s, G, budget, ir):
                     grown = [(rest, c[1][:pos] + c[1][pos + 1 :]) + c[2:] for c in run]
                     grown.append((rest, vec_w, 1, util) if ir else (rest, vec_w, 1))
                     cells = [c for c in cells_c if c[0] != L] + _tally(grown, ir)
-                    table.add((parts, promises, tuple(sorted(cells))), w_c, key_c)
+                    table.add((parts, promises, tuple(sorted(cells)), links), w_c, key_c)
                 else:
                     # the coalition completes; only the IR screen remains
                     if ir and (util < 0 or any(c[3] < 0 for c in run)):
                         continue
-                    table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, key_c)
+                    table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L), links), w_c, key_c)
         return table
 
-    # (run_y, run_z) -> (delta, fused run), or None when a cross pair of the
-    # two runs lies beyond the cutoff; shared by every join of the solve
+    # (run_y, run_z) -> (delta, fused run), or None when the pair is dead;
+    # shared by every join of the solve
     fused: dict = {}
 
     def fuse(run_y, run_z):
         """Cross contributions between two runs of one part, and their
-        union tallied and sorted, or None when the pair is dead."""
+        union tallied and sorted, or None when the pair is dead: a cross
+        pair lies past the reach without folding, or the united coalition
+        outgrows the cap."""
+        if run_y[0][0].bit_count() + sum(c[2] for c in run_y + run_z) > cap:
+            return None
         delta = 0
         cross_y = [0] * len(run_y)
         cross_z = [0] * len(run_z)
         for i, cy in enumerate(run_y):
             for j, cz in enumerate(run_z):
-                best = _INF
+                best = top
                 for ey, ez in zip(cy[1], cz[1]):
                     if ey + ez < best:
                         best = ey + ez
-                if best > cutoff:
+                if best > reach:
                     return None
                 v = score(best)
                 delta += 2 * cy[2] * cz[2] * v
@@ -313,18 +379,18 @@ def _compressed_steps(s, G, budget, ir):
 
     def join(node, left, right):
         table = WitnessTable(budget)
-        grouped = {
-            (parts, prom): [(_runs(parts, cells), w, key) for cells, w, key in group]
-            for (parts, prom), group in _grouped(right).items()
-        }
-        for (parts, prom, cells_y), (w_y, key_y, _) in left.data.items():
+        grouped: dict = {}
+        for (parts, prom, cells, links), (w, key) in right.data.items():
+            grouped.setdefault((parts, prom), []).append((links, _runs(parts, cells), w, key))
+        for (parts, prom, cells_y, links_y), (w_y, key_y) in left.data.items():
             matches = grouped.get((parts, prom))
             if not matches:
                 continue
             runs_y = _runs(parts, cells_y)
             # the bag pairs are counted by both sides
             over = 2 * sum(score(d) for _, d in prom)
-            for runs_z, w_z, key_z in matches:
+            for links_z, runs_z, w_z, key_z in matches:
+                links = _unite(links_y, links_z) if fold else ()
                 # cross contributions pair only cells of one part, so each
                 # part's two runs fuse on their own
                 delta = 0
@@ -345,10 +411,28 @@ def _compressed_steps(s, G, budget, ir):
                         cells += hit[1]
                 else:
                     # both sides' records are consistent, and so is their union
-                    table.add((parts, prom, cells), w_y + w_z + delta - over, key_y | key_z)
+                    table.add((parts, prom, cells, links), w_y + w_z + delta - over, key_y | key_z)
         return table
 
     return leaf, introduce, forget, join
+
+
+def solve_nice(s, G, decomposition, mode, cap, budget, algorithm, optimal=True) -> Optional[SolveResult]:
+    """The best outcome under the mode whose coalitions have at most ``cap``
+    members, self-checked and labelled ``algorithm``; None only in NS mode
+    (all-singletons is IR under every cap)."""
+    if decomposition is None:
+        decomposition = nice_decomposition(G)
+    if mode == "ns":
+        steps = coalition_steps(CoalitionEvaluator(s, G), budget, cap)
+    else:
+        steps = _compressed_steps(s, G, budget, mode == "ir", cap)
+    solved = best_outcome(G, run_postorder(decomposition, *steps))
+    if solved is None:
+        return None
+    welfare, outcome = solved
+    self_check(s, G, mode, welfare, outcome, algorithm)
+    return SolveResult(outcome, welfare, mode, optimal, algorithm, size_limited=not optimal)
 
 
 def _solve_tw(s, G, decomposition, mode) -> Optional[SolveResult]:
@@ -356,24 +440,11 @@ def _solve_tw(s, G, decomposition, mode) -> Optional[SolveResult]:
         raise UnsupportedInputError(
             "the treewidth DP supports closed tails only; use fptdp, vc, or brute"
         )
-    if decomposition is None:
-        decomposition = nice_decomposition(G)
     records = Budget(
         DEFAULT_RECORD_BUDGET,
         f"treewidth DP exceeded its record budget ({DEFAULT_RECORD_BUDGET})",
     )
-    if mode == "ns":
-        steps = coalition_steps(CoalitionEvaluator(s, G), records, select_sz(s, G) or G.n, "ns")
-    else:
-        steps = _compressed_steps(s, G, records, mode == "ir")
-    solved = best_outcome(G, run_postorder(decomposition, *steps))
-    if solved is None:
-        # all-singletons is an IR lineage, so only NS mode can come back empty
-        assert mode == "ns"
-        return None
-    welfare, outcome = solved
-    self_check(s, G, mode, welfare, outcome, "twdp")
-    return SolveResult(outcome, welfare, mode, True, "twdp")
+    return solve_nice(s, G, decomposition, mode, select_sz(s, G) or G.n, records, "twdp")
 
 
 def solve_tw_welfare(

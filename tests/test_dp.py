@@ -12,7 +12,7 @@ from sdgsolve.core import (
     SocialNetwork,
     iter_bits,
 )
-from sdgsolve import dp, solver_fptdp, solver_twdp, treedecomp
+from sdgsolve import dp, solver_twdp, treedecomp
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import (
     Budget,
@@ -123,23 +123,23 @@ def _blocks(masks):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), st.randoms(use_true_random=False))
 def test_witness_table_keeps_the_best_entry_per_slot(n, rng):
-    # against a plain list of every add: per slot the highest welfare, then
-    # the smallest key, then the earliest add
+    # against a plain list of every add: per state the highest welfare, then
+    # the smallest key
     G = complete_graph(n)
-    table = WitnessTable(Budget(10**6, "unused"), canon=lambda state: state[0])
+    table = WitnessTable(Budget(10**6, "unused"))
     adds = []
-    for step in range(rng.randrange(1, 40)):
-        # few slots and a narrow welfare range, so that most adds tie
-        state = (rng.randrange(3), step)
+    for _ in range(rng.randrange(1, 40)):
+        # few states and a narrow welfare range, so that most adds tie
+        state = rng.randrange(3)
         welfare = rng.randrange(-1, 2)
         key = plain_key(G, _blocks(_random_partition(range(n), rng)))
         table.add(state, welfare, key)
-        adds.append((state[0], -welfare, key, step, state))
+        adds.append((state, -welfare, key))
     expect = {}
-    for slot, neg_welfare, key, _, state in sorted(adds):
-        expect.setdefault(slot, (-neg_welfare, key, state))
+    for state, neg_welfare, key in sorted(adds):
+        expect.setdefault(state, (-neg_welfare, key))
     assert table.data == expect
-    welfare, key, _ = min(expect.values(), key=lambda e: (-e[0], e[1]))
+    welfare, key = min(expect.values(), key=lambda e: (-e[0], e[1]))
     assert best_outcome(G, table) == (welfare, G.outcome_of_key(key))
 
 
@@ -209,9 +209,9 @@ def _set_join(G, cap, node, left, right):
     pending lists concatenate, deviations take the larger value per agent,
     welfare adds and keys OR."""
     bag = set(node.bag)
-    table = WitnessTable(Budget(10**9, "unused"), left.canon)
-    for wf_y, key_y, (opens_y, pending_y, devs_y) in left.data.values():
-        for wf_z, key_z, (opens_z, pending_z, devs_z) in right.data.values():
+    table = WitnessTable(Budget(10**9, "unused"))
+    for (opens_y, pending_y, devs_y), (wf_y, key_y) in left.data.items():
+        for (opens_z, pending_z, devs_z), (wf_z, key_z) in right.data.items():
             sets_y = [set(iter_bits(b)) for b in opens_y]
             sets_z = [set(iter_bits(b)) for b in opens_z]
             if sorted(sorted(b & bag) for b in sets_y) != sorted(sorted(b & bag) for b in sets_z):
@@ -234,15 +234,15 @@ def _set_join(G, cap, node, left, right):
 # criterion-4 seeds whose nice decompositions have join nodes
 @pytest.mark.parametrize("seed", [0, 5, 9, 10, 12, 19, 20, 24, 26, 27])
 def test_bag_merge_equals_the_set_merge_during_solves(seed, monkeypatch):
-    # at every join of the open-coalition DP (twdp in NS mode, fptdp in
-    # every mode) the bag-keyed merge builds the table that merging the
-    # entries as sets builds
+    # at every join of the open-coalition DP (twdp and fptdp in NS mode)
+    # the bag-keyed merge builds the table that merging the entries as sets
+    # builds
     G = random_solver_corpus_instance(seed)
     joins = []
     steps = dp.coalition_steps
 
-    def wrapped(ev, budget, cap, mode, canon=None):
-        leaf, introduce, forget, join = steps(ev, budget, cap, mode, canon)
+    def wrapped(ev, budget, cap):
+        leaf, introduce, forget, join = steps(ev, budget, cap)
 
         def checked(node, left, right):
             table = join(node, left, right)
@@ -253,12 +253,11 @@ def test_bag_merge_equals_the_set_merge_during_solves(seed, monkeypatch):
         return leaf, introduce, forget, checked
 
     monkeypatch.setattr(solver_twdp, "coalition_steps", wrapped)
-    monkeypatch.setattr(solver_fptdp, "coalition_steps", wrapped)
     for vec in ((1, -3), (1, 0, -1)):
         s = ScoringVector(vec)
-        for mode in ("welfare", "ir", "ns"):
-            solve(s, G, mode, algo="twdp")
-            solve_fpt(s, G, mode=mode)
+        solve(s, G, "ns", algo="twdp")
+        solve_fpt(s, G, mode="ns")
+        solve_fpt(s, G, sz=3, mode="ns")
     assert any(joins)
 
 
@@ -304,14 +303,6 @@ def test_outcome_does_not_depend_on_the_decomposition(case):
             assert len(answers) == 1, (str(s), mode, answers)
 
 
-def test_witness_table_keys_states_by_canon():
-    table = WitnessTable(Budget(10, "unused"), canon=len)
-    table.add("ab", 1, 0)
-    table.add("cd", 2, 0)
-    assert list(table.data) == [2]
-    assert table.data[2][2] == "cd"
-
-
 def test_budget_charges_every_add_and_raises_past_its_limit():
     budget = Budget(3, "out of records (3)")
     left, right = WitnessTable(budget), WitnessTable(budget)
@@ -349,17 +340,28 @@ def test_self_check_rejects_an_outcome_that_leaves_out_an_agent():
 @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
 def test_forget_drops_a_coalition_its_forgotten_member_cannot_reach(mode):
     # on the path 0-1-2, once 0 is forgotten no later agent can join it to 2
-    # inside the coalition {0, 2}, so no state may keep that coalition open
+    # inside the coalition {0, 2}, so no state may keep that coalition open:
+    # not NS mode's open-coalition DP, nor the record of welfare and IR mode
     G = path_graph(3)
-    leaf, introduce, forget, _ = coalition_steps(
-        CoalitionEvaluator(ScoringVector((1, 1)), G), Budget(100, "unused"), 3, mode
-    )
+    s = ScoringVector((1, 1))
+    budget = Budget(100, "unused")
+    if mode == "ns":
+        steps = coalition_steps(CoalitionEvaluator(s, G), budget, 3)
+    else:
+        steps = solver_twdp._compressed_steps(s, G, budget, mode == "ir", 3)
+    leaf, introduce, forget, _ = steps
     table = leaf(NiceNode("leaf", frozenset(), ()))
     bag = frozenset()
     for agent in (0, 2, 1):
         bag = bag | {agent}
         table = introduce(NiceNode("introduce", bag, (0,), agent), table)
-    assert any(0b101 in opens for opens, _, _ in (e[2] for e in table.data.values()))
+    # a state's first entry is its open coalitions (NS) or its bag parts
+    assert any(0b101 in state[0] for state in table.data)
     table = forget(NiceNode("forget", frozenset({1, 2}), (0,), 0), table)
-    states = [e[2] for e in table.data.values()]
-    assert states and all(0b101 not in opens for opens, _, _ in states)
+    assert table.data
+    for state in table.data:
+        if mode == "ns":
+            assert 0b101 not in state[0]
+        else:
+            # the record would keep {0, 2} as the part {2} with 0 in a cell
+            assert all(cell[0] != 0b100 for cell in state[2])

@@ -1,11 +1,11 @@
-"""Coalition-topology DP vs the oracle, including open-tail vectors."""
+"""fptdp, treewidth plus coalition size, vs the oracle, including open-tail vectors."""
 
 import random
 
 import pytest
 
 from sdgsolve import solver_fptdp
-from sdgsolve.core import NEG_INF, Outcome, ScoringVector, social_welfare
+from sdgsolve.core import NEG_INF, CoalitionEvaluator, Outcome, ScoringVector, iter_bits, social_welfare
 from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.oracle import brute_force_solve, enumerate_partitions
@@ -186,17 +186,17 @@ def test_large_tree_outcome_is_pinned(mode):
 
 # instance -> fptdp's table insertions (Budget.seen) per mode, with the
 # certified size bound; a change that splits or merges states moves these
-# even where the outcome stays.  A welfare/IR entry keeps the state of its
-# smallest-key witness, and the topology key does not merge every pair of
-# isomorphic states, so the tie rule moves these too
+# even where the outcome stays.  The 30-agent 2-tree took 1.34M welfare adds
+# when fptdp keyed open coalitions by their topology
 PINNED_ADDS = [
-    ((30, 1), ScoringVector((2, -1), tail="open"), {"welfare": 1698, "ir": 1604}),
-    ((20, 2), ScoringVector((1, -3)), {"welfare": 18209, "ir": 16918}),
-    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 701, "ir": 681, "ns": 1537}),
+    ((30, 1), ScoringVector((2, -1), tail="open"), {"welfare": 1438, "ir": 1493}),
+    ((20, 2), ScoringVector((1, -3)), {"welfare": 1215, "ir": 1187}),
+    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 349, "ir": 331, "ns": 1537}),
+    ((30, 2), ScoringVector((1, -3)), {"welfare": 10571, "ir": 12977}),
 ]
 
 
-@pytest.mark.parametrize("graph,s,adds", PINNED_ADDS, ids=["tree30", "2tree20", "2tree12"])
+@pytest.mark.parametrize("graph,s,adds", PINNED_ADDS, ids=["tree30", "2tree20", "2tree12", "2tree30"])
 def test_table_adds_are_pinned(graph, s, adds, monkeypatch):
     budgets = record_budgets(monkeypatch, solver_fptdp)
     G = random_partial_ktree(*graph, 0)
@@ -206,6 +206,95 @@ def test_table_adds_are_pinned(graph, s, adds, monkeypatch):
         solve_fpt(s, G, mode=mode)
         seen[mode] = sum(b.seen for b in budgets)
     assert seen == adds
+
+
+# 10-13-agent partial 1-trees and degree-3 graphs: (family, agents, seed).
+# On the trees the certified bound (7 under (2,-1), 5 under (1,-1)) caps
+# coalitions below n, as (1,-1)'s bound 9 does on the two degree-3 graphs of
+# width 2; (2,0,-1) and (1) certify none.  Every certified cap here passes
+# the cutoff, so distances fold; the capped test below also runs caps within
+# it, where a pair past the reach dies.  On the width-4 graph (10, 0) one
+# welfare solve took 16 s when distances stayed exact up to cap - 1.
+REACH_GRAPHS = [
+    ("tree", 10, 0), ("tree", 11, 1), ("tree", 12, 2), ("tree", 13, 3),
+    ("degree3", 10, 0), ("degree3", 11, 3), ("degree3", 12, 2), ("degree3", 13, 1),
+]
+REACH_VECTORS = [ScoringVector(v, tail="open") for v in ((2, -1), (1, -1), (2, 0, -1), (1,))]
+
+
+def _reach_graph(family, n, seed):
+    return random_partial_ktree(n, 1, seed) if family == "tree" else random_bounded_degree(n, 3, seed)
+
+
+@pytest.mark.parametrize("family,n,seed", REACH_GRAPHS)
+def test_open_tails_with_the_certified_size_match_brute(family, n, seed):
+    """fptdp's record under open tails, where committed distances stop at
+    the reach, against brute force in every mode."""
+    G = _reach_graph(family, n, seed)
+    for s in REACH_VECTORS:
+        for mode in ("welfare", "ir", "ns"):
+            got = solve_fpt(s, G, mode=mode)
+            expect = brute_force_solve(s, G, mode)
+            where = f"{s} {mode} G={G.edges}"
+            assert (got is None) == (expect is None), where
+            if got is not None:
+                assert (got.welfare, got.outcome) == (expect.welfare, expect.outcome), where
+                assert got.optimal, where
+
+
+def _capped_optimum(s, G, mode, sz):
+    """(welfare, outcome) of the best outcome whose coalitions are connected
+    and have at most ``sz`` members, IR in ir mode, ties to the smallest
+    outcome key: a subset DP over the blocks that hold the lowest agent
+    left, grown one neighbour at a time up to ``sz`` members."""
+    ev = CoalitionEvaluator(s, G)
+    adj = G.adj_mask
+    memo = {0: (0, 0)}
+
+    def blocks(rem):
+        seen, stack = set(), [rem & -rem]
+        while stack:
+            block = stack.pop()
+            if block in seen:
+                continue
+            seen.add(block)
+            yield block
+            if block.bit_count() < sz:
+                near = 0
+                for v in iter_bits(block):
+                    near |= adj[v]
+                stack.extend(block | 1 << v for v in iter_bits(near & rem & ~block))
+
+    def best(rem):
+        if rem not in memo:
+            options = []
+            for block in blocks(rem):
+                welfare, worst, _ = ev.stats(block)
+                if welfare == NEG_INF or (mode == "ir" and worst < 0):
+                    continue
+                rest_welfare, rest_key = best(rem & ~block)
+                options.append((welfare + rest_welfare, -(rest_key | G.edge_key(block))))
+            welfare, neg_key = max(options)
+            memo[rem] = (welfare, -neg_key)
+        return memo[rem]
+
+    welfare, key = best((1 << G.n) - 1)
+    return welfare, G.outcome_of_key(key)
+
+
+@pytest.mark.parametrize("family,n,seed", REACH_GRAPHS)
+def test_open_tails_below_the_certified_size_match_the_capped_optimum(family, n, seed):
+    """With the cap below the certified bound, a reach or a size test that
+    cut one member too early, or let a coalition outgrow the cap, changes
+    the answer: against the best capped outcome, in welfare and IR mode."""
+    G = _reach_graph(family, n, seed)
+    for s in REACH_VECTORS:
+        for sz in (3, 4):
+            for mode in ("welfare", "ir"):
+                got = solve_fpt(s, G, sz=sz, mode=mode)
+                where = f"{s} sz={sz} {mode} G={G.edges}"
+                assert (got.welfare, got.outcome) == _capped_optimum(s, G, mode, sz), where
+                assert got.size_limited, where
 
 
 def _best_capped(s, G, mode, sz):

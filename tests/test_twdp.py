@@ -11,6 +11,7 @@ from sdgsolve.dispatch import solve
 from sdgsolve.dp import Budget, WitnessTable
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree, random_solver_corpus_instance
 from sdgsolve.oracle import brute_force_solve
+from sdgsolve.solver_fptdp import solve_fpt
 from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 from sdgsolve.treedecomp import nice_decomposition
@@ -162,12 +163,14 @@ def test_large_network_outcomes_are_pinned(graph, vec):
 
 
 # LARGE_OUTCOMES' instances -> twdp's table insertions (Budget.seen) in
-# welfare and IR mode; a change of state encoding that splits or merges
-# states moves these even where the outcome stays
+# welfare and IR mode, with coalitions capped by the certified size bound
+# (2 on both trees under (1,-3), none under (1,0,-1)); a change of state
+# encoding that splits or merges states moves these even where the outcome
+# stays
 LARGE_ADDS = {
-    ((30, 1), (1, -3)): (805, 767),
+    ((30, 1), (1, -3)): (610, 590),
     ((30, 1), (1, 0, -1)): (2097, 1994),
-    ((60, 1), (1, -3)): (2500, 2285),
+    ((60, 1), (1, -3)): (1329, 1265),
     ((60, 1), (1, 0, -1)): (10831, 10129),
     ((20, 2), (1, -3)): (1215, 1187),
     ((20, 2), (1, 0, -1)): (5173, 7035),
@@ -224,37 +227,69 @@ def test_long_path_solves_without_a_recursion_limit():
     assert (result.algorithm, result.welfare) == ("twdp", 600)
 
 
-def _pairwise_join(s, G, ir):
+def _folding(s, cap):
+    """The record's reach and its folded distance: a closed tail's cutoff,
+    at most cap - 1, and none; cap - 1 and none under an open tail whose cap
+    stops within its cutoff; otherwise cutoff + 1 for both, the one value of
+    every distance past the cutoff."""
+    if s.is_closed or cap - 1 <= s.cutoff:
+        return min(s.cutoff, cap - 1), None
+    return s.cutoff + 1, s.cutoff + 1
+
+
+def _united(*partitions):
+    """The connected groups of the union of partitions of one agent set,
+    as sorted member bitmasks."""
+    groups = [set(iter_bits(g)) for partition in partitions for g in partition]
+    merged = True
+    while merged:
+        merged = False
+        for x, y in combinations(range(len(groups)), 2):
+            if groups[x] & groups[y]:
+                groups[x] |= groups.pop(y)
+                merged = True
+                break
+    return tuple(sorted(sum(1 << v for v in g) for g in groups))
+
+
+def _pairwise_join(s, G, ir, cap):
     """twdp's welfare/IR join as it was before the per-part fusion, kept as
     the reference: every matched record pair crosses all of both sides'
-    cells, then tallies and sorts their union."""
+    cells, then tallies and sorts their union; a pair is dead when a part's
+    members and both sides' tallied members outnumber ``cap``, or a cross
+    pair lies beyond the reach and does not fold; folded, both sides' links
+    unite."""
     score = s.score
-    cutoff = s.cutoff
+    reach, far = _folding(s, cap)
     budget = Budget(10**9, "unused")
 
     def join(node, left, right):
         table = WitnessTable(budget)
         grouped: dict = {}
-        for (parts, prom, cells), (w, key, _) in right.data.items():
-            grouped.setdefault((parts, prom), []).append((cells, w, key))
-        for (parts, prom, cells_y), (w_y, key_y, _) in left.data.items():
+        for (parts, prom, cells, links), (w, key) in right.data.items():
+            grouped.setdefault((parts, prom), []).append((cells, links, w, key))
+        for (parts, prom, cells_y, links_y), (w_y, key_y) in left.data.items():
             matches = grouped.get((parts, prom))
             if not matches:
                 continue
             over = 2 * sum(score(d) for _, d in prom)
-            for cells_z, w_z, key_z in matches:
+            for cells_z, links_z, w_z, key_z in matches:
                 delta = 0
                 cross_y = [0] * len(cells_y)
                 cross_z = [0] * len(cells_z)
-                dead = False
+                dead = any(
+                    p.bit_count() + sum(c[2] for c in cells_y + cells_z if c[0] == p) > cap for p in parts
+                )
                 for i, cy in enumerate(cells_y):
                     for j, cz in enumerate(cells_z):
                         if cy[0] != cz[0]:
                             continue
                         best = min(ey + ez for ey, ez in zip(cy[1], cz[1]))
-                        if best > cutoff:
-                            dead = True
-                            break
+                        if best > reach:
+                            if far is None:
+                                dead = True
+                                break
+                            best = far
                         v = score(best)
                         delta += 2 * cy[2] * cz[2] * v
                         cross_y[i] += cz[2] * v
@@ -267,25 +302,31 @@ def _pairwise_join(s, G, ir):
                 if ir:
                     both = [c[:3] + (c[3] + inc,) for inc, c in zip(cross_y + cross_z, both)]
                 cells = tuple(sorted(solver_twdp._tally(both, ir)))
-                table.add((parts, prom, cells), w_y + w_z + delta - over, key_y | key_z)
+                links = _united(links_y, links_z) if far else ()
+                table.add((parts, prom, cells, links), w_y + w_z + delta - over, key_y | key_z)
         return table
 
     return join
 
 
-def _per_record_steps(s, G, ir):
+def _per_record_steps(s, G, ir, cap):
     """twdp's welfare/IR introduce and forget as they were before the steps
     grouped records by (parts, promises), kept as the reference: each record
     rebuilds its promises, options, triangle checks and commitment routes on
-    its own."""
+    its own.  An introduce drops a record whose grown part's members and
+    tallied members outnumber ``cap``, and distances stop at the reach or
+    fold into it.  Folded, the links group each part's members by the edges
+    among the coalition's members so far: a forget drops a record whose
+    forgotten agent leaves its group without a bag member while its part
+    keeps one, and a folded commitment needs no route."""
     score = s.score
-    cutoff = s.cutoff
+    reach, far = _folding(s, cap)
     budget = Budget(10**9, "unused")
     pkey, INF = solver_twdp._pkey, solver_twdp._INF
 
     def realized(w, b, part, promises, cells):
         d = promises[pkey(w, b)]
-        if d == 1:
+        if d in (1, far):
             return True
         i = (part & ((1 << w) - 1)).bit_count()
         j = (part & ((1 << b) - 1)).bit_count()
@@ -296,19 +337,22 @@ def _per_record_steps(s, G, ir):
             for t in iter_bits(part & ~(1 << w | 1 << b))
         )
 
-    def sig(parts, promises, cells):
-        return tuple(sorted(parts)), tuple(sorted(promises.items())), tuple(sorted(cells))
+    def sig(parts, promises, cells, links):
+        return tuple(sorted(parts)), tuple(sorted(promises.items())), tuple(sorted(cells)), links
 
     def introduce(node, child):
         table = WitnessTable(budget)
         a = node.agent
         bit = 1 << a
-        near = solver_twdp._ball(G, a, cutoff)
-        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
-            table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c), w_c, key_c)
+        near = solver_twdp._ball(G, a, reach)
+        for (parts_c, prom_c, cells_c, links_c), (w_c, key_c) in child.data.items():
+            links = _united(links_c, [bit]) if far else ()
+            table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c, links), w_c, key_c)
             promises_c = dict(prom_c)
             for L in parts_c:
                 mates = list(iter_bits(L))
+                if len(mates) + 1 + sum(c[2] for c in cells_c if c[0] == L) > cap:
+                    continue
                 key = key_c | G.edge_key_to(a, L)
                 options = []
                 for b in mates:
@@ -316,10 +360,15 @@ def _per_record_steps(s, G, ir):
                         options.append((1,))
                         continue
                     lo = max(2, near.get(b, INF))
-                    if lo > cutoff:
-                        break
-                    options.append(range(lo, cutoff + 1))
+                    if lo > reach:
+                        if far is None:
+                            break
+                        lo = far
+                    options.append(range(lo, reach + 1))
                 else:
+                    # a and its neighbours in L share a group
+                    ties = [bit | 1 << b for b in mates if G.has_edge(a, b)]
+                    links = _united(links_c, [bit], ties) if far else ()
                     part = L | bit
                     parts = [part if p == L else p for p in parts_c]
                     pos = (L & (bit - 1)).bit_count()
@@ -342,23 +391,30 @@ def _per_record_steps(s, G, ir):
                                 continue
                             vec = cell[1]
                             entry = min(e + d for e, d in zip(vec, choice))
-                            if entry > cutoff:
-                                break
+                            if entry > reach:
+                                if far is None:
+                                    break
+                                entry = far
                             v = score(entry)
                             delta += 2 * cell[2] * v
                             vec = vec[:pos] + (entry,) + vec[pos:]
                             cells.append((part, vec) + ((cell[2], cell[3] + v) if ir else cell[2:]))
                         else:
-                            table.add(sig(parts, promises, cells), w_c + delta, key)
+                            table.add(sig(parts, promises, cells, links), w_c + delta, key)
         return table
 
     def forget(node, child):
         table = WitnessTable(budget)
         w = node.agent
         bit = 1 << w
-        for (parts_c, prom_c, cells_c), (w_c, key_c, _) in child.data.items():
+        for (parts_c, prom_c, cells_c, links_c), (w_c, key_c) in child.data.items():
             L = next(p for p in parts_c if p & bit)
             rest = L ^ bit
+            links = ()
+            if far:
+                if rest and bit in links_c:
+                    continue
+                links = tuple(sorted(g & ~bit for g in links_c if g != bit))
             promises_c = dict(prom_c)
             pos = (L & (bit - 1)).bit_count()
             if not all(realized(w, b, L, promises_c, cells_c) for b in iter_bits(rest)):
@@ -372,19 +428,19 @@ def _per_record_steps(s, G, ir):
                 vec_w = tuple(promises_c[pkey(w, b)] for b in iter_bits(rest))
                 cells.append((rest, vec_w, 1, util) if ir else (rest, vec_w, 1))
                 promises = {p: d for p, d in promises_c.items() if w not in p}
-                table.add(sig(parts, promises, solver_twdp._tally(cells, ir)), w_c, key_c)
+                table.add(sig(parts, promises, solver_twdp._tally(cells, ir), links), w_c, key_c)
             else:
                 if ir and (util < 0 or any(c[0] == L and c[3] < 0 for c in cells_c)):
                     continue
                 parts = tuple(p for p in parts_c if p != L)
-                table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L)), w_c, key_c)
+                table.add((parts, prom_c, tuple(c for c in cells_c if c[0] != L), links), w_c, key_c)
         return table
 
     return introduce, forget
 
 
 def _entries(table):
-    return [(state, w, key) for state, (w, key, _) in table.data.items()]
+    return [(state, w, key) for state, (w, key) in table.data.items()]
 
 
 # criterion-4 seeds whose nice decompositions have join nodes, and a partial
@@ -402,18 +458,23 @@ def _fusion_graph(case):
 
 
 def _solve_with_steps(G, wrap, monkeypatch):
-    """Welfare and IR twdp solves of G under FUSION_VECTORS, with the
-    compressed DP's steps replaced by ``wrap(s, ir, steps)``."""
+    """Welfare and IR solves of G with the compressed DP's steps replaced by
+    ``wrap(s, ir, cap, steps)``: twdp's under FUSION_VECTORS, and fptdp's
+    under open (2,-1) with the size caps 3 and 4, whose reaches 2 and 3
+    stop distances at and past the cutoff."""
     compressed = solver_twdp._compressed_steps
 
-    def wrapped(s, G, budget, ir):
-        return wrap(s, ir, compressed(s, G, budget, ir))
+    def wrapped(s, G, budget, ir, cap):
+        return wrap(s, ir, cap, compressed(s, G, budget, ir, cap))
 
     monkeypatch.setattr(solver_twdp, "_compressed_steps", wrapped)
     for vec in FUSION_VECTORS:
         s = ScoringVector(vec)
         solve_tw_welfare(s, G)
         solve_tw_ir(s, G)
+    for sz in (3, 4):
+        for mode in ("welfare", "ir"):
+            solve_fpt(ScoringVector((2, -1), tail="open"), G, sz=sz, mode=mode)
 
 
 @pytest.mark.parametrize("case", FUSION_GRAPHS)
@@ -423,9 +484,9 @@ def test_fused_join_equals_the_pairwise_join(case, monkeypatch):
     G = _fusion_graph(case)
     joins = []
 
-    def wrap(s, ir, steps):
+    def wrap(s, ir, cap, steps):
         leaf, introduce, forget, join = steps
-        reference = _pairwise_join(s, G, ir)
+        reference = _pairwise_join(s, G, ir, cap)
 
         def checked(node, left, right):
             table = join(node, left, right)
@@ -447,9 +508,9 @@ def test_grouped_steps_equal_the_per_record_steps(case, monkeypatch):
     G = _fusion_graph(case)
     steps_seen = []
 
-    def wrap(s, ir, steps):
+    def wrap(s, ir, cap, steps):
         leaf, introduce, forget, join = steps
-        ref_introduce, ref_forget = _per_record_steps(s, G, ir)
+        ref_introduce, ref_forget = _per_record_steps(s, G, ir, cap)
 
         def checked(step, reference):
             def run(node, child):
@@ -475,14 +536,14 @@ def test_record_cells_are_sorted_runs_of_the_parts(case, monkeypatch):
     records = []
 
     def check(table):
-        for parts, _, cells in table.data:
+        for parts, _, cells, _ in table.data:
             assert list(cells) == sorted(cells)
             assert len({c[:2] for c in cells}) == len(cells)
             assert {c[0] for c in cells} <= set(parts)
             records.append(cells)
         return table
 
-    def wrap(s, ir, steps):
+    def wrap(s, ir, cap, steps):
         return [lambda *args, step=step: check(step(*args)) for step in steps]
 
     _solve_with_steps(G, wrap, monkeypatch)
