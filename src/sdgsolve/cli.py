@@ -5,6 +5,7 @@ disagreement in bench mode.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -304,9 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and building it costs about as much as a small solve."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, ResourceLimitError, UnsupportedInputError) as exc:

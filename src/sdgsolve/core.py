@@ -10,7 +10,7 @@ open-tail ones; unreachable members always score minus infinity.
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 class ResourceLimitError(RuntimeError):
@@ -393,6 +393,34 @@ def utility_in_coalition(s: ScoringVector, G: SocialNetwork, coalition: Iterable
     if i not in members:
         raise ValueError(f"agent {i} not in coalition")
     return member_utility(s, G, G.mask_of(members), i)
+
+
+def ball_distances(G: SocialNetwork, source: int, radius: int) -> dict[int, int]:
+    """Distances in G from ``source`` to the agents at most ``radius`` away."""
+    adj = G.adj_mask
+    dist = {source: 0}
+    seen = frontier = 1 << source
+    for d in range(1, radius + 1):
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        for v in iter_bits(frontier):
+            dist[v] = d
+    return dist
+
+
+def cutoff_balls(s: ScoringVector, G: SocialNetwork) -> Optional[tuple[int, ...]]:
+    """Per agent, the bitmask of the agents at most ``s.cutoff`` from it in
+    G, itself included; None for an open tail.  A coalition distance is
+    never shorter than the distance in G, so under a closed tail every
+    coalition of finite welfare lies inside each of its members' balls."""
+    if not s.is_closed:
+        return None
+    return tuple(G.mask_of(ball_distances(G, a, s.cutoff)) for a in range(G.n))
 
 
 class CoalitionEvaluator:

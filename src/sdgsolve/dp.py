@@ -24,7 +24,14 @@ outcome: its coalitions are the components of the key's edges
 
 from typing import Optional
 
-from .core import CoalitionEvaluator, Outcome, ResourceLimitError, iter_bits, validate_outcome
+from .core import (
+    CoalitionEvaluator,
+    Outcome,
+    ResourceLimitError,
+    cutoff_balls,
+    iter_bits,
+    validate_outcome,
+)
 from .stability import first_deviation
 
 
@@ -115,11 +122,34 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int):
       below its best deviation, or the coalition tempts a settled neighbour;
     * join: coalitions glue at their shared bag members.
 
+    Under a closed tail no open coalition holds two members farther apart
+    in G than the cutoff (``core.cutoff_balls``): an introduce does not put
+    the agent into a coalition with a member outside its ball, and a join
+    drops a merge whose two sides hold such a pair.  This loses nothing: a
+    coalition distance is never shorter than the distance in G, so that
+    pair's utility is minus infinity, coalitions only grow until they
+    complete, and at completion the member's negative utility drops the
+    entry.  The entry's state holds the coalition, so no other slot of any
+    table changes.
+
     An introduce into an open coalition ORs the new agent's edge bits into
     the entry's key, and a join ORs both sides' keys."""
     G = ev.G
     adj = G.adj_mask
+    balls = cutoff_balls(ev.s, G) or (G.full_mask,) * G.n
+    near_cache: dict = {}
     anchored_cache: dict = {}
+
+    def near(mask):
+        """The AND of the balls of the coalition ``mask``'s members: the
+        agents it may still take in."""
+        hit = near_cache.get(mask)
+        if hit is None:
+            hit = G.full_mask
+            for v in iter_bits(mask):
+                hit &= balls[v]
+            near_cache[mask] = hit
+        return hit
 
     def anchored(mask, part):
         """Whether every member of the coalition ``mask`` reaches its bag
@@ -145,10 +175,11 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int):
         out = WitnessTable(budget)
         a = node.agent
         bit = 1 << a
+        ball = balls[a]
         for (opens, pending, devs), (wf, key) in child.data.items():
             devs = tuple(sorted(devs + ((a, 0),)))
             for block in opens:
-                if block.bit_count() >= cap:
+                if block.bit_count() >= cap or block & ~ball:
                     continue
                 grown = tuple(sorted(b | bit if b == block else b for b in opens))
                 out.add((grown, pending, devs), wf, key | G.edge_key_to(a, block))
@@ -209,6 +240,8 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int):
             for wf_z, key_z, parts, pending_z, devs_z in matches:
                 merged = tuple(sorted(b | parts[b & bag] for b in opens_y))
                 if any(b.bit_count() > cap for b in merged):
+                    continue
+                if any(parts[b & bag] & ~near(b) for b in opens_y):
                     continue
                 devmap = dict(devs_y)
                 for t, d in devs_z:

@@ -8,6 +8,13 @@ generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).  Every NS
 outcome is IR, so the IR subset DP's value of the agents still to place
 bounds each NS branch exactly, and the search starts from the IR optimum
 (branch and bound with a DP bound: Rahwan et al., JAIR 2009).
+Under a closed tail both searches also skip every block with two members
+farther apart in G than the cutoff (``core.cutoff_balls``): a coalition
+distance is never shorter than the distance in G, so such a block scores
+minus infinity and no search keeps it.  The condition is pairwise, so every
+subset of a passing block passes; ``_connected_blocks`` filters each
+extension by the balls of the block's members and yields exactly the
+passing blocks, each once, without measuring the others.
 Every utility comes from one ``CoalitionEvaluator`` per solve, which caches
 it by member bitmask; the NS search tests each candidate partition with the
 same deviation search as ``stability.find_deviation``.
@@ -29,6 +36,7 @@ from .core import (
     SocialNetwork,
     SolveResult,
     check_mode,
+    cutoff_balls,
 )
 from .stability import first_deviation
 
@@ -68,40 +76,55 @@ def bell_number(n: int) -> int:
     return row[-1] if n >= 1 else 1
 
 
-def _connected_blocks(G: SocialNetwork, low: int, allowed: int) -> Iterator[int]:
-    """Each connected subset of ``allowed`` that contains agent ``low``, once.
+def _connected_blocks(
+    G: SocialNetwork, low: int, allowed: int, balls: Optional[tuple[int, ...]] = None
+) -> Iterator[int]:
+    """Each connected subset of ``allowed`` that contains agent ``low``, once;
+    with ``balls`` (``core.cutoff_balls``), only those whose members all lie
+    in each other's balls.
 
     Extension-set recursion: grow from {low}; an extension, once tried, is
     banned from the branches tried after it, so no block is reached twice.
+    ``near``, the AND of the block's members' balls, filters both the new
+    reach and the carried frontier: an agent outside it is in no passing
+    superset of the block, and ``near`` only shrinks down the recursion, so
+    each passing block is reached along the same path as without balls.
     """
     adj = G.adj_mask
+    if balls is None:
+        balls = (G.full_mask,) * G.n
 
-    def grow(block: int, frontier: int, banned: int) -> Iterator[int]:
+    def grow(block: int, frontier: int, banned: int, near: int) -> Iterator[int]:
         yield block
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
             banned |= bit
-            reach = adj[bit.bit_length() - 1] & allowed & ~banned
-            yield from grow(block | bit, frontier | reach, banned)
+            v = bit.bit_length() - 1
+            inner = near & balls[v]
+            reach = adj[v] & allowed & ~banned
+            yield from grow(block | bit, (frontier | reach) & inner, banned, inner)
 
     start = 1 << low
-    yield from grow(start, adj[low] & allowed & ~start, start)
+    yield from grow(start, adj[low] & allowed & ~start, start, balls[low])
 
 
 def _admissible_blocks(
-    ev: CoalitionEvaluator, rem: int, need_ir: bool
+    ev: CoalitionEvaluator, rem: int, need_ir: bool, balls: Optional[tuple[int, ...]] = None
 ) -> Iterator[tuple[int, ExtInt]]:
     """(mask, welfare) of the blocks of ``rem`` that hold its lowest agent,
-    have finite welfare and, if ``need_ir``, no member below utility 0."""
+    have finite welfare and, if ``need_ir``, no member below utility 0;
+    ``balls`` only skips blocks of welfare minus infinity unmeasured."""
     low = (rem & -rem).bit_length() - 1
-    for block in _connected_blocks(ev.G, low, rem):
+    for block in _connected_blocks(ev.G, low, rem, balls):
         welfare, worst, _ = ev.stats(block)
         if welfare != NEG_INF and not (need_ir and worst < 0):
             yield block, welfare
 
 
-def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> Callable[[int], tuple[ExtInt, int]]:
+def _best_partition(
+    ev: CoalitionEvaluator, need_ir: bool, balls: Optional[tuple[int, ...]]
+) -> Callable[[int], tuple[ExtInt, int]]:
     """Subset DP: best(rem) = max of w(B) + best(rem ^ B) over admissible B
     holding the lowest agent of rem, ties to the smallest outcome key.  The
     key of B plus rem ^ B's partition is the sum of their keys (no edge is
@@ -117,7 +140,7 @@ def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> Callable[[int], tu
             return hit
         top_w: ExtInt = NEG_INF
         top_key = 0
-        for block, w in _admissible_blocks(ev, rem, need_ir):
+        for block, w in _admissible_blocks(ev, rem, need_ir, balls):
             rest_w, rest_key = best(rem ^ block)
             total = w + rest_w
             if total < top_w:
@@ -134,7 +157,9 @@ def _best_partition(ev: CoalitionEvaluator, need_ir: bool) -> Callable[[int], tu
     return best
 
 
-def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, int]]:
+def _best_nash_stable(
+    ev: CoalitionEvaluator, balls: Optional[tuple[int, ...]]
+) -> Optional[tuple[ExtInt, int]]:
     """Best Nash-stable partition, by branch and bound over the partitions
     into IR-admissible blocks: every NS outcome is IR, since leaving for a
     singleton is one of the moves tested.
@@ -147,7 +172,7 @@ def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, int]]:
     ties to the smaller key, so the first partition reached is the IR
     optimum: when it is Nash stable, every other branch is cut."""
     G = ev.G
-    bound = _best_partition(ev, need_ir=True)
+    bound = _best_partition(ev, True, balls)
     best_welfare: ExtInt = NEG_INF  # every partition searched scores higher
     best_key = 0
     masks: list[int] = []
@@ -164,7 +189,7 @@ def _best_nash_stable(ev: CoalitionEvaluator) -> Optional[tuple[ExtInt, int]]:
                 best_welfare, best_key = welfare, key
             return
         order = []
-        for block, w in _admissible_blocks(ev, rem, True):
+        for block, w in _admissible_blocks(ev, rem, True, balls):
             rest_w, rest_key = bound(rem ^ block)
             block_key = G.edge_key(block)
             order.append((-(w + rest_w), block_key | rest_key, block, w, block_key))
@@ -196,10 +221,11 @@ def brute_force_solve(
             f"brute force capped at {cap} agents, network has {G.n}"
         )
     ev = CoalitionEvaluator(s, G)
+    balls = cutoff_balls(s, G)
     if mode == "ns":
-        solved = _best_nash_stable(ev)
+        solved = _best_nash_stable(ev, balls)
     else:
-        solved = _best_partition(ev, need_ir=mode == "ir")(G.full_mask)
+        solved = _best_partition(ev, mode == "ir", balls)(G.full_mask)
     if solved is None:
         return None
     welfare, key = solved

@@ -81,8 +81,9 @@ and per record only updates the cells.  Forget works out once per group the
 forgotten agent's part, the new parts and promises, its own cell's vector
 and promise utility, and settles each commitment that an edge or a third
 member realizes; per record it checks the commitments left against the
-cells' routes, trims and tallies the cells and screens IR.  The join matches
-each left record against the right records of its parts and promises.
+cells' routes, trims and tallies the cells and screens IR.  The join groups
+the right side by parts and promises, with the bag pairs' welfare once per
+group, and matches each left record against its group.
 
 A record's witness is its outcome key (``dp``): an introduce into part L adds
 the new agent's edges into L, and a join ORs both sides' keys.
@@ -109,6 +110,7 @@ from .core import (
     SocialNetwork,
     SolveResult,
     UnsupportedInputError,
+    ball_distances,
     iter_bits,
 )
 from .dp import (
@@ -127,24 +129,6 @@ DEFAULT_RECORD_BUDGET = 5_000_000
 
 def _pkey(u, v):
     return (u, v) if u < v else (v, u)
-
-
-def _ball(G, source, radius):
-    """Distances in G from ``source`` to the agents at most ``radius`` away."""
-    adj = G.adj_mask
-    dist = {source: 0}
-    seen = frontier = 1 << source
-    for d in range(1, radius + 1):
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-        for v in iter_bits(frontier):
-            dist[v] = d
-    return dist
 
 
 def _tally(cells, ir):
@@ -215,7 +199,7 @@ def _compressed_steps(s, G, budget, ir, cap):
         # distances in the full network lower-bound every coalition distance
         near = balls.get(a)
         if near is None:
-            near = balls[a] = _ball(G, a, reach)
+            near = balls[a] = ball_distances(G, a, reach)
         for (parts_c, prom_c, links_c), group in _grouped(child).items():
             alone = tuple(sorted(parts_c + (bit,)))
             links_alone = _unite(links_c, (bit,)) if fold else ()
@@ -379,16 +363,26 @@ def _compressed_steps(s, G, budget, ir, cap):
 
     def join(node, left, right):
         table = WitnessTable(budget)
+        # (parts, promises) -> (welfare of the bag pairs, which both sides
+        # count, and the right records)
         grouped: dict = {}
         for (parts, prom, cells, links), (w, key) in right.data.items():
-            grouped.setdefault((parts, prom), []).append((links, _runs(parts, cells), w, key))
+            group = grouped.get((parts, prom))
+            if group is None:
+                group = grouped[parts, prom] = (2 * sum(score(d) for _, d in prom), [])
+            group[1].append((links, _runs(parts, cells), w, key))
+        # the left side keeps its order; its records of one group mostly come
+        # in runs that share the parts and promises objects (one step built
+        # them), so a run looks its group up once
+        seen = None
         for (parts, prom, cells_y, links_y), (w_y, key_y) in left.data.items():
-            matches = grouped.get((parts, prom))
-            if not matches:
+            if seen is None or parts is not seen[0] or prom is not seen[1]:
+                seen = parts, prom
+                group = grouped.get(seen)
+            if group is None:
                 continue
+            over, matches = group
             runs_y = _runs(parts, cells_y)
-            # the bag pairs are counted by both sides
-            over = 2 * sum(score(d) for _, d in prom)
             for links_z, runs_z, w_z, key_z in matches:
                 links = _unite(links_y, links_z) if fold else ()
                 # cross contributions pair only cells of one part, so each

@@ -1,10 +1,14 @@
 """Command-line interface and file formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sdgsolve
 from sdgsolve.cli import main
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
 from sdgsolve.formats import (
@@ -437,3 +441,25 @@ class TestBoundsCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["degree_size_bound"] == 8
         assert report["treewidth_size_bound"] == 2 * 2 * 3 + 1
+
+
+def test_one_process_prints_what_fresh_processes_print(capsys):
+    # main builds its parser once per process; solve, bounds and solve again
+    # with other flags, in one process, print what three fresh ones print
+    runs = [
+        ["solve", "--graph", str(DATA / "fig_c.gr"), "--scores", "1,1,-1,-1,-1,-1", "--format", "json"],
+        ["bounds", "--graph", str(DATA / "fig_a.gr"), "--scores", "1,-3"],
+        ["solve", "--graph", str(DATA / "fig_c.gr"), "--scores", "1,1,-1,-1,-1,-1", "--mode", "ns", "--algo", "brute"],
+    ]
+
+    def steady(text):
+        # the solve time differs from run to run
+        return [line for line in text.splitlines() if not line.startswith("time:") and "elapsed_ms" not in line]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(sdgsolve.__file__).parents[1]))
+    for argv in runs:
+        code = main(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sdgsolve", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert (code, steady(capsys.readouterr().out)) == (fresh.returncode, steady(fresh.stdout)), argv

@@ -13,6 +13,7 @@ from sdgsolve.core import (
     coalition_diameter,
     coalition_distance,
     coalition_welfare,
+    cutoff_balls,
     social_welfare,
 )
 
@@ -260,3 +261,11 @@ def test_outcome_key_bits_follow_the_edge_rank():
     assert G.edge_key_to(2, G.mask_of((0, 1, 3))) == 0b0111
     assert G.outcome_of_key(0b1001) == Outcome(((0, 1), (2, 3)))
     assert G.outcome_of_key(0) == Outcome.singletons(4)
+
+
+def test_cutoff_balls_hold_the_agents_within_the_cutoff():
+    # the path 0-1-2-3-4 plus the isolated agent 5
+    G = SocialNetwork(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert cutoff_balls(ScoringVector((1, -1), tail="open"), G) is None
+    assert cutoff_balls(ScoringVector((1,)), G) == (0b11, 0b111, 0b1110, 0b11100, 0b11000, 0b100000)
+    assert cutoff_balls(ScoringVector((1, 0, -1)), G)[0] == 0b1111

@@ -202,13 +202,15 @@ def test_bitmask_tie_order_on_prefix_blocks(xs, ys):
     assert (_key(G, ys) < _key(G, xs)) == (_edge_indicators(G, ys) < _edge_indicators(G, xs))
 
 
-def _set_join(G, cap, node, left, right):
+def _set_join(G, s, cap, node, left, right):
     """The open-coalition DP's join written over sets: every pair of entries
     whose open coalitions meet the bag in the same parts, with coalitions
-    fused where they share an agent, dropped when one outgrows ``cap``;
-    pending lists concatenate, deviations take the larger value per agent,
-    welfare adds and keys OR."""
+    fused where they share an agent, dropped when one outgrows ``cap`` or,
+    under a closed tail, holds two agents farther apart in G than the
+    cutoff; pending lists concatenate, deviations take the larger value per
+    agent, welfare adds and keys OR."""
     bag = set(node.bag)
+    dist = [G.distances_in(G.full_mask, u) for u in range(G.n)]
     table = WitnessTable(Budget(10**9, "unused"))
     for (opens_y, pending_y, devs_y), (wf_y, key_y) in left.data.items():
         for (opens_z, pending_z, devs_z), (wf_z, key_z) in right.data.items():
@@ -218,6 +220,10 @@ def _set_join(G, cap, node, left, right):
                 continue
             merged = [b | next(c for c in sets_z if b & c) for b in sets_y]
             if any(len(b) > cap for b in merged):
+                continue
+            if s.is_closed and any(
+                dist[u].get(v, G.n) > s.cutoff for b in merged for u in b for v in b
+            ):
                 continue
             devs = dict(devs_y)
             for t, d in devs_z:
@@ -246,7 +252,7 @@ def test_bag_merge_equals_the_set_merge_during_solves(seed, monkeypatch):
 
         def checked(node, left, right):
             table = join(node, left, right)
-            assert list(table.data.items()) == list(_set_join(G, cap, node, left, right).data.items())
+            assert list(table.data.items()) == list(_set_join(G, ev.s, cap, node, left, right).data.items())
             joins.append(len(table.data))
             return table
 

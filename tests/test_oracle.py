@@ -2,6 +2,7 @@
 
 import functools
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,10 @@ from sdgsolve.core import (
     ScoringVector,
     SocialNetwork,
     coalition_welfare,
+    cutoff_balls,
     iter_bits,
 )
-from sdgsolve.generators import random_partial_ktree
+from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.oracle import (
     _admissible_blocks,
     _connected_blocks,
@@ -223,6 +225,30 @@ def test_connected_blocks_are_the_connected_submasks(n, rng, data):
     assert sorted(got) == expect
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.randoms(use_true_random=False), st.integers(1, 4), st.data())
+def test_connected_blocks_within_the_balls_are_the_close_connected_submasks(n, rng, cutoff, data):
+    # with a closed tail's balls, exactly the connected submasks whose
+    # members lie pairwise within the cutoff in G, each once
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    G = SocialNetwork(n, edges)
+    allowed = data.draw(st.integers(1, G.full_mask))
+    low = data.draw(st.sampled_from(list(iter_bits(allowed))))
+    balls = cutoff_balls(ScoringVector((1,) * cutoff), G)
+    got = list(_connected_blocks(G, low, allowed, balls))
+    dist = [G.distances_in(G.full_mask, u) for u in range(n)]
+    expect = [
+        m
+        for m in range(1, G.full_mask + 1)
+        if m & allowed == m
+        and m >> low & 1
+        and G.is_connected_within(m)
+        and all(dist[u].get(v, n) <= cutoff for u, v in combinations(iter_bits(m), 2))
+    ]
+    assert len(got) == len(set(got))
+    assert sorted(got) == expect
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 6), st.randoms(use_true_random=False))
 def test_welfare_dominates_every_partition(n, rng):
@@ -323,3 +349,64 @@ def test_nash_stable_search_starts_from_the_ir_optimum(case, checks, long_vec, m
     if case == "fig_b":
         ir = brute_force_solve(long_vec, G, "ir")
         assert (ns.welfare, ns.outcome) == (ir.welfare, ir.outcome)
+
+
+# 11-13-agent graphs of the kinds auto answers with brute force, and three
+# gap networks: (family, agents, seed), or ("gap", seed)
+PRUNE_GRAPHS = [
+    ("tw2", 11, 0), ("tw2", 13, 1), ("tw3", 12, 2), ("tw3", 13, 0),
+    ("deg3", 12, 1), ("deg3", 13, 2), ("gap", 2), ("gap", 25), ("gap", 41),
+]
+
+
+def _prune_graph(case):
+    if case[0] == "gap":
+        return _gap_network(case[1])
+    family, n, seed = case
+    if family == "deg3":
+        return random_bounded_degree(n, 3, seed)
+    return random_partial_ktree(n, int(family[2]), seed)
+
+
+@pytest.mark.parametrize("case", PRUNE_GRAPHS, ids=lambda c: "-".join(map(str, c)))
+def test_cutoff_pruning_keeps_every_answer(case, monkeypatch):
+    # brute force that skips the blocks with a pair past the cutoff answers
+    # as brute force that measures them, in every mode and closed vector
+    G = _prune_graph(case)
+    for s in [s for s in VECTORS if s.is_closed]:
+        for mode in ("welfare", "ir", "ns"):
+            pruned = brute_force_solve(s, G, mode)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "cutoff_balls", lambda s, G: None)
+                plain = brute_force_solve(s, G, mode)
+            if plain is None:
+                assert pruned is None, (s, mode)
+            else:
+                assert (pruned.welfare, pruned.outcome) == (plain.welfare, plain.outcome), (s, mode)
+
+
+def test_cutoff_pruning_skips_the_far_blocks_unmeasured(monkeypatch):
+    """On auto-mid's 13-agent partial 2-tree under (1,-3), brute force
+    measures only the blocks whose members lie pairwise within distance 2,
+    97 in welfare mode and in NS mode (whose IR bound measures them all);
+    without the balls it measures every connected block it meets, 626."""
+    G = random_partial_ktree(13, 2, 1)
+    s = ScoringVector((1, -3))
+    measured = []
+    measure = CoalitionEvaluator._measure
+
+    def counted(self, mask):
+        measured.append(mask)
+        return measure(self, mask)
+
+    monkeypatch.setattr(CoalitionEvaluator, "_measure", counted)
+    counts = {}
+    for pruned in (True, False):
+        with monkeypatch.context() as m:
+            if not pruned:
+                m.setattr(oracle, "cutoff_balls", lambda s, G: None)
+            for mode in ("welfare", "ns"):
+                measured.clear()
+                brute_force_solve(s, G, mode)
+                counts[pruned, mode] = len(measured)
+    assert counts == {(True, "welfare"): 97, (True, "ns"): 97, (False, "welfare"): 626, (False, "ns"): 626}

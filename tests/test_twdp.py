@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from sdgsolve import solver_twdp
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError, iter_bits
+from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError, ball_distances, iter_bits
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import Budget, WitnessTable
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree, random_solver_corpus_instance
@@ -210,14 +210,16 @@ def test_table_adds_barely_depend_on_the_labels(monkeypatch):
 
 def test_ns_on_a_24_agent_tree_is_capped_by_the_size_bound(monkeypatch):
     """(1,-3) certifies coalitions of at most 2 agents, and auto's NS route
-    through twdp caps its coalitions by that bound."""
+    through twdp caps its coalitions by that bound.  Its cutoff keeps every
+    open coalition's members within distance 2 of each other in G: 6248
+    adds without that rule."""
     budgets = record_budgets(monkeypatch, solver_twdp)
     s = ScoringVector((1, -3))
     G = random_partial_ktree(24, 1, 0)
     result = solve(s, G, "ns")
     assert (result.algorithm, result.welfare) == ("twdp", 12)
     assert is_nash_stable(s, G, result.outcome)
-    assert sum(b.seen for b in budgets) == 6248
+    assert sum(b.seen for b in budgets) == 3027
 
 
 def test_long_path_solves_without_a_recursion_limit():
@@ -344,7 +346,7 @@ def _per_record_steps(s, G, ir, cap):
         table = WitnessTable(budget)
         a = node.agent
         bit = 1 << a
-        near = solver_twdp._ball(G, a, reach)
+        near = ball_distances(G, a, reach)
         for (parts_c, prom_c, cells_c, links_c), (w_c, key_c) in child.data.items():
             links = _united(links_c, [bit]) if far else ()
             table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c, links), w_c, key_c)
