@@ -81,8 +81,13 @@ class ScoringVector:
 
     @classmethod
     def parse(cls, text: str, tail: str = "closed") -> "ScoringVector":
+        """Scores from comma-separated integers; spaces are ignored, and an
+        empty entry (``"1,,-1"``, ``",1"``, ``"1,0,"``) is an error."""
+        tokens = text.replace(" ", "").split(",")
+        if "" in tokens:
+            raise ValueError(f"empty entry in scoring vector {text!r}")
         try:
-            scores = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+            scores = tuple(int(tok) for tok in tokens)
         except ValueError as exc:
             raise ValueError(f"cannot parse scoring vector {text!r}") from exc
         return cls(scores, tail)

@@ -46,13 +46,14 @@ def choose_algorithm(
 ) -> str:
     """Deterministic automatic selection for one connected component: brute
     force up to ``brute_cap`` agents, where its subset DP over connected
-    coalitions beats the paper's DPs, then the first of those that applies."""
+    coalitions beats the paper's DPs; then twdp, for a closed tail of small
+    width or any tail with a certified coalition-size bound (the cap that
+    bounds its tables); then vc, for a small cover.  The same body under a
+    caller's size limit runs only when that algorithm is asked for by name."""
     if G.n <= brute_cap:
         return "brute"
-    if s.is_closed and compute_decomposition(G).width() <= AUTO_TW_WIDTH:
+    if (s.is_closed and compute_decomposition(G).width() <= AUTO_TW_WIDTH) or select_sz(s, G) is not None:
         return "twdp"
-    if select_sz(s, G) is not None:
-        return "fptdp"
     try:
         if len(compute_vertex_cover(G)) <= AUTO_VC_SIZE:
             return "vc"

@@ -1,23 +1,21 @@
 """fptdp: treewidth plus maximum coalition size.
 
-fptdp runs twdp's solve body (``solver_twdp.solve_nice``) under the size cap
-``sz``: the compressed record in welfare and IR mode, ``dp.coalition_steps``
-in NS mode.  The record's states are bounded by the width, the cap and the
-cutoff: a part holds at most ``sz`` members, and committed distances and
-cell entries stop at ``sz - 1`` or a closed tail's cutoff, or fold past an
-open tail's cutoff (``solver_twdp`` argues both).  Unlike twdp, it accepts
-open tails too.
+fptdp is twdp's solve body (``solver_twdp.solve_nice``) under a caller's
+size cap ``sz``: the compressed record in welfare and IR mode,
+``dp.coalition_steps`` in NS mode, with the same record budget.  The
+record's states are bounded by the width, the cap and the cutoff: a part
+holds at most ``sz`` members, and committed distances and cell entries stop
+at ``sz - 1`` or a closed tail's cutoff, or fold past an open tail's cutoff
+(``solver_twdp`` argues both).  Without ``sz`` it takes twdp's cap and gives
+twdp's answer, labelled fptdp; automatic dispatch never picks it.
 """
 
 from typing import Optional
 
 from .bounds import select_sz  # also imported from here by callers
 from .core import ScoringVector, SocialNetwork, SolveResult, check_mode
-from .dp import Budget
 from .solver_twdp import solve_nice
 from .treedecomp import NiceTreeDecomposition
-
-DEFAULT_STATE_BUDGET = 3_000_000
 
 
 def solve_fpt(
@@ -36,9 +34,5 @@ def solve_fpt(
         sz = select_sz(s, G) or G.n
     if sz < 1:
         raise ValueError("sz must be at least 1")
-    budget = Budget(
-        DEFAULT_STATE_BUDGET,
-        f"topology DP exceeded its state budget ({DEFAULT_STATE_BUDGET})",
-    )
     # no coalition of G holds more than n members
-    return solve_nice(s, G, decomposition, mode, min(sz, G.n), budget, "fptdp", optimal)
+    return solve_nice(s, G, decomposition, mode, min(sz, G.n), "fptdp", optimal)

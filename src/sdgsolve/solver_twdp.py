@@ -1,7 +1,8 @@
 """Treewidth dynamic programs over a nice tree decomposition.
 
-``solve_nice`` is the solve body of twdp (closed tails) and of fptdp (both
-tails): the best outcome whose coalitions have at most ``cap`` members.
+``solve_nice`` is the solve body of twdp and of fptdp, under either tail:
+the best outcome whose coalitions have at most ``cap`` members, within one
+record budget of ``DEFAULT_RECORD_BUDGET`` table adds.
 Welfare and IR modes run a compressed leaf-to-root DP, the record.  A
 record's state is ``(parts, promises, cells, links)``:
 
@@ -93,10 +94,11 @@ so records hold the member bitmasks of open coalitions and every utility and
 deviation check runs on the real induced subgraph when a coalition
 completes.
 
-twdp caps coalitions by ``select_sz``'s certified bound (n without one).
-Its premise gives every larger coalition negative welfare, so no such
-coalition is in a welfare optimum, an IR outcome or an NS one (which is IR),
-and the capped answer is the one cap n gives.
+twdp caps coalitions by ``select_sz``'s certified bound (n without one),
+under a closed tail or an open one; fptdp is the same body under a caller's
+cap.  The bound's premise gives every larger coalition negative welfare, so
+no such coalition is in a welfare optimum, an IR outcome or an NS one (which
+is IR), and the capped answer is the one cap n gives.
 """
 
 from itertools import combinations, groupby, product
@@ -109,7 +111,6 @@ from .core import (
     ScoringVector,
     SocialNetwork,
     SolveResult,
-    UnsupportedInputError,
     ball_distances,
     iter_bits,
 )
@@ -411,12 +412,17 @@ def _compressed_steps(s, G, budget, ir, cap):
     return leaf, introduce, forget, join
 
 
-def solve_nice(s, G, decomposition, mode, cap, budget, algorithm, optimal=True) -> Optional[SolveResult]:
+def solve_nice(s, G, decomposition, mode, cap, algorithm, optimal=True) -> Optional[SolveResult]:
     """The best outcome under the mode whose coalitions have at most ``cap``
     members, self-checked and labelled ``algorithm``; None only in NS mode
-    (all-singletons is IR under every cap)."""
+    (all-singletons is IR under every cap).  One run adds at most
+    ``DEFAULT_RECORD_BUDGET`` table entries."""
     if decomposition is None:
         decomposition = nice_decomposition(G)
+    budget = Budget(
+        DEFAULT_RECORD_BUDGET,
+        f"{algorithm} exceeded its record budget ({DEFAULT_RECORD_BUDGET} table adds)",
+    )
     if mode == "ns":
         steps = coalition_steps(CoalitionEvaluator(s, G), budget, cap)
     else:
@@ -430,15 +436,7 @@ def solve_nice(s, G, decomposition, mode, cap, budget, algorithm, optimal=True) 
 
 
 def _solve_tw(s, G, decomposition, mode) -> Optional[SolveResult]:
-    if not s.is_closed:
-        raise UnsupportedInputError(
-            "the treewidth DP supports closed tails only; use fptdp, vc, or brute"
-        )
-    records = Budget(
-        DEFAULT_RECORD_BUDGET,
-        f"treewidth DP exceeded its record budget ({DEFAULT_RECORD_BUDGET})",
-    )
-    return solve_nice(s, G, decomposition, mode, select_sz(s, G) or G.n, records, "twdp")
+    return solve_nice(s, G, decomposition, mode, select_sz(s, G) or G.n, "twdp")
 
 
 def solve_tw_welfare(

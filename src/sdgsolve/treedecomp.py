@@ -31,7 +31,7 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class TdViolation:
-    kind: str  # "bag-range" | "tree-shape" | "vertex-coverage" | "edge-coverage" | "connectivity"
+    kind: str  # "vertex-count" | "bag-range" | "tree-shape" | "vertex-coverage" | "edge-coverage" | "connectivity"
     detail: str
 
 
@@ -47,9 +47,11 @@ def read_td(text: str) -> TreeDecomposition:
     Raises TdParseError, with the offending line's number, for a malformed
     or second solution line (naming the first), a malformed bag or tree edge
     line or one before the solution line, a bag id outside the declared bag
-    count and a repeated bag id (naming the first line).  Vertex ranges and
-    the tree's shape are left to ``validate``."""
+    count, a bag larger than the declared maximum bag size and a repeated bag
+    id (naming the first line).  The vertex count, vertex ranges and the
+    tree's shape are left to ``validate``."""
     n_bags = None
+    max_bag = None
     n_vertices = None
     header_line = None
     bags: dict[int, frozenset[int]] = {}
@@ -66,7 +68,7 @@ def read_td(text: str) -> TreeDecomposition:
             if len(parts) != 5 or parts[1] != "td":
                 raise TdParseError(line_no, f"malformed solution line: {line!r}")
             try:
-                n_bags, _max_bag, n_vertices = int(parts[2]), int(parts[3]), int(parts[4])
+                n_bags, max_bag, n_vertices = int(parts[2]), int(parts[3]), int(parts[4])
             except ValueError:
                 raise TdParseError(line_no, f"non-integer header fields: {line!r}")
             header_line = line_no
@@ -82,10 +84,13 @@ def read_td(text: str) -> TreeDecomposition:
                 raise TdParseError(line_no, f"bag id {bag_id} outside 1..{n_bags}")
             if any(v < 0 for v in members):
                 raise TdParseError(line_no, "vertex ids must be positive")
+            bag = frozenset(members)
+            if len(bag) > max_bag:
+                raise TdParseError(line_no, f"bag {bag_id} has {len(bag)} vertices, above the declared maximum {max_bag}")
             first = bag_lines.setdefault(bag_id, line_no)
             if first != line_no:
                 raise TdParseError(line_no, f"bag {bag_id} repeats the bag of line {first}")
-            bags[bag_id] = frozenset(members)
+            bags[bag_id] = bag
         else:
             if n_bags is None:
                 raise TdParseError(line_no, "edge line before solution line")
@@ -119,6 +124,8 @@ def validate(G: SocialNetwork, td: TreeDecomposition) -> Union[int, TdViolation]
 
     One pass over the bags lists each agent's holders (the bags containing
     it); coverage, edges and subtree connectivity are read from those lists."""
+    if td.n_vertices != G.n:
+        return TdViolation("vertex-count", f"decomposition declares {td.n_vertices} vertices, the network has {G.n}")
     k = len(td.bags)
     holders: list[list[int]] = [[] for _ in range(G.n)]
     for i, bag in enumerate(td.bags):

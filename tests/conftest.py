@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from sdgsolve import dp
+from sdgsolve import dp, solver_twdp
 from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
 
 # filled by tests/test_acceptance.py; echoed after the run so the
@@ -28,9 +28,10 @@ from sdgsolve.core import Outcome, ScoringVector, SocialNetwork
 ACCEPTANCE_LINES: list[str] = []
 
 
-def record_budgets(monkeypatch, *modules) -> list:
-    """List that collects every Budget the solver modules make from now on:
-    one per DP solve, its ``seen`` the solve's table insertions."""
+def record_budgets(monkeypatch) -> list:
+    """List that collects every Budget ``solver_twdp.solve_nice``, the solve
+    body of twdp and fptdp, makes from now on: one per DP solve, its
+    ``seen`` the solve's table insertions."""
     budgets = []
 
     class RecordedBudget(dp.Budget):
@@ -38,8 +39,7 @@ def record_budgets(monkeypatch, *modules) -> list:
             super().__init__(*args)
             budgets.append(self)
 
-    for module in modules:
-        monkeypatch.setattr(module, "Budget", RecordedBudget)
+    monkeypatch.setattr(solver_twdp, "Budget", RecordedBudget)
     return budgets
 
 

@@ -185,7 +185,10 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["size_limited"] and max(map(len, report["outcome"])) <= 2
 
-    def test_unsupported_combination_errors(self, capsys):
+    def test_unsupported_combination_errors(self, tmp_path, capsys):
+        # a decomposition drives only the treewidth DP
+        td = tmp_path / "fig_a.td"
+        td.write_text("s td 1 7 7\nb 1 1 2 3 4 5 6 7\n")
         code = main(
             [
                 "solve",
@@ -193,14 +196,43 @@ class TestSolveCommand:
                 str(DATA / "fig_a.gr"),
                 "--scores",
                 "1,0",
-                "--tail",
-                "open",
+                "--td",
+                str(td),
                 "--algo",
-                "twdp",
+                "vc",
             ]
         )
         assert code == 1
-        assert "closed tails" in capsys.readouterr().err
+        assert "only drives the twdp" in capsys.readouterr().err
+
+    def test_open_tail_with_td_runs_twdp(self, tmp_path, capsys):
+        td = tmp_path / "fig_a.td"
+        td.write_text("s td 1 7 7\nb 1 1 2 3 4 5 6 7\n")
+        argv = ["solve", "--graph", str(DATA / "fig_a.gr"), "--scores", "2,-1", "--tail", "open",
+                "--td", str(td), "--format", "json"]
+        for mode in ("welfare", "ir", "ns"):
+            assert main(argv + ["--mode", mode]) == 0
+            report = json.loads(capsys.readouterr().out)
+            expect = brute_force_solve(ScoringVector((2, -1), tail="open"), read_gr((DATA / "fig_a.gr").read_text()), mode)
+            assert report["algorithm"] == "twdp", mode
+            assert report["welfare"] == expect.welfare, mode
+
+    @pytest.mark.parametrize("scores", ["1,,-1", ",1", "1,0,"])
+    def test_scores_with_an_empty_entry_error(self, scores, capsys):
+        code = main(["solve", "--graph", str(DATA / "fig_a.gr"), "--scores", scores])
+        assert code == 1
+        assert f"error: empty entry in scoring vector {scores!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header,message", [
+        ("s td 1 7 9", "vertex-count: decomposition declares 9 vertices, the network has 7"),
+        ("s td 1 6 7", "line 2: bag 1 has 7 vertices, above the declared maximum 6"),
+    ])
+    def test_td_header_fields_are_checked(self, header, message, tmp_path, capsys):
+        td = tmp_path / "fig_a.td"
+        td.write_text(header + "\nb 1 1 2 3 4 5 6 7\n")
+        code = main(["solve", "--graph", str(DATA / "fig_a.gr"), "--scores", "1,-3", "--td", str(td)])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_solve_with_td(self, tmp_path, capsys):
         td = tmp_path / "fig_a.td"
@@ -390,6 +422,15 @@ class TestBenchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "brute" in out and "twdp" in out
+
+    def test_open_tail_puts_twdp_against_the_others(self, tmp_path, capsys):
+        (tmp_path / "fig_c.gr").write_text((DATA / "fig_c.gr").read_text())
+        argv = ["bench", "--corpus", str(tmp_path), "--scores", "2,-1", "--tail", "open",
+                "--modes", "welfare,ir,ns"]
+        assert main(argv) == 0
+        rows = [line.split()[:3] for line in capsys.readouterr().out.splitlines()]
+        for mode in ("welfare", "ir", "ns"):
+            assert ["fig_c.gr", mode, "twdp"] in rows, mode
 
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["bench", "--corpus", str(tmp_path), "--scores", "1"]) == 0

@@ -73,6 +73,12 @@ class TestScoringVector:
         assert s.cutoff == 3
         assert s.max_score == 1
 
+    @pytest.mark.parametrize("text", ["1,,-1", ",1", "1,0,", "", " , "])
+    def test_parse_rejects_an_empty_entry(self, text):
+        with pytest.raises(ValueError, match="empty entry in scoring vector") as err:
+            ScoringVector.parse(text)
+        assert repr(text) in str(err.value)
+
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
     def test_monotone_scoring(self, raw):
         scores = tuple(sorted(raw, reverse=True))

@@ -55,9 +55,15 @@ class TestChoose:
         assert choose_algorithm(ScoringVector((1, 0, -1)), G) == "twdp"
 
     def test_open_tail_skips_twdp(self):
+        # without a certified size bound twdp's tables have no cap
         G = random_partial_ktree(14, 2, 3)
-        algo = choose_algorithm(ScoringVector((1, -1), tail="open"), G)
+        algo = choose_algorithm(ScoringVector((1,), tail="open"), G)
         assert algo != "twdp"
+
+    def test_open_tail_with_a_certified_bound_goes_twdp(self):
+        # (1,-1)'s size bound is 9 here; fptdp runs only when asked for
+        G = random_partial_ktree(14, 2, 3)
+        assert choose_algorithm(ScoringVector((1, -1), tail="open"), G) == "twdp"
 
     def test_cover_errors_other_than_the_limit_propagate(self, monkeypatch):
         def broken(G):
@@ -144,9 +150,9 @@ class TestOneDecompositionPerGraph:
         assert solve(ScoringVector((1, 0, -1)), G).algorithm == "twdp"
         assert orders == ["_min_fill_order"]
 
-    def test_auto_fptdp_on_a_30_agent_tree(self, orders):
+    def test_auto_twdp_on_an_open_tail_30_agent_tree(self, orders):
         G = random_partial_ktree(30, 1, 0)
-        assert solve(ScoringVector((2, -1), tail="open"), G).algorithm == "fptdp"
+        assert solve(ScoringVector((2, -1), tail="open"), G).algorithm == "twdp"
         assert orders == ["_min_fill_order"]
 
     def test_27_queries_on_one_8_agent_graph(self, orders):
@@ -158,7 +164,7 @@ class TestOneDecompositionPerGraph:
                              ((1, 1, -1, -1, -1, -1), "closed"), ((2, -1), "open")):
             s = ScoringVector(scores, tail)
             for mode in ("welfare", "ir", "ns"):
-                for algo in ("twdp", "fptdp") if s.is_closed else ("fptdp",):
+                for algo in ("twdp", "fptdp") if s.is_closed else ("twdp",):
                     solve(s, G, mode, algo=algo)
                     queries += 1
         assert queries == 27
@@ -223,6 +229,16 @@ class TestSolveFacade:
     def test_rejects_unknown_algo(self, fig_a):
         with pytest.raises(ValueError):
             solve(ScoringVector((1,)), fig_a, algo="magic")
+
+    @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
+    def test_open_tail_with_a_decomposition_runs_twdp(self, mode):
+        G = random_partial_ktree(12, 1, 0)
+        s = ScoringVector((2, -1), tail="open")
+        expect = brute_force_solve(s, G, mode)
+        for algo in ("auto", "twdp"):
+            got = solve(s, G, mode, algo=algo, decomposition=nice_decomposition(G))
+            assert got.algorithm == "twdp" and got.optimal, algo
+            assert (got.welfare, got.outcome) == (expect.welfare, expect.outcome), algo
 
     @pytest.mark.parametrize("mode", ["welfare", "ir", "ns"])
     def test_rejects_a_decomposition_that_misses_an_agent(self, mode):

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from sdgsolve import solver_fptdp
 from sdgsolve.core import NEG_INF, CoalitionEvaluator, Outcome, ScoringVector, iter_bits, social_welfare
 from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.oracle import brute_force_solve, enumerate_partitions
 from sdgsolve.solver_fptdp import select_sz, solve_fpt
+from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
 from sdgsolve.stability import is_individually_rational, is_nash_stable
 
 from conftest import (
@@ -199,7 +199,7 @@ PINNED_ADDS = [
 
 @pytest.mark.parametrize("graph,s,adds", PINNED_ADDS, ids=["tree30", "2tree20", "2tree12", "2tree30"])
 def test_table_adds_are_pinned(graph, s, adds, monkeypatch):
-    budgets = record_budgets(monkeypatch, solver_fptdp)
+    budgets = record_budgets(monkeypatch)
     G = random_partial_ktree(*graph, 0)
     seen = {}
     for mode in adds:
@@ -229,18 +229,19 @@ def _reach_graph(family, n, seed):
 
 @pytest.mark.parametrize("family,n,seed", REACH_GRAPHS)
 def test_open_tails_with_the_certified_size_match_brute(family, n, seed):
-    """fptdp's record under open tails, where committed distances stop at
-    the reach, against brute force in every mode."""
+    """The record under open tails, where committed distances stop at the
+    reach, against brute force in every mode: fptdp with its own size bound
+    and twdp, which takes the same cap."""
     G = _reach_graph(family, n, seed)
     for s in REACH_VECTORS:
-        for mode in ("welfare", "ir", "ns"):
-            got = solve_fpt(s, G, mode=mode)
+        for mode, solve_tw in (("welfare", solve_tw_welfare), ("ir", solve_tw_ir), ("ns", solve_tw_ns)):
             expect = brute_force_solve(s, G, mode)
-            where = f"{s} {mode} G={G.edges}"
-            assert (got is None) == (expect is None), where
-            if got is not None:
-                assert (got.welfare, got.outcome) == (expect.welfare, expect.outcome), where
-                assert got.optimal, where
+            for got in (solve_fpt(s, G, mode=mode), solve_tw(s, G)):
+                where = f"{s} {mode} G={G.edges}"
+                assert (got is None) == (expect is None), where
+                if got is not None:
+                    assert (got.welfare, got.outcome) == (expect.welfare, expect.outcome), where
+                    assert got.optimal, where
 
 
 def _capped_optimum(s, G, mode, sz):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sdgsolve import solver_fptdp, solver_twdp
+from sdgsolve import solver_twdp
 from sdgsolve.core import ResourceLimitError, ScoringVector
 from sdgsolve.generators import random_solver_corpus_instance
 from sdgsolve.solver_fptdp import solve_fpt
@@ -37,20 +37,23 @@ def test_fpt_with_full_size_equals_twdp(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_twdp_and_fptdp_run_one_ns_dp(seed, monkeypatch):
-    """twdp's and fptdp's NS modes are one DP: the same cap, the same keys,
-    so the same outcome and the same table insertions."""
-    budgets = record_budgets(monkeypatch, solver_twdp, solver_fptdp)
+    """twdp and fptdp are one DP in every mode, under closed tails and an
+    open one: the same cap, the same keys, so the same outcome and the same
+    table insertions."""
+    budgets = record_budgets(monkeypatch)
     G = random_solver_corpus_instance(seed)
-    for scores in ((1,), (1, -3), (1, 0, -1), (1, 1, -1, -1, -1, -1)):
-        s = ScoringVector(scores)
-        budgets.clear()
-        tw = solve_tw_ns(s, G)
-        fpt = solve_fpt(s, G, mode="ns")
-        where = f"seed={seed} {scores}"
-        assert (tw is None) == (fpt is None), where
-        if tw is not None:
-            assert (tw.welfare, tw.outcome) == (fpt.welfare, fpt.outcome), where
-        assert len(budgets) == 2 and budgets[0].seen == budgets[1].seen, where
+    for scores, tail in (((1,), "closed"), ((1, -3), "closed"), ((1, 0, -1), "closed"),
+                         ((1, 1, -1, -1, -1, -1), "closed"), ((2, -1), "open")):
+        s = ScoringVector(scores, tail)
+        for mode, solve_tw in (("welfare", solve_tw_welfare), ("ir", solve_tw_ir), ("ns", solve_tw_ns)):
+            budgets.clear()
+            tw = solve_tw(s, G)
+            fpt = solve_fpt(s, G, mode=mode)
+            where = f"seed={seed} {s} {mode}"
+            assert (tw is None) == (fpt is None), where
+            if tw is not None:
+                assert (tw.welfare, tw.outcome) == (fpt.welfare, fpt.outcome), where
+            assert len(budgets) == 2 and budgets[0].seen == budgets[1].seen, where
 
 
 def test_record_budget_respected_on_small_instances(monkeypatch):

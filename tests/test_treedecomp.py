@@ -72,6 +72,18 @@ class TestReadTd:
         assert err.value.line_no == 3
         assert "line 1" in str(err.value)
 
+    def test_bag_above_the_declared_maximum_reports_its_line(self):
+        # the header declares bags of at most 1 vertex; bag 1 holds 2
+        with pytest.raises(TdParseError) as err:
+            read_td("s td 2 1 3\nc note\nb 1 1 2\nb 2 2 3\n1 2\n")
+        assert err.value.line_no == 3
+        assert "2 vertices" in str(err.value) and "maximum 1" in str(err.value)
+
+    def test_bag_of_the_declared_maximum_is_accepted(self):
+        # a repeated member counts once
+        td = read_td("s td 2 2 3\nb 1 1 2 2\nb 2 2 3\n1 2\n")
+        assert td.bags[0] == frozenset({0, 1})
+
     def test_repeated_header_before_any_bag_is_caught_too(self):
         with pytest.raises(TdParseError) as err:
             read_td("s td 2 2 3\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
@@ -82,6 +94,16 @@ class TestValidate:
     def test_single_bag_all_agents(self, fig_a):
         td = TreeDecomposition((frozenset(range(7)),), (), 7)
         assert validate(fig_a, td) == 6
+
+    def test_vertex_count_must_match_the_network(self):
+        # a valid decomposition of the 3-path, whose header declares 9 vertices
+        G = path_graph(3)
+        td = read_td("s td 2 2 9\nb 1 1 2\nb 2 2 3\n1 2\n")
+        result = validate(G, td)
+        assert isinstance(result, TdViolation)
+        assert result.kind == "vertex-count"
+        assert "9" in result.detail and "3" in result.detail
+        assert validate(G, read_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")) == 1
 
     def test_missing_edge_bag(self):
         G = SocialNetwork(3, [(0, 1), (1, 2), (0, 2)])

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from sdgsolve import solver_twdp
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, UnsupportedInputError, ball_distances, iter_bits
+from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, ball_distances, iter_bits
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import Budget, WitnessTable
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree, random_solver_corpus_instance
@@ -43,10 +43,6 @@ class TestWelfare:
         res = solve_tw_welfare(ScoringVector((1,)), G)
         assert res.welfare == 2
         assert res.outcome == Outcome.from_blocks([[0, 1]])
-
-    def test_rejects_open_tail(self, fig_a):
-        with pytest.raises(UnsupportedInputError):
-            solve_tw_welfare(ScoringVector((1, 0), tail="open"), fig_a)
 
     def test_small_shapes(self):
         s = ScoringVector((1, 0, -1))
@@ -179,7 +175,7 @@ LARGE_ADDS = {
 
 @pytest.mark.parametrize("graph,vec", list(LARGE_ADDS), ids=lambda v: ",".join(map(str, v)))
 def test_large_network_table_adds_are_pinned(graph, vec, monkeypatch):
-    budgets = record_budgets(monkeypatch, solver_twdp)
+    budgets = record_budgets(monkeypatch)
     G = random_partial_ktree(*graph, 0)
     seen = []
     for mode in ("welfare", "ir"):
@@ -194,7 +190,7 @@ def test_table_adds_barely_depend_on_the_labels(monkeypatch):
     and one integer witness per state, twdp's table adds stay within 3x of
     each other (9112 to 14318); when the tie rule pinned the exact subset
     DP's decomposition they ranged from 19057 to 243651."""
-    budgets = record_budgets(monkeypatch, solver_twdp)
+    budgets = record_budgets(monkeypatch)
     base = random_bounded_degree(11, 3, 1)
     s = ScoringVector((1, 1, -1, -1, -1, -1))
     adds = []
@@ -213,7 +209,7 @@ def test_ns_on_a_24_agent_tree_is_capped_by_the_size_bound(monkeypatch):
     through twdp caps its coalitions by that bound.  Its cutoff keeps every
     open coalition's members within distance 2 of each other in G: 6248
     adds without that rule."""
-    budgets = record_budgets(monkeypatch, solver_twdp)
+    budgets = record_budgets(monkeypatch)
     s = ScoringVector((1, -3))
     G = random_partial_ktree(24, 1, 0)
     result = solve(s, G, "ns")
