@@ -6,7 +6,8 @@ The sweep is the acceptance suite's criterion-4 corpus (the 200 instances of
 modes, plus larger networks where the tables run deep: partial 1-trees of 30
 and 60 agents and a partial 2-tree of 20 agents under ``(1,-3)`` and
 ``(1,0,-1)`` for ``auto`` and ``twdp``, and the 30-agent tree under the open
-vector ``(2,-1)`` for ``auto`` and ``fptdp``, in welfare and IR modes.
+vector ``(2,-1)`` for ``auto``, ``twdp`` and ``fptdp``, in welfare and IR
+modes.
 
 Per algorithm the script hashes ``(welfare, outcome, algorithm, optimal,
 size_limited)`` of every answer (``None`` for an NS instance with no stable
@@ -86,7 +87,7 @@ def cases():
                 yield f"ktree({n},{k})", G, ScoringVector(vec), mode, ("auto", "twdp")
     G = random_partial_ktree(30, 1, 0)
     for mode in ("welfare", "ir"):
-        yield "ktree(30,1)", G, ScoringVector((2, -1), tail="open"), mode, ("auto", "fptdp")
+        yield "ktree(30,1)", G, ScoringVector((2, -1), tail="open"), mode, ("auto", "twdp", "fptdp")
 
 
 def answer(s, G, mode, algo):

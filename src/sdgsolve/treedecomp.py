@@ -8,13 +8,22 @@ not depend on the decomposition, so nothing pins one.  A graph object keeps
 its decomposition and its nice form once built, so every width question and
 every DP on it reads the same one.  The exact subset DP over vertex sets
 stays behind ``exact_treewidth`` only.
+
+The nice form is free in the same way, so it is shaped for the DPs' cost.
+``make_nice`` roots it above a start bag and joins a bag's children on the
+bag they share, introducing the rest of the parent bag once, after the
+joins.  ``nice_decomposition`` roots it above bag 0 or above the last bag,
+the elimination order's own root, whichever ``join_cost`` prices lower: an
+estimate of the joins' work from the graph and the decomposition alone, in
+the spirit of Abseher, Musliu and Woltran (JAIR 2017) and Bodlaender,
+Bonsma and Lokshtanov (IPEC 2013).
 """
 
 import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import SocialNetwork
+from .core import SocialNetwork, iter_bits
 
 
 @dataclass(frozen=True)
@@ -133,10 +142,7 @@ def validate(G: SocialNetwork, td: TreeDecomposition) -> Union[int, TdViolation]
             if not 0 <= v < G.n:
                 return TdViolation("bag-range", f"bag {i} contains vertex {v} outside 0..{G.n - 1}")
             holders[v].append(i)
-    tree_adj: list[set[int]] = [set() for _ in range(k)]
-    for a, b in td.tree_edges:
-        tree_adj[a].add(b)
-        tree_adj[b].add(a)
+    tree_adj = _bag_tree(td)
     # the tree must actually be a tree over the bags
     if k > 1:
         if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != k - 1:
@@ -170,6 +176,15 @@ def _reach(tree_adj, start, within):
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def _bag_tree(td: TreeDecomposition) -> list[set[int]]:
+    """Each bag's neighbours in the decomposition's tree."""
+    adj: list[set[int]] = [set() for _ in td.bags]
+    for a, b in td.tree_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 def ensure_valid(G: SocialNetwork, td: TreeDecomposition) -> int:
@@ -372,31 +387,38 @@ class _NiceBuilder:
         return self.morph(top, target)
 
 
-def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Nice decomposition of the same width: empty root/leaf bags, unary
-    introduce/forget steps, binary joins."""
-    k = len(td.bags)
-    adj: list[set[int]] = [set() for _ in range(k)]
-    for a, b in td.tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+def make_nice(td: TreeDecomposition, start: int = 0) -> NiceTreeDecomposition:
+    """Nice decomposition of the same width, rooted above bag ``start``:
+    empty root/leaf bags, unary introduce/forget steps, binary joins.
+
+    A bag with several children joins them on the bag they share: the union
+    of each child's bag cut to the parent bag.  Each child is morphed to that
+    shared bag, the joins run there, and the rest of the parent bag is
+    introduced once, after the last join."""
+    adj = _bag_tree(td)
     builder = _NiceBuilder()
-    # Depth first from bag 0 on an explicit stack, so that a long path stays
-    # clear of Python's recursion limit.  A leaf bag grows from an empty leaf;
-    # an inner bag joins its children's tops (children ascending), each
-    # morphed to the inner bag once that child's subtree is built.  A frame is
-    # (bag, its children, their morphed tops so far); ``top`` carries a
-    # finished subtree's top up to its parent's frame.
-    stack = [(0, sorted(adj[0]), [])]
+
+    def frame(node, parent):
+        bag = td.bags[node]
+        children = sorted(c for c in adj[node] if c != parent)
+        shared = frozenset().union(*(td.bags[c] & bag for c in children))
+        return node, children, shared, []
+
+    # Depth first from ``start`` on an explicit stack, so that a long path
+    # stays clear of Python's recursion limit.  A leaf bag grows from an empty
+    # leaf; an inner bag joins its children's tops (children ascending), each
+    # morphed to the shared bag once that child's subtree is built.  A frame
+    # is (bag, its children, their shared bag, their morphed tops so far);
+    # ``top`` carries a finished subtree's top up to its parent's frame.
+    stack = [frame(start, None)]
     top = None
     while stack:
-        node, children, tops = stack[-1]
+        node, children, shared, tops = stack[-1]
         if top is not None:
-            tops.append(builder.morph(top, td.bags[node]))
+            tops.append(builder.morph(top, shared))
             top = None
         if len(tops) < len(children):
-            child = children[len(tops)]
-            stack.append((child, sorted(c for c in adj[child] if c != node), []))
+            stack.append(frame(children[len(tops)], node))
             continue
         stack.pop()
         if not children:
@@ -404,7 +426,8 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             continue
         top = tops[0]
         for other in tops[1:]:
-            top = builder.add("join", td.bags[node], (top, other))
+            top = builder.add("join", shared, (top, other))
+        top = builder.morph(top, td.bags[node])
     root = builder.morph(top, frozenset())
     if builder.nodes[root].bag:
         raise AssertionError("root bag not empty after morph")
@@ -454,9 +477,58 @@ def validate_nice(G: SocialNetwork, ntd: NiceTreeDecomposition) -> Union[int, Td
     return validate(G, TreeDecomposition(bags, edges, G.n))
 
 
+def join_cost(G: SocialNetwork, td: TreeDecomposition, start: int) -> int:
+    """Estimated cost of the DP's joins on ``make_nice(td, start)``: the sum
+    over its join nodes of (a_L + |B|)(a_R + |B|), where B is the join's bag
+    and a_X counts the agents forgotten below child X that have a neighbour
+    in B.  Those agents are what a record's cells can still tally against
+    the bag, so the two factors stand for the sizes of the tables the join
+    crosses.  It reads ``td`` itself, without building the nice form: a
+    join's branch has forgotten exactly its subtree's agents outside the
+    shared bag."""
+    tree = _bag_tree(td)
+    masks = [sum(1 << v for v in bag) for bag in td.bags]
+    parent = {start: None}
+    order = [start]
+    for x in order:
+        for y in tree[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    below = list(masks)  # bag -> mask of the agents in its subtree's bags
+    cost = 0
+    for x in reversed(order):
+        children = sorted(y for y in tree[x] if y != parent[x])
+        for c in children:
+            below[x] |= below[c]
+        if len(children) < 2:
+            continue
+        # the children join in ascending order on their shared bag, as in
+        # make_nice: the left side is every child joined so far
+        shared = 0
+        for c in children:
+            shared |= masks[c] & masks[x]
+        near = 0  # the forgotten agents that count: neighbours of the bag
+        for v in iter_bits(shared):
+            near |= G.adj_mask[v]
+        near &= ~shared
+        size = shared.bit_count()
+        left = below[children[0]]
+        for c in children[1:]:
+            cost += ((left & near).bit_count() + size) * ((below[c] & near).bit_count() + size)
+            left |= below[c]
+    return cost
+
+
 def nice_decomposition(G: SocialNetwork) -> NiceTreeDecomposition:
-    """``make_nice(compute_decomposition(G))``, built once per graph object."""
+    """The nice form of ``compute_decomposition(G)`` rooted above bag 0 or
+    above the last bag, the elimination order's own root, whichever has the
+    lower ``join_cost`` (bag 0 on a tie); built once per graph object.  The
+    choice reads the graph and the decomposition only, never a vector."""
     ntd = G.structure.get("nice")
     if ntd is None:
-        ntd = G.structure["nice"] = make_nice(compute_decomposition(G))
+        td = compute_decomposition(G)
+        last = len(td.bags) - 1
+        start = last if join_cost(G, td, last) < join_cost(G, td, 0) else 0
+        ntd = G.structure["nice"] = make_nice(td, start)
     return ntd

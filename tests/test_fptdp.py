@@ -190,10 +190,10 @@ def test_large_tree_outcome_is_pinned(mode):
 # when fptdp keyed open coalitions by their topology, and the 12-agent one
 # 1537 NS adds before NS coalitions kept their members within the cutoff
 PINNED_ADDS = [
-    ((30, 1), ScoringVector((2, -1), tail="open"), {"welfare": 1438, "ir": 1493}),
-    ((20, 2), ScoringVector((1, -3)), {"welfare": 1215, "ir": 1187}),
-    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 349, "ir": 331, "ns": 759}),
-    ((30, 2), ScoringVector((1, -3)), {"welfare": 10571, "ir": 12977}),
+    ((30, 1), ScoringVector((2, -1), tail="open"), {"welfare": 893, "ir": 902}),
+    ((20, 2), ScoringVector((1, -3)), {"welfare": 940, "ir": 909}),
+    ((12, 2), ScoringVector((1, 0, -1)), {"welfare": 231, "ir": 216, "ns": 468}),
+    ((30, 2), ScoringVector((1, -3)), {"welfare": 5008, "ir": 5717}),
 ]
 
 

@@ -416,6 +416,24 @@ class TestDecompositionWidth:
         assert compute_decomposition(twin) == compute_decomposition(G)
 
 
+def _nice_join_cost(G, ntd):
+    """``join_cost`` read off the nice form's own join nodes: the sum of
+    (a_L + |B|)(a_R + |B|), a_X the agents forgotten below child X with a
+    neighbour in the join's bag B."""
+    nodes = ntd.nodes
+    forgotten = {}
+    cost = 0
+    for idx in ntd.postorder():
+        node = nodes[idx]
+        below = [forgotten.pop(c) for c in node.children]
+        if node.kind == "join":
+            near = set().union(*(G.adj[v] for v in node.bag))
+            size = len(node.bag)
+            cost += (len(below[0] & near) + size) * (len(below[1] & near) + size)
+        forgotten[idx] = set().union(*below) | ({node.agent} if node.kind == "forget" else set())
+    return cost
+
+
 class TestMakeNice:
     def test_single_empty_bag(self):
         td = TreeDecomposition((frozenset(),), (), 1)
@@ -441,6 +459,66 @@ class TestMakeNice:
         )
         ntd = make_nice(td)
         assert validate_nice(G, ntd) == 1
+
+    def test_children_join_on_the_bag_they_share(self):
+        # bag 0 = {0, 1, 2} has children {0, 3} and {1, 4}: they join on
+        # {0, 1}, and agent 2, in no child's bag, is introduced once above
+        G = SocialNetwork(5, [(0, 1), (1, 2), (0, 3), (1, 4)])
+        td = TreeDecomposition(
+            (frozenset({0, 1, 2}), frozenset({0, 3}), frozenset({1, 4})),
+            ((0, 1), (0, 2)),
+            5,
+        )
+        ntd = make_nice(td)
+        assert validate_nice(G, ntd) == 2
+        assert [node.bag for node in ntd.nodes if node.kind == "join"] == [frozenset({0, 1})]
+        assert [node.agent for node in ntd.nodes if node.kind == "introduce"].count(2) == 1
+
+    def test_start_bag_roots_the_nice_form(self):
+        # on a path of bags, the chain of forgets below the root empties
+        # the start bag
+        G = path_graph(4)
+        td = TreeDecomposition(
+            (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+            ((0, 1), (1, 2)),
+            4,
+        )
+        for start in range(3):
+            ntd = make_nice(td, start)
+            assert validate_nice(G, ntd) == 1
+            idx, forgotten = ntd.root, set()
+            while ntd.nodes[idx].kind == "forget":
+                forgotten.add(ntd.nodes[idx].agent)
+                idx = ntd.nodes[idx].children[0]
+            assert ntd.nodes[idx].bag == forgotten == td.bags[start]
+
+    @pytest.mark.parametrize("family", ["1-tree", "2-tree", "3-tree", "degree-3"])
+    def test_both_candidate_roots_are_nice(self, family):
+        # seeded partial k-trees and bounded-degree graphs of 2-14 agents;
+        # join_cost, read off the decomposition, prices each candidate's
+        # joins, and nice_decomposition keeps the one of the lower cost
+        for n in range(2, 15):
+            for seed in range(3):
+                if family == "degree-3":
+                    G = random_bounded_degree(n, 3, seed)
+                else:
+                    G = random_partial_ktree(n, int(family[0]), seed)
+                td = compute_decomposition(G)
+                starts = (0, len(td.bags) - 1)
+                candidates = [make_nice(td, start) for start in starts]
+                for ntd in candidates:
+                    where = (family, n, seed, ntd.root)
+                    assert validate_nice(G, ntd) == td.width(), where
+                    reachable = [ntd.nodes[i] for i in ntd.postorder()]
+                    for node in reachable:
+                        if node.kind == "join":
+                            assert all(ntd.nodes[c].bag == node.bag for c in node.children), where
+                    forgets = sorted(node.agent for node in reachable if node.kind == "forget")
+                    assert forgets == list(range(n)), where
+                costs = [treedecomp.join_cost(G, td, start) for start in starts]
+                assert costs == [_nice_join_cost(G, ntd) for ntd in candidates], (family, n, seed)
+                kept = candidates[1] if costs[1] < costs[0] else candidates[0]
+                assert nice_decomposition(G) == kept, (family, n, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 8), st.randoms(use_true_random=False))

@@ -13,7 +13,7 @@ from sdgsolve.generators import random_bounded_degree, random_partial_ktree, ran
 from sdgsolve.oracle import brute_force_solve
 from sdgsolve.solver_fptdp import solve_fpt
 from sdgsolve.solver_twdp import solve_tw_ir, solve_tw_ns, solve_tw_welfare
-from sdgsolve.stability import is_individually_rational, is_nash_stable
+from sdgsolve.stability import find_deviation, is_individually_rational, is_nash_stable
 from sdgsolve.treedecomp import nice_decomposition
 
 from conftest import (
@@ -164,12 +164,12 @@ def test_large_network_outcomes_are_pinned(graph, vec):
 # encoding that splits or merges states moves these even where the outcome
 # stays
 LARGE_ADDS = {
-    ((30, 1), (1, -3)): (610, 590),
-    ((30, 1), (1, 0, -1)): (2097, 1994),
-    ((60, 1), (1, -3)): (1329, 1265),
-    ((60, 1), (1, 0, -1)): (10831, 10129),
-    ((20, 2), (1, -3)): (1215, 1187),
-    ((20, 2), (1, 0, -1)): (5173, 7035),
+    ((30, 1), (1, -3)): (417, 397),
+    ((30, 1), (1, 0, -1)): (1265, 1162),
+    ((60, 1), (1, -3)): (847, 812),
+    ((60, 1), (1, 0, -1)): (5244, 4777),
+    ((20, 2), (1, -3)): (940, 909),
+    ((20, 2), (1, 0, -1)): (4977, 6500),
 }
 
 
@@ -188,7 +188,7 @@ def test_large_network_table_adds_are_pinned(graph, vec, monkeypatch):
 def test_table_adds_barely_depend_on_the_labels(monkeypatch):
     """Six relabellings of one 11-agent graph: with one decomposition rule
     and one integer witness per state, twdp's table adds stay within 3x of
-    each other (9112 to 14318); when the tie rule pinned the exact subset
+    each other (9252 to 19355); when the tie rule pinned the exact subset
     DP's decomposition they ranged from 19057 to 243651."""
     budgets = record_budgets(monkeypatch)
     base = random_bounded_degree(11, 3, 1)
@@ -208,14 +208,30 @@ def test_ns_on_a_24_agent_tree_is_capped_by_the_size_bound(monkeypatch):
     """(1,-3) certifies coalitions of at most 2 agents, and auto's NS route
     through twdp caps its coalitions by that bound.  Its cutoff keeps every
     open coalition's members within distance 2 of each other in G: 6248
-    adds without that rule."""
+    adds without that rule, on the nice form that joined on the full parent
+    bag."""
     budgets = record_budgets(monkeypatch)
     s = ScoringVector((1, -3))
     G = random_partial_ktree(24, 1, 0)
     result = solve(s, G, "ns")
     assert (result.algorithm, result.welfare) == ("twdp", 12)
     assert is_nash_stable(s, G, result.outcome)
-    assert sum(b.seen for b in budgets) == 3027
+    assert sum(b.seen for b in budgets) == 2125
+
+
+@pytest.mark.slow
+def test_ns_on_a_30_agent_2_tree_stays_small():
+    """Under (1,-3) the welfare optimum of this 2-tree, 26, is Nash stable,
+    so auto's NS answer through twdp is 26.  With the nice form that joined
+    on the full parent bag, rooted above bag 0, this query ran out of
+    memory under a 2.5 GB address-space limit; it now takes seconds."""
+    s = ScoringVector((1, -3))
+    G = random_partial_ktree(30, 2, 0)
+    best = solve(s, G, "welfare")
+    assert best.welfare == 26 and find_deviation(s, G, best.outcome, "ns") is None
+    result = solve(s, G, "ns")
+    assert (result.algorithm, result.welfare) == ("twdp", 26)
+    assert is_nash_stable(s, G, result.outcome)
 
 
 def test_long_path_solves_without_a_recursion_limit():
