@@ -12,9 +12,10 @@ Under a closed tail both searches also skip every block with two members
 farther apart in G than the cutoff (``core.cutoff_balls``): a coalition
 distance is never shorter than the distance in G, so such a block scores
 minus infinity and no search keeps it.  The condition is pairwise, so every
-subset of a passing block passes; ``_connected_blocks`` filters each
-extension by the balls of the block's members and yields exactly the
-passing blocks, each once, without measuring the others.
+subset of a passing block passes; ``_connected_blocks``, a loop over an
+explicit stack of partial blocks, filters each extension by the balls of
+the block's members and returns exactly the passing blocks, each once,
+without measuring the others.
 Every utility comes from one ``CoalitionEvaluator`` per solve, which caches
 it by member bitmask; the NS search tests each candidate partition with the
 same deviation search as ``stability.find_deviation``.
@@ -78,35 +79,44 @@ def bell_number(n: int) -> int:
 
 def _connected_blocks(
     G: SocialNetwork, low: int, allowed: int, balls: Optional[tuple[int, ...]] = None
-) -> Iterator[int]:
+) -> list[int]:
     """Each connected subset of ``allowed`` that contains agent ``low``, once;
     with ``balls`` (``core.cutoff_balls``), only those whose members all lie
     in each other's balls.
 
-    Extension-set recursion: grow from {low}; an extension, once tried, is
-    banned from the branches tried after it, so no block is reached twice.
-    ``near``, the AND of the block's members' balls, filters both the new
-    reach and the carried frontier: an agent outside it is in no passing
-    superset of the block, and ``near`` only shrinks down the recursion, so
-    each passing block is reached along the same path as without balls.
+    Extension-set search over an explicit stack of (block, frontier, banned,
+    near): grow from {low}; an extension, once tried, is banned from the
+    extensions tried after it at the same block and from all their
+    descendants, so no block is reached twice.  A popped block's extensions
+    are pushed highest agent first, so they pop lowest first and the blocks
+    come out in depth-first preorder.  ``near``, the AND of the block's
+    members' balls, filters both the new reach and the carried frontier: an
+    agent outside it is in no passing superset of the block, and ``near``
+    only shrinks as a block grows, so each passing block is reached along
+    the same path as without balls.
     """
     adj = G.adj_mask
     if balls is None:
         balls = (G.full_mask,) * G.n
-
-    def grow(block: int, frontier: int, banned: int, near: int) -> Iterator[int]:
-        yield block
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            banned |= bit
-            v = bit.bit_length() - 1
-            inner = near & balls[v]
-            reach = adj[v] & allowed & ~banned
-            yield from grow(block | bit, (frontier | reach) & inner, banned, inner)
-
     start = 1 << low
-    yield from grow(start, adj[low] & allowed & ~start, start, balls[low])
+    blocks = []
+    stack = [(start, adj[low] & allowed & ~start, start, balls[low])]
+    while stack:
+        block, frontier, banned, near = stack.pop()
+        blocks.append(block)
+        # extension v bans every frontier agent up to v; the agents above
+        # it stay in its frontier
+        rest = frontier
+        while rest:
+            v = rest.bit_length() - 1
+            bit = 1 << v
+            rest ^= bit
+            tried = banned | rest | bit
+            inner = near & balls[v]
+            stack.append(
+                (block | bit, ((frontier ^ rest ^ bit) | adj[v] & allowed & ~tried) & inner, tried, inner)
+            )
+    return blocks
 
 
 def _admissible_blocks(

@@ -104,6 +104,21 @@ class TestSocialNetwork:
         G = SocialNetwork(5, [(0, 1), (2, 3)])
         assert G.components() == [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))))
+    def test_adjacency_reads_agree_with_the_edge_list(self, n, pairs):
+        # adjacency is stored as bitmasks only; every read of it agrees
+        # with the edges the graph was built from
+        edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+        G = SocialNetwork(n, edges)
+        nbrs = [{b for a, b in edges if a == v} | {a for a, b in edges if b == v} for v in range(n)]
+        for u in range(n):
+            assert G.adj[u] == nbrs[u]
+            assert G.degree(u) == len(nbrs[u])
+            for v in range(n):
+                assert G.has_edge(u, v) is ((min(u, v), max(u, v)) in edges)
+        assert G.max_degree() == max(len(a) for a in nbrs)
+
 
 class TestDistances:
     def test_fig_a_hub_pair(self, fig_a):

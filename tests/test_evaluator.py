@@ -98,7 +98,8 @@ def test_diameter_matches_coalition_diameter_and_caches_the_same_stats(n, rng, d
 
 
 def reference_stats(s, G, mask):
-    """Stats from per-member distance maps instead of BFS layer sizes."""
+    """Stats from per-member distance maps instead of the evaluator's
+    per-layer member counts."""
     size = mask.bit_count()
     utils = {i: utility_from_distances(s, G.distances_in(mask, i), size) for i in iter_bits(mask)}
     return sum(utils.values()), min(utils.values()), utils
@@ -112,7 +113,7 @@ def reference_stats(s, G, mask):
     vi=st.integers(0, len(VECTORS)),
     drawn=st.lists(st.integers(1, (1 << 9) - 1), max_size=8),
 )
-def test_layer_sizes_match_the_distance_reference(n, rng, chords, vi, drawn):
+def test_layer_counts_match_the_distance_reference(n, rng, chords, vi, drawn):
     s = (VECTORS + [ScoringVector((2, -1), tail="open")])[vi]
     # a path over k agents reaches past every closed cutoff here; with few
     # chords the agents off the path are often isolated, so the grand
@@ -146,17 +147,22 @@ def test_mask_search_matches_reference(n, rng, density, vi):
         assert find_deviation(s, G, outcome, mode) == expected
 
 
-def count_bfs_runs(monkeypatch):
-    """List that records every BFS the evaluator runs from now on."""
-    calls = []
-    bfs = SocialNetwork.layer_sizes
+def record_evaluators(monkeypatch):
+    """List that collects every ``CoalitionEvaluator`` made from now on; the
+    BFS runs made are the sum of their ``bfs_runs``."""
+    made = []
+    init = CoalitionEvaluator.__init__
 
-    def counted(self, mask, source):
-        calls.append((mask, source))
-        return bfs(self, mask, source)
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
 
-    monkeypatch.setattr(SocialNetwork, "layer_sizes", counted)
-    return calls
+    monkeypatch.setattr(CoalitionEvaluator, "__init__", recorded)
+    return made
+
+
+def bfs_runs(made):
+    return sum(ev.bfs_runs for ev in made)
 
 
 def test_report_evaluates_each_utility_once(fig_c, long_vec, monkeypatch):
@@ -169,19 +175,23 @@ def test_report_evaluates_each_utility_once(fig_c, long_vec, monkeypatch):
         for b in outcome
         if i not in b and fig_c.adj_mask[i] & fig_c.mask_of(b)
     )
-    calls = count_bfs_runs(monkeypatch)
+    made = record_evaluators(monkeypatch)
     report = result_report(long_vec, fig_c, result)
     assert report["individually_rational"] and not report["nash_stable"]
-    assert len(calls) <= members + joins
+    # one BFS per member of each coalition of two or more, and at most one
+    # per join the NS search tests
+    grouped = sum(len(b) for b in outcome if len(b) > 1)
+    assert grouped > 0
+    assert grouped <= bfs_runs(made) <= members + joins
 
 
 def test_certificate_takes_diameters_from_the_evaluators_bfs(fig_c, long_vec, monkeypatch):
     # fig_c's IR optimum: one BFS per member of {0..8} gives utilities and
     # the diameter; the NS search adds one for agent 2 joining {9}
     outcome = Outcome.from_blocks([range(9), [9]])
-    calls = count_bfs_runs(monkeypatch)
+    made = record_evaluators(monkeypatch)
     for mode in ("welfare", "ir", "ns"):
-        calls.clear()
+        made.clear()
         report = certify_outcome(long_vec, fig_c, outcome, mode)
         assert report.coalition_diameters == (3, 0)
-        assert len(calls) <= 10, mode
+        assert bfs_runs(made) == 10, mode

@@ -249,6 +249,18 @@ def test_connected_blocks_within_the_balls_are_the_close_connected_submasks(n, r
     assert sorted(got) == expect
 
 
+def test_brute_force_never_builds_the_frozenset_adjacency(monkeypatch):
+    # brute force reads only adj_mask, so a graph it solves holds no
+    # frozenset view of its neighbourhoods
+    def refuse(self):
+        raise AssertionError("SocialNetwork.adj was built")
+
+    monkeypatch.setattr(SocialNetwork, "adj", property(refuse))
+    for s in VECTORS:
+        for mode in ("welfare", "ir", "ns"):
+            brute_force_solve(s, _fig_c(), mode)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 6), st.randoms(use_true_random=False))
 def test_welfare_dominates_every_partition(n, rng):
