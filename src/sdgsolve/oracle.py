@@ -16,6 +16,13 @@ subset of a passing block passes; ``_connected_blocks``, a loop over an
 explicit stack of partial blocks, filters each extension by the balls of
 the block's members and returns exactly the passing blocks, each once,
 without measuring the others.
+Each block comes with a cheap upper bound on its welfare, the sum over its
+ordered member pairs of s(d_G(u, v)) (``_pair_rows``): valid for the same
+reason, since scores do not increase.  Both searches measure a block only
+while that bound plus the exact best of the agents left can still reach the
+incumbent; a block that can only tie it is measured too, since it may carry
+the smaller key (bound and prune over coalition values: Rahwan et al.,
+JAIR 2009).
 Every utility comes from one ``CoalitionEvaluator`` per solve, which caches
 it by member bitmask; the NS search tests each candidate partition with the
 same deviation search as ``stability.find_deviation``.
@@ -26,7 +33,8 @@ components of the key's edges.
 ``enumerate_partitions`` keeps the plain Bell enumeration for tests.
 """
 
-from typing import Callable, Iterator, Optional
+from heapq import heapify, heappop, heappush
+from typing import Iterator, Optional
 
 from .core import (
     NEG_INF,
@@ -38,12 +46,16 @@ from .core import (
     SolveResult,
     check_mode,
     cutoff_balls,
+    iter_bits,
 )
 from .stability import first_deviation
 
 # the largest component that brute force solves by default, and so the
 # largest that auto dispatch routes to it
 DEFAULT_AGENT_CAP = 13
+
+# per agent, (mask, weight) pairs: see _pair_rows
+PairRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -77,33 +89,69 @@ def bell_number(n: int) -> int:
     return row[-1] if n >= 1 else 1
 
 
+def _pair_rows(s: ScoringVector, G: SocialNetwork) -> PairRows:
+    """Per agent v, one (mask, 2·score) pair per nonzero score: mask holds
+    the agents whose distance from v in G scores ``score``, so a block that
+    gains v gains at most the sum of 2·score times the block's members in
+    each mask (both ordered pairs of v and a member).  Under a closed tail
+    only the distances up to the cutoff are priced (the balls keep the
+    farther pairs out of every block); under an open tail every distance
+    from the cutoff on scores the last entry, so they share one pair."""
+    adj = G.adj_mask
+    depth = s.cutoff if s.is_closed else G.n
+    rows = []
+    for v in range(G.n):
+        by_score: dict[ExtInt, int] = {}
+        seen = frontier = 1 << v
+        for d in range(1, depth + 1):
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            score = s.score(d)
+            by_score[score] = by_score.get(score, 0) | frontier
+        rows.append(tuple((mask, 2 * score) for score, mask in by_score.items() if score))
+    return tuple(rows)
+
+
 def _connected_blocks(
-    G: SocialNetwork, low: int, allowed: int, balls: Optional[tuple[int, ...]] = None
-) -> list[int]:
-    """Each connected subset of ``allowed`` that contains agent ``low``, once;
-    with ``balls`` (``core.cutoff_balls``), only those whose members all lie
-    in each other's balls.
+    G: SocialNetwork,
+    low: int,
+    allowed: int,
+    rows: PairRows,
+    balls: Optional[tuple[int, ...]] = None,
+) -> list[tuple[int, int]]:
+    """(block, bound) for each connected subset of ``allowed`` that contains
+    agent ``low``, once; with ``balls`` (``core.cutoff_balls``), only those
+    whose members all lie in each other's balls.  ``bound``, the sum over
+    the block's ordered member pairs of s(d_G(u, v)) priced by ``rows``
+    (``_pair_rows``), is at least the block's welfare: a coalition distance
+    is never shorter than the distance in G, and scores do not increase.
 
     Extension-set search over an explicit stack of (block, frontier, banned,
-    near): grow from {low}; an extension, once tried, is banned from the
-    extensions tried after it at the same block and from all their
+    near, bound): grow from {low}; an extension, once tried, is banned from
+    the extensions tried after it at the same block and from all their
     descendants, so no block is reached twice.  A popped block's extensions
     are pushed highest agent first, so they pop lowest first and the blocks
     come out in depth-first preorder.  ``near``, the AND of the block's
     members' balls, filters both the new reach and the carried frontier: an
     agent outside it is in no passing superset of the block, and ``near``
     only shrinks as a block grows, so each passing block is reached along
-    the same path as without balls.
+    the same path as without balls.  Extension v adds its pairs with the
+    block's members to the bound: a few popcounts, one per pair of v's row.
     """
     adj = G.adj_mask
     if balls is None:
         balls = (G.full_mask,) * G.n
     start = 1 << low
     blocks = []
-    stack = [(start, adj[low] & allowed & ~start, start, balls[low])]
+    stack = [(start, adj[low] & allowed & ~start, start, balls[low], 0)]
     while stack:
-        block, frontier, banned, near = stack.pop()
-        blocks.append(block)
+        block, frontier, banned, near, bound = stack.pop()
+        blocks.append((block, bound))
         # extension v bans every frontier agent up to v; the agents above
         # it stay in its frontier
         rest = frontier
@@ -113,45 +161,63 @@ def _connected_blocks(
             rest ^= bit
             tried = banned | rest | bit
             inner = near & balls[v]
-            stack.append(
-                (block | bit, ((frontier ^ rest ^ bit) | adj[v] & allowed & ~tried) & inner, tried, inner)
-            )
+            grown = bound
+            for mask, weight in rows[v]:
+                grown += weight * (block & mask).bit_count()
+            grown_frontier = ((frontier ^ rest ^ bit) | adj[v] & allowed & ~tried) & inner
+            stack.append((block | bit, grown_frontier, tried, inner, grown))
     return blocks
 
 
-def _admissible_blocks(
-    ev: CoalitionEvaluator, rem: int, need_ir: bool, balls: Optional[tuple[int, ...]] = None
-) -> Iterator[tuple[int, ExtInt]]:
-    """(mask, welfare) of the blocks of ``rem`` that hold its lowest agent,
-    have finite welfare and, if ``need_ir``, no member below utility 0;
-    ``balls`` only skips blocks of welfare minus infinity unmeasured."""
-    low = (rem & -rem).bit_length() - 1
-    for block in _connected_blocks(ev.G, low, rem, balls):
-        welfare, worst, _ = ev.stats(block)
-        if welfare != NEG_INF and not (need_ir and worst < 0):
-            yield block, welfare
-
-
-def _best_partition(
-    ev: CoalitionEvaluator, need_ir: bool, balls: Optional[tuple[int, ...]]
-) -> Callable[[int], tuple[ExtInt, int]]:
+class _BestPartition:
     """Subset DP: best(rem) = max of w(B) + best(rem ^ B) over admissible B
-    holding the lowest agent of rem, ties to the smallest outcome key.  The
-    key of B plus rem ^ B's partition is the sum of their keys (no edge is
-    inside both), so the smallest key of rem ^ B completes B best.  Returns
-    ``best``, memoised per bitmask for the evaluator's lifetime."""
-    G = ev.G
-    memo: dict[int, tuple[ExtInt, int]] = {0: (0, 0)}
-    block_keys: dict[int, int] = {}
+    (finite welfare and, if ``need_ir``, no member below utility 0) holding
+    the lowest agent of rem, ties to the smallest outcome key.  The key of B
+    plus rem ^ B's partition is the sum of their keys (no edge is inside
+    both), so the smallest key of rem ^ B completes B best.
 
-    def best(rem: int) -> tuple[ExtInt, int]:
+    Every block's bound (``_connected_blocks``) plus best(rem ^ B) caps
+    what B can reach, so the blocks are measured in descending order of
+    that sum, and only while it reaches the best total so far: a block that
+    can only tie is still measured, since it may carry a smaller key.
+    ``best`` is memoised per bitmask for the object's lifetime.  It is a
+    method, not a closure that calls itself: such a closure sits in a
+    reference cycle, which would keep the memo and the evaluator's caches
+    alive until the next full garbage collection rather than the solve's
+    end."""
+
+    __slots__ = ("ev", "need_ir", "balls", "rows", "memo", "block_keys")
+
+    def __init__(self, ev: CoalitionEvaluator, need_ir: bool, balls: Optional[tuple[int, ...]], rows: PairRows):
+        self.ev = ev
+        self.need_ir = need_ir
+        self.balls = balls
+        self.rows = rows
+        self.memo: dict[int, tuple[ExtInt, int]] = {0: (0, 0)}
+        self.block_keys: dict[int, int] = {}
+
+    def best(self, rem: int) -> tuple[ExtInt, int]:
+        memo = self.memo
         hit = memo.get(rem)
         if hit is not None:
             return hit
+        ev = self.ev
+        G = ev.G
+        low = (rem & -rem).bit_length() - 1
+        reach = []
+        for block, bound in _connected_blocks(G, low, rem, self.rows, self.balls):
+            rest_w, rest_key = memo.get(rem ^ block) or self.best(rem ^ block)
+            reach.append((bound + rest_w, block, rest_w, rest_key))
+        reach.sort(reverse=True)
+        need_ir, block_keys = self.need_ir, self.block_keys
         top_w: ExtInt = NEG_INF
         top_key = 0
-        for block, w in _admissible_blocks(ev, rem, need_ir, balls):
-            rest_w, rest_key = best(rem ^ block)
+        for cap, block, rest_w, rest_key in reach:
+            if cap < top_w:
+                break
+            w, worst, _ = ev.stats(block)
+            if w == NEG_INF or (need_ir and worst < 0):
+                continue
             total = w + rest_w
             if total < top_w:
                 continue
@@ -164,11 +230,11 @@ def _best_partition(
         memo[rem] = (top_w, top_key)
         return top_w, top_key
 
-    return best
-
 
 def _best_nash_stable(
-    ev: CoalitionEvaluator, balls: Optional[tuple[int, ...]]
+    ev: CoalitionEvaluator,
+    balls: Optional[tuple[int, ...]],
+    rows: PairRows,
 ) -> Optional[tuple[ExtInt, int]]:
     """Best Nash-stable partition, by branch and bound over the partitions
     into IR-admissible blocks: every NS outcome is IR, since leaving for a
@@ -176,40 +242,59 @@ def _best_nash_stable(
 
     The IR subset DP bounds every branch exactly.  An IR partition of ``rem``
     has welfare at most ``bound(rem)[0]``, and at that welfare a key at least
-    ``bound(rem)[1]``, since keys of disjoint edge sets add; so a branch
-    returns once it cannot beat the incumbent's welfare, or tie it with a
-    smaller key.  Blocks are tried in descending ``w(B) + bound(rem ^ B)[0]``,
-    ties to the smaller key, so the first partition reached is the IR
-    optimum: when it is Nash stable, every other branch is cut."""
+    ``bound(rem)[1]``, since keys of disjoint edge sets add; so a branch is
+    cut once it cannot beat the incumbent's welfare, or tie it with a
+    smaller key.  Each level keeps a heap of its blocks, keyed first by
+    ``-(cap + bound(rem ^ B)[0])`` and the key of B plus ``bound(rem ^ B)``,
+    where cap is the block's welfare once measured and its pair-distance
+    bound (``_connected_blocks``) before.  An unmeasured block pops ahead of
+    a measured one that ties it on both, is measured then (its welfare is
+    at most its bound) and, if admissible, pushed back measured; a measured
+    block is searched.  So the measured blocks come out in descending
+    ``w(B) + bound(rem ^ B)[0]``, ties to the smaller key, and the first
+    partition reached is the IR optimum: when it is Nash stable, every
+    other branch is cut, and the blocks left unmeasured stay so."""
     G = ev.G
-    bound = _best_partition(ev, True, balls)
+    bound = _BestPartition(ev, True, balls, rows).best
     best_welfare: ExtInt = NEG_INF  # every partition searched scores higher
     best_key = 0
     masks: list[int] = []
+    block_keys: dict[int, int] = {}
 
     def rec(rem: int, welfare: ExtInt, key: int):
         nonlocal best_welfare, best_key
-        top_w, top_key = bound(rem)
-        top_w += welfare
-        if top_w < best_welfare or (top_w == best_welfare and key | top_key >= best_key):
-            return
         if rem == 0:
-            # this partition would replace the incumbent
+            # the pop that led here showed it would replace the incumbent
             if first_deviation(ev, masks, "ns") is None:
                 best_welfare, best_key = welfare, key
             return
-        order = []
-        for block, w in _admissible_blocks(ev, rem, True, balls):
+        low = (rem & -rem).bit_length() - 1
+        heap = []
+        for block, cap in _connected_blocks(G, low, rem, rows, balls):
             rest_w, rest_key = bound(rem ^ block)
-            block_key = G.edge_key(block)
-            order.append((-(w + rest_w), block_key | rest_key, block, w, block_key))
-        order.sort()
-        for _, _, block, w, block_key in order:
-            masks.append(block)
-            rec(rem ^ block, welfare + w, key | block_key)
-            masks.pop()
+            block_key = block_keys.get(block)
+            if block_key is None:
+                block_key = block_keys[block] = G.edge_key(block)
+            heap.append((-(cap + rest_w), block_key | rest_key, False, block, block_key, rest_w))
+        heapify(heap)
+        while heap:
+            neg_reach, reach_key, measured, block, block_key, rest_w = heappop(heap)
+            top_w = welfare - neg_reach
+            if top_w < best_welfare or (top_w == best_welfare and key | reach_key >= best_key):
+                return
+            if measured:
+                masks.append(block)
+                rec(rem ^ block, top_w - rest_w, key | block_key)  # welfare + w(block)
+                masks.pop()
+                continue
+            w, worst, _ = ev.stats(block)
+            if w != NEG_INF and worst >= 0:
+                heappush(heap, (-(w + rest_w), reach_key, True, block, block_key, rest_w))
 
     rec(G.full_mask, 0, 0)
+    # rec reaches itself through its closure; emptying that cell frees the
+    # search on return rather than at the next full garbage collection
+    del rec
     return None if best_welfare == NEG_INF else (best_welfare, best_key)
 
 
@@ -220,8 +305,8 @@ def brute_force_solve(
 
     Welfare and IR run the subset DP over connected admissible blocks; NS
     searches the partitions into IR-admissible connected blocks, bounded by
-    the IR subset DP, so it holds the IR memo and its memory equals IR
-    mode's.  Returns None only in ns mode when no Nash-stable outcome
+    the IR subset DP, so it holds the IR memo, or the part of it that its
+    branches reach.  Returns None only in ns mode when no Nash-stable outcome
     exists.  Ties break toward the smallest outcome key
     (``SocialNetwork.edge_key``).
     """
@@ -232,10 +317,11 @@ def brute_force_solve(
         )
     ev = CoalitionEvaluator(s, G)
     balls = cutoff_balls(s, G)
+    rows = _pair_rows(s, G)
     if mode == "ns":
-        solved = _best_nash_stable(ev, balls)
+        solved = _best_nash_stable(ev, balls, rows)
     else:
-        solved = _best_partition(ev, mode == "ir", balls)(G.full_mask)
+        solved = _BestPartition(ev, mode == "ir", balls, rows).best(G.full_mask)
     if solved is None:
         return None
     welfare, key = solved

@@ -2,7 +2,7 @@
 
 import functools
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +22,8 @@ from sdgsolve.core import (
 )
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.oracle import (
-    _admissible_blocks,
     _connected_blocks,
+    _pair_rows,
     bell_number,
     brute_force_solve,
     decide_welfare_at_least,
@@ -215,7 +215,7 @@ def test_connected_blocks_are_the_connected_submasks(n, rng, data):
     G = SocialNetwork(n, edges)
     allowed = data.draw(st.integers(1, G.full_mask))
     low = data.draw(st.sampled_from(list(iter_bits(allowed))))
-    got = list(_connected_blocks(G, low, allowed))
+    got = [block for block, _ in _connected_blocks(G, low, allowed, _pair_rows(ScoringVector((1,)), G))]
     expect = [
         m
         for m in range(1, G.full_mask + 1)
@@ -234,8 +234,8 @@ def test_connected_blocks_within_the_balls_are_the_close_connected_submasks(n, r
     G = SocialNetwork(n, edges)
     allowed = data.draw(st.integers(1, G.full_mask))
     low = data.draw(st.sampled_from(list(iter_bits(allowed))))
-    balls = cutoff_balls(ScoringVector((1,) * cutoff), G)
-    got = list(_connected_blocks(G, low, allowed, balls))
+    s = ScoringVector((1,) * cutoff)
+    got = [block for block, _ in _connected_blocks(G, low, allowed, _pair_rows(s, G), cutoff_balls(s, G))]
     dist = [G.distances_in(G.full_mask, u) for u in range(n)]
     expect = [
         m
@@ -278,6 +278,7 @@ def _exhaustive_nash_stable(ev):
     reference: every partition into IR-admissible blocks, with the deviation
     check on each one that would replace the incumbent."""
     G = ev.G
+    rows = _pair_rows(ev.s, G)
     best_welfare = NEG_INF
     best_key = None
     masks = []
@@ -291,7 +292,11 @@ def _exhaustive_nash_stable(ev):
                 if first_deviation(ev, masks, "ns") is None:
                     best_welfare, best_key = welfare, key
             return
-        for block, w in _admissible_blocks(ev, rem, True):
+        low = (rem & -rem).bit_length() - 1
+        for block, _ in _connected_blocks(G, low, rem, rows):
+            w, worst, _ = ev.stats(block)
+            if w == NEG_INF or worst < 0:
+                continue
             masks.append(block)
             rec(rem ^ block, welfare + w, key | G.edge_key(block))
             masks.pop()
@@ -398,10 +403,41 @@ def test_cutoff_pruning_keeps_every_answer(case, monkeypatch):
 
 
 def test_cutoff_pruning_skips_the_far_blocks_unmeasured(monkeypatch):
-    """On auto-mid's 13-agent partial 2-tree under (1,-3), brute force
-    measures only the blocks whose members lie pairwise within distance 2,
-    97 in welfare mode and in NS mode (whose IR bound measures them all);
-    without the balls it measures every connected block it meets, 626."""
+    """On auto-mid's 13-agent partial 2-tree under (1,-3), ``_connected_blocks``
+    hands brute force only the blocks whose members lie pairwise within
+    distance 2, 97 distinct blocks in every mode; without the balls it
+    hands over every connected block the searches meet, 626."""
+    G = random_partial_ktree(13, 2, 1)
+    s = ScoringVector((1, -3))
+    enumerated = set()
+    connected_blocks = oracle._connected_blocks
+
+    def counted(*args):
+        blocks = connected_blocks(*args)
+        enumerated.update(block for block, _ in blocks)
+        return blocks
+
+    monkeypatch.setattr(oracle, "_connected_blocks", counted)
+    counts = {}
+    for pruned in (True, False):
+        with monkeypatch.context() as m:
+            if not pruned:
+                m.setattr(oracle, "cutoff_balls", lambda s, G: None)
+            for mode in ("welfare", "ir", "ns"):
+                enumerated.clear()
+                brute_force_solve(s, G, mode)
+                counts[pruned, mode] = len(enumerated)
+    assert counts == {
+        (True, "welfare"): 97, (True, "ir"): 97, (True, "ns"): 97,
+        (False, "welfare"): 626, (False, "ir"): 626, (False, "ns"): 626,
+    }
+
+
+def test_pair_bound_measures_only_the_blocks_that_can_win(monkeypatch):
+    """On the same graph and vector brute force measures 17 coalitions in
+    every mode, with the balls or without: every other block's pair-distance
+    bound plus the best of the rest falls below a total already reached.
+    Measuring every enumerated block took 97 with the balls, 626 without."""
     G = random_partial_ktree(13, 2, 1)
     s = ScoringVector((1, -3))
     measured = []
@@ -417,8 +453,111 @@ def test_cutoff_pruning_skips_the_far_blocks_unmeasured(monkeypatch):
         with monkeypatch.context() as m:
             if not pruned:
                 m.setattr(oracle, "cutoff_balls", lambda s, G: None)
-            for mode in ("welfare", "ns"):
+            for mode in ("welfare", "ir", "ns"):
                 measured.clear()
                 brute_force_solve(s, G, mode)
                 counts[pruned, mode] = len(measured)
-    assert counts == {(True, "welfare"): 97, (True, "ns"): 97, (False, "welfare"): 626, (False, "ns"): 626}
+    assert counts == {(pruned, mode): 17 for pruned in (True, False) for mode in ("welfare", "ir", "ns")}
+
+
+@st.composite
+def scoring_vectors(draw):
+    scores = sorted(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4)), reverse=True)
+    return ScoringVector(tuple(scores), draw(st.sampled_from(("closed", "open"))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10), st.randoms(use_true_random=False), scoring_vectors(), st.data())
+def test_block_bounds_cap_the_welfare_and_sum_the_pair_scores(n, rng, s, data):
+    # the bound carried with each block is the sum over its ordered member
+    # pairs of s(d_G(u, v)), and no block's welfare exceeds it
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    G = SocialNetwork(n, edges)
+    allowed = data.draw(st.integers(1, G.full_mask))
+    low = data.draw(st.sampled_from(list(iter_bits(allowed))))
+    ev = CoalitionEvaluator(s, G)
+    dist = [G.distances_in(G.full_mask, u) for u in range(n)]
+    for block, bound in _connected_blocks(G, low, allowed, _pair_rows(s, G), cutoff_balls(s, G)):
+        assert bound == sum(s.score(dist[u][v]) for u, v in permutations(iter_bits(block), 2))
+        assert ev.stats(block)[0] <= bound
+
+
+def _unpruned_search(s, G, mode):
+    """(welfare, key) of brute force's answer with neither the pair-distance
+    bound nor the balls, every connected block measured: welfare and IR
+    take the subset DP; NS searches the partitions into IR-admissible blocks
+    in descending (welfare + IR optimum of the rest, key), cut by that
+    optimum.  None when no partition is Nash stable."""
+    ev = CoalitionEvaluator(s, G)
+    rows = _pair_rows(s, G)
+
+    def admissible(rem, need_ir):
+        low = (rem & -rem).bit_length() - 1
+        for block, _ in _connected_blocks(G, low, rem, rows):
+            w, worst, _ = ev.stats(block)
+            if w != NEG_INF and not (need_ir and worst < 0):
+                yield block, w, G.edge_key(block)
+
+    @functools.cache
+    def best(rem, need_ir):
+        if rem == 0:
+            return 0, 0
+        options = []
+        for block, w, key in admissible(rem, need_ir):
+            rest_w, rest_key = best(rem ^ block, need_ir)
+            options.append((w + rest_w, key | rest_key))
+        return min(options, key=lambda o: (-o[0], o[1]))
+
+    if mode != "ns":
+        return best(G.full_mask, mode == "ir")
+    found = None
+    masks = []
+
+    def rec(rem, welfare, key):
+        nonlocal found
+        top_w, top_key = best(rem, True)
+        if found is not None and (-(welfare + top_w), key | top_key) >= (-found[0], found[1]):
+            return
+        if rem == 0:
+            if first_deviation(ev, masks, "ns") is None:
+                found = (welfare, key)
+            return
+        order = sorted(
+            (-(w + best(rem ^ block, True)[0]), k | best(rem ^ block, True)[1], block, w, k)
+            for block, w, k in admissible(rem, True)
+        )
+        for _, _, block, w, k in order:
+            masks.append(block)
+            rec(rem ^ block, welfare + w, key | k)
+            masks.pop()
+
+    rec(G.full_mask, 0, 0)
+    return found
+
+
+DIFF_VECTORS = VECTORS + [ScoringVector((2, -1), tail="open")]
+# (family, agents, seed) or ("gap", seed); the larger half runs with -m slow
+DIFF_GRAPHS = [
+    ("tw1", 9, 0), ("tw2", 10, 3), ("deg3", 9, 4), ("gap", 1),
+    pytest.param(("tw1", 13, 1), marks=pytest.mark.slow),
+    pytest.param(("tw2", 12, 5), marks=pytest.mark.slow),
+    pytest.param(("tw3", 11, 6), marks=pytest.mark.slow),
+    pytest.param(("tw3", 13, 7), marks=pytest.mark.slow),
+    pytest.param(("deg3", 12, 8), marks=pytest.mark.slow),
+    pytest.param(("deg3", 13, 9), marks=pytest.mark.slow),
+    pytest.param(("gap", 25), marks=pytest.mark.slow),
+    pytest.param(("gap", 55), marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("case", DIFF_GRAPHS, ids=lambda c: "-".join(map(str, c)))
+def test_bound_pruning_matches_the_unpruned_search(case):
+    G = _prune_graph(case)
+    for s in DIFF_VECTORS:
+        for mode in ("welfare", "ir", "ns"):
+            expect = _unpruned_search(s, G, mode)
+            got = brute_force_solve(s, G, mode)
+            if expect is None:
+                assert got is None, (s, mode)
+            else:
+                assert (got.welfare, got.outcome) == (expect[0], G.outcome_of_key(expect[1])), (s, mode)
