@@ -18,7 +18,9 @@ solve's DP table insertions (``Budget.seen``, empty for brute and vc) into
 and mode sums them per mode, so a change that alters the adds hash can state
 how far the tables grew, and in which mode.  The same line sums the
 coalitions that ``CoalitionEvaluator`` measures (up to one BFS per
-member each), so brute force's and vc's work shows as the DPs' adds do.
+member each), so brute force's and vc's work shows as the DPs' adds do, and
+the blocks that brute force's enumeration (``oracle._connected_blocks``)
+hands out, so its enumeration work shows next to what it measures.
 Two checkouts give the same outcomes hash exactly when every answer is the
 same, and the same welfare hash when they differ at most in which optimum
 breaks a tie.
@@ -36,7 +38,7 @@ import hashlib
 import sys
 import time
 
-from sdgsolve import core, dp
+from sdgsolve import core, dp, oracle
 from sdgsolve.core import ResourceLimitError, ScoringVector, UnsupportedInputError
 from sdgsolve.dispatch import solve
 from sdgsolve.generators import random_partial_ktree, random_solver_corpus_instance
@@ -74,6 +76,21 @@ def track_measures():
     return measured
 
 
+def track_blocks():
+    """One-entry list that counts every block oracle._connected_blocks
+    hands out from now on."""
+    handed = [0]
+    connected_blocks = oracle._connected_blocks
+
+    def counted(*args):
+        blocks = connected_blocks(*args)
+        handed[0] += len(blocks)
+        return blocks
+
+    oracle._connected_blocks = counted
+    return handed
+
+
 def cases():
     for seed in range(SEEDS):
         G = random_solver_corpus_instance(seed)
@@ -107,19 +124,22 @@ def main():
     expect = parser.parse_args().expect
     budgets = track_budgets()
     measured = track_measures()
+    handed = track_blocks()
     outcomes = {algo: hashlib.sha256() for algo in ALGOS}
     welfares = {algo: hashlib.sha256() for algo in ALGOS}
     adds = {algo: hashlib.sha256() for algo in ALGOS}
     count = dict.fromkeys(ALGOS, 0)
     mode_adds = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
     mode_measured = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
+    mode_blocks = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
     start = time.perf_counter()
     for label, G, s, mode, algos in cases():
         for algo in algos:
             budgets.clear()
-            before = measured[0]
+            before, blocks_before = measured[0], handed[0]
             got = answer(s, G, mode, algo)
             mode_measured[algo, mode] += measured[0] - before
+            mode_blocks[algo, mode] += handed[0] - blocks_before
             item = (label, s.scores, s.tail, mode)
             outcomes[algo].update(repr(item + (got,)).encode())
             if got is not None and got[0] != "error":
@@ -134,7 +154,8 @@ def main():
               f"welfare={welfares[algo].hexdigest()} adds={adds[algo].hexdigest()} total_adds={total}")
     for algo in ALGOS:
         print(f"{algo:6} " + " ".join(f"{mode}_adds={mode_adds[algo, mode]}" for mode in MODES)
-              + " " + " ".join(f"{mode}_measured={mode_measured[algo, mode]}" for mode in MODES))
+              + " " + " ".join(f"{mode}_measured={mode_measured[algo, mode]}" for mode in MODES)
+              + " " + " ".join(f"{mode}_blocks={mode_blocks[algo, mode]}" for mode in MODES))
     print(f"elapsed {time.perf_counter() - start:.1f} s")
     if expect:
         got = {algo: (outcomes[algo].hexdigest(), welfares[algo].hexdigest()) for algo in ALGOS}

@@ -29,21 +29,24 @@ NEG_INF = float("-inf")
 ExtInt = Union[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoringVector:
     """Non-increasing integer scores for distances 1..len(scores).
 
     ``tail`` decides what happens beyond the last scored distance: a closed
     tail makes larger distances inadmissible (score NEG_INF), an open tail
-    repeats the last entry.
+    repeats the last entry.  ``scores`` is kept as given when it is already a
+    tuple of ints, and converted with ``int()`` otherwise.
     """
 
     scores: tuple[int, ...]
     tail: str = "closed"
 
     def __post_init__(self):
-        scores = tuple(int(v) for v in self.scores)
-        object.__setattr__(self, "scores", scores)
+        scores = self.scores
+        if type(scores) is not tuple or any(type(v) is not int for v in scores):
+            scores = tuple(int(v) for v in scores)
+            object.__setattr__(self, "scores", scores)
         if len(scores) < 1:
             raise ValueError("scoring vector needs at least one entry")
         if any(scores[i + 1] > scores[i] for i in range(len(scores) - 1)):
@@ -128,12 +131,18 @@ class SocialNetwork:
         if n < 1:
             raise ValueError("network needs at least one agent")
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for edge in edges:
+            u, v = edge
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for {n} agents")
             if u == v:
                 raise ValueError(f"self-loop at agent {u}")
-            seen.add((min(u, v), max(u, v)))
+            # a caller's (u, v) tuple with u < v is kept, not copied
+            if u > v:
+                edge = (v, u)
+            elif type(edge) is not tuple:
+                edge = (u, v)
+            seen.add(edge)
         self.n = n
         self.edges = tuple(sorted(seen))
         masks = [0] * n

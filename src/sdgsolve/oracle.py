@@ -8,6 +8,16 @@ generation over graphs: Voice, Polukarov & Jennings, JAIR 2012).  Every NS
 outcome is IR, so the IR subset DP's value of the agents still to place
 bounds each NS branch exactly, and the search starts from the IR optimum
 (branch and bound with a DP bound: Rahwan et al., JAIR 2009).
+The subset DP solves each connected piece of the agents left once.  Every
+admissible block has finite welfare, so it is connected and lies inside one
+component of G[rem]; the partitions of rem are exactly the products of
+partitions of its components, welfare adds over them, and IR admissibility
+is per block.  So the best of a disconnected rem is the sum of its
+components' bests, and, as keys of disjoint edge sets add (OR is sum here)
+and a maximum total needs every component at its own maximum, its smallest
+key is the OR of theirs.  The NS search does not split: a deviation can go
+into an already placed block that touches two pieces.  It reads its bound
+from the split DP.
 Under a closed tail both searches also skip every block with two members
 farther apart in G than the cutoff (``core.cutoff_balls``): a coalition
 distance is never shorter than the distance in G, so such a block scores
@@ -176,6 +186,17 @@ class _BestPartition:
     plus rem ^ B's partition is the sum of their keys (no edge is inside
     both), so the smallest key of rem ^ B completes B best.
 
+    A rem that G[rem] splits is not enumerated: with K the component of its
+    lowest agent, best(rem) = (w_K + w_R, key_K | key_R) for R = rem ^ K,
+    both from ``best``.  This is exact, tie-break included: an admissible
+    block has finite welfare, so it is connected and lies inside one
+    component, the partitions of rem are the products of partitions of K and
+    R, welfare adds and IR admissibility is per block; keys of disjoint edge
+    sets add, and a maximum total needs K and R each at its maximum, so the
+    smallest key is the sum of the two smallest.  Only a connected rem runs
+    the search below, so each piece of the graph is enumerated once, not
+    once for every remainder it is part of.
+
     Every block's bound (``_connected_blocks``) plus best(rem ^ B) caps
     what B can reach, so the blocks are measured in descending order of
     that sum, and only while it reaches the best total so far: a block that
@@ -203,7 +224,22 @@ class _BestPartition:
             return hit
         ev = self.ev
         G = ev.G
-        low = (rem & -rem).bit_length() - 1
+        adj = G.adj_mask
+        low_bit = rem & -rem
+        low = low_bit.bit_length() - 1
+        # the component of the lowest agent in G[rem]
+        piece = todo = low_bit
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            grown = adj[bit.bit_length() - 1] & rem & ~piece
+            piece |= grown
+            todo |= grown
+        if piece != rem:
+            piece_w, piece_key = memo.get(piece) or self.best(piece)
+            rest_w, rest_key = memo.get(rem ^ piece) or self.best(rem ^ piece)
+            memo[rem] = hit = (piece_w + rest_w, piece_key | rest_key)
+            return hit
         reach = []
         for block, bound in _connected_blocks(G, low, rem, self.rows, self.balls):
             rest_w, rest_key = memo.get(rem ^ block) or self.best(rem ^ block)

@@ -1,5 +1,7 @@
 """Core types: scoring, distances, utilities, welfare."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,19 @@ class TestScoringVector:
             ScoringVector((1, 2))  # increasing
         with pytest.raises(ValueError):
             ScoringVector((1,), tail="half-open")
+
+    def test_keeps_a_tuple_of_ints_and_converts_the_rest(self):
+        scores = (1, 0, -1)
+        s = ScoringVector(scores)
+        assert s.scores is scores
+        for given in ([1, 0, -1], (True, 0.0, -1), iter(scores)):
+            other = ScoringVector(given)
+            assert type(other.scores) is tuple and all(type(v) is int for v in other.scores)
+            assert other == s and hash(other) == hash(s)
+        assert ScoringVector(scores, "open") != s
+        for v in (s, ScoringVector(scores, "open")):
+            assert pickle.loads(pickle.dumps(v)) == v
+        assert not hasattr(s, "__dict__")  # slots: no per-vector dict
 
     def test_score_at_closed(self):
         s = ScoringVector((1, 0, -1))
@@ -99,6 +114,13 @@ class TestSocialNetwork:
     def test_dedup(self):
         G = SocialNetwork(3, [(0, 1), (1, 0)])
         assert G.edges == ((0, 1),)
+
+    def test_keeps_a_callers_sorted_edge_tuple(self):
+        edge = (0, 1)
+        G = SocialNetwork(3, [edge, [0, 2], (2, 1)])
+        assert G.edges == ((0, 1), (0, 2), (1, 2))
+        assert G.edges[0] is edge
+        assert all(type(e) is tuple for e in G.edges)
 
     def test_components(self):
         G = SocialNetwork(5, [(0, 1), (2, 3)])

@@ -22,6 +22,7 @@ from sdgsolve.core import (
 )
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree
 from sdgsolve.oracle import (
+    _BestPartition,
     _connected_blocks,
     _pair_rows,
     bell_number,
@@ -195,10 +196,32 @@ def _assert_matches_bell_enumeration(s, G):
             assert (got.welfare, got.outcome) == expect, mode
 
 
+def _union_of_connected_graphs(sizes, rng):
+    """Disjoint union of random connected graphs of the given sizes, with
+    the agents shuffled so that the pieces interleave in label order."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    offset = 0
+    for size in sizes:
+        piece = random_connected_graph(size, rng)
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in piece.edges]
+        offset += size
+    return SocialNetwork(n, edges)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(2, 7), st.randoms(use_true_random=False), st.integers(0, 4))
-def test_matches_bell_enumeration(n, rng, vi):
-    _assert_matches_bell_enumeration(VECTORS[vi], random_connected_graph(n, rng))
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=3).filter(lambda sizes: 2 <= sum(sizes) <= 8),
+    st.randoms(use_true_random=False),
+    st.integers(0, 4),
+)
+def test_matches_bell_enumeration(sizes, rng, vi):
+    # one piece is a connected graph; two or three make a disconnected one,
+    # which dispatch never hands brute force, so its subset DP splits the
+    # grand coalition itself
+    _assert_matches_bell_enumeration(VECTORS[vi], _union_of_connected_graphs(sizes, rng))
 
 
 def test_figures_match_bell_enumeration(fig_b, fig_c, long_vec):
@@ -247,6 +270,31 @@ def test_connected_blocks_within_the_balls_are_the_close_connected_submasks(n, r
     ]
     assert len(got) == len(set(got))
     assert sorted(got) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.randoms(use_true_random=False), st.integers(0, 4), st.booleans(), st.data())
+def test_best_of_a_disconnected_rest_sums_its_components(n, rng, vi, need_ir, data):
+    # best(rem) is the sum of the best of each component of G[rem], keys
+    # ORed; each component is solved by a fresh DP, which never splits it
+    s = VECTORS[vi]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    G = SocialNetwork(n, edges)
+    rem = data.draw(st.integers(1, G.full_mask))
+    pieces = []
+    left = rem
+    while left:
+        piece = G.mask_of(G.distances_in(left, (left & -left).bit_length() - 1))
+        pieces.append(piece)
+        left ^= piece
+    ev = CoalitionEvaluator(s, G)
+    balls, rows = cutoff_balls(s, G), _pair_rows(s, G)
+    welfare, key = 0, 0
+    for piece in pieces:
+        piece_w, piece_key = _BestPartition(ev, need_ir, balls, rows).best(piece)
+        welfare += piece_w
+        key |= piece_key
+    assert _BestPartition(CoalitionEvaluator(s, G), need_ir, balls, rows).best(rem) == (welfare, key)
 
 
 def test_brute_force_never_builds_the_frozenset_adjacency(monkeypatch):
@@ -458,6 +506,32 @@ def test_pair_bound_measures_only_the_blocks_that_can_win(monkeypatch):
                 brute_force_solve(s, G, mode)
                 counts[pruned, mode] = len(measured)
     assert counts == {(pruned, mode): 17 for pruned in (True, False) for mode in ("welfare", "ir", "ns")}
+
+
+def test_split_enumerates_each_piece_once(monkeypatch):
+    """On auto-mid's 13-agent partial 2-tree under (1,0,-1), the subset DP
+    solves each component of the agents left once, on its own, so
+    ``_connected_blocks`` runs 18 times, handing out 356 blocks, in welfare
+    and IR modes, and 21 times with 560 blocks under NS.  Memoised on the
+    whole remainder alone, it ran 408 times with 1057 blocks, and 411 times
+    with 1261 under NS."""
+    G = random_partial_ktree(13, 2, 1)
+    s = ScoringVector((1, 0, -1))
+    calls = []
+    connected_blocks = oracle._connected_blocks
+
+    def counted(*args):
+        blocks = connected_blocks(*args)
+        calls.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(oracle, "_connected_blocks", counted)
+    counts = {}
+    for mode in ("welfare", "ir", "ns"):
+        calls.clear()
+        assert brute_force_solve(s, G, mode).welfare == 18
+        counts[mode] = (len(calls), sum(calls))
+    assert counts == {"welfare": (18, 356), "ir": (18, 356), "ns": (21, 560)}
 
 
 @st.composite
