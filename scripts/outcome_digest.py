@@ -20,7 +20,9 @@ how far the tables grew, and in which mode.  The same line sums the
 coalitions that ``CoalitionEvaluator`` measures (up to one BFS per
 member each), so brute force's and vc's work shows as the DPs' adds do, and
 the blocks that brute force's enumeration (``oracle._connected_blocks``)
-hands out, so its enumeration work shows next to what it measures.
+hands out, so its enumeration work shows next to what it measures, and
+the BFS runs (``CoalitionEvaluator.bfs_runs``, summed over every evaluator
+a solve makes), so the evaluator's own work shows too.
 Two checkouts give the same outcomes hash exactly when every answer is the
 same, and the same welfare hash when they differ at most in which optimum
 breaks a tie.
@@ -76,6 +78,20 @@ def track_measures():
     return measured
 
 
+def track_evaluators():
+    """List that collects every CoalitionEvaluator made from now on; the BFS
+    runs made are the sum of their ``bfs_runs``."""
+    made = []
+    init = core.CoalitionEvaluator.__init__
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    core.CoalitionEvaluator.__init__ = tracked_init
+    return made
+
+
 def track_blocks():
     """One-entry list that counts every block oracle._connected_blocks
     hands out from now on."""
@@ -125,6 +141,7 @@ def main():
     budgets = track_budgets()
     measured = track_measures()
     handed = track_blocks()
+    evaluators = track_evaluators()
     outcomes = {algo: hashlib.sha256() for algo in ALGOS}
     welfares = {algo: hashlib.sha256() for algo in ALGOS}
     adds = {algo: hashlib.sha256() for algo in ALGOS}
@@ -132,14 +149,17 @@ def main():
     mode_adds = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
     mode_measured = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
     mode_blocks = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
+    mode_bfs = {(algo, mode): 0 for algo in ALGOS for mode in MODES}
     start = time.perf_counter()
     for label, G, s, mode, algos in cases():
         for algo in algos:
             budgets.clear()
+            evaluators.clear()
             before, blocks_before = measured[0], handed[0]
             got = answer(s, G, mode, algo)
             mode_measured[algo, mode] += measured[0] - before
             mode_blocks[algo, mode] += handed[0] - blocks_before
+            mode_bfs[algo, mode] += sum(ev.bfs_runs for ev in evaluators)
             item = (label, s.scores, s.tail, mode)
             outcomes[algo].update(repr(item + (got,)).encode())
             if got is not None and got[0] != "error":
@@ -155,7 +175,8 @@ def main():
     for algo in ALGOS:
         print(f"{algo:6} " + " ".join(f"{mode}_adds={mode_adds[algo, mode]}" for mode in MODES)
               + " " + " ".join(f"{mode}_measured={mode_measured[algo, mode]}" for mode in MODES)
-              + " " + " ".join(f"{mode}_blocks={mode_blocks[algo, mode]}" for mode in MODES))
+              + " " + " ".join(f"{mode}_blocks={mode_blocks[algo, mode]}" for mode in MODES)
+              + " " + " ".join(f"{mode}_bfs={mode_bfs[algo, mode]}" for mode in MODES))
     print(f"elapsed {time.perf_counter() - start:.1f} s")
     if expect:
         got = {algo: (outcomes[algo].hexdigest(), welfares[algo].hexdigest()) for algo in ALGOS}

@@ -9,7 +9,7 @@ open-tail ones; unreachable members always score minus infinity.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class ResourceLimitError(RuntimeError):
@@ -105,6 +105,42 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bfs_layers(adj: Sequence[int], sources: int, within: int, depth: Optional[int] = None) -> list[int]:
+    """Breadth-first search over the adjacency bitmasks ``adj`` from the
+    agents of ``sources``, through the agents of ``within`` only: layer 0 is
+    ``sources`` and layer d, for d up to ``depth`` (all when None), holds the
+    agents of ``within`` at distance d from the nearest source over such
+    paths.  The list ends at the last nonempty layer."""
+    layers = [sources]
+    seen = frontier = sources
+    for _ in range(len(adj) if depth is None else depth):
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        layers.append(frontier)
+    return layers
+
+
+def flood(adj: Sequence[int], sources: int, within: int) -> int:
+    """The agents that ``sources`` reach over the adjacency bitmasks ``adj``
+    through the agents of ``within``, the sources included: the union of
+    ``bfs_layers(adj, sources, within)`` without its layers, in any order."""
+    reached = todo = sources
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        grown = adj[low.bit_length() - 1] & within & ~reached
+        reached |= grown
+        todo |= grown
+    return reached
 
 
 class SocialNetwork:
@@ -221,41 +257,21 @@ class SocialNetwork:
         """
         if not (members_mask >> source) & 1:
             raise ValueError(f"source {source} not in the member set")
-        seen = 1 << source
-        frontier = seen
-        dist = {source: 0}
-        d = 0
-        adj = self.adj_mask
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            nxt &= members_mask & ~seen
-            if not nxt:
-                break
-            d += 1
-            for v in iter_bits(nxt):
-                dist[v] = d
-            seen |= nxt
-            frontier = nxt
-        return dist
+        layers = bfs_layers(self.adj_mask, 1 << source, members_mask)
+        return {v: d for d, layer in enumerate(layers) for v in iter_bits(layer)}
 
     def is_connected_within(self, members_mask: int) -> bool:
-        if members_mask == 0:
-            return True
-        source = (members_mask & -members_mask).bit_length() - 1
-        return len(self.distances_in(members_mask, source)) == members_mask.bit_count()
+        return flood(self.adj_mask, members_mask & -members_mask, members_mask) == members_mask
 
     def components(self) -> list[frozenset[int]]:
+        """The components, by ascending smallest member."""
         remaining = self._full_mask
         out = []
         while remaining:
-            source = (remaining & -remaining).bit_length() - 1
-            reached = self.distances_in(remaining, source)
-            comp = frozenset(reached)
-            out.append(comp)
-            remaining &= ~self.mask_of(comp)
-        return [c for c in sorted(out, key=min)]
+            comp = flood(self.adj_mask, remaining & -remaining, remaining)
+            out.append(frozenset(iter_bits(comp)))
+            remaining ^= comp
+        return out
 
     def induced(self, agents: Iterable[int]) -> tuple["SocialNetwork", dict[int, int]]:
         """Induced subgraph on ``agents`` relabeled to 0..k-1; returns (graph, old->new)."""
@@ -391,24 +407,6 @@ def utility_in_coalition(s: ScoringVector, G: SocialNetwork, coalition: Iterable
     return member_utility(s, G, G.mask_of(members), i)
 
 
-def ball_distances(G: SocialNetwork, source: int, radius: int) -> dict[int, int]:
-    """Distances in G from ``source`` to the agents at most ``radius`` away."""
-    adj = G.adj_mask
-    dist = {source: 0}
-    seen = frontier = 1 << source
-    for d in range(1, radius + 1):
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-        for v in iter_bits(frontier):
-            dist[v] = d
-    return dist
-
-
 def cutoff_balls(s: ScoringVector, G: SocialNetwork) -> Optional[tuple[int, ...]]:
     """Per agent, the bitmask of the agents at most ``s.cutoff`` from it in
     G, itself included; None for an open tail.  A coalition distance is
@@ -416,7 +414,8 @@ def cutoff_balls(s: ScoringVector, G: SocialNetwork) -> Optional[tuple[int, ...]
     coalition of finite welfare lies inside each of its members' balls."""
     if not s.is_closed:
         return None
-    return tuple(G.mask_of(ball_distances(G, a, s.cutoff)) for a in range(G.n))
+    # layers are disjoint, so their sum is their union
+    return tuple(sum(bfs_layers(G.adj_mask, 1 << a, G.full_mask, s.cutoff)) for a in range(G.n))
 
 
 class CoalitionEvaluator:
@@ -424,10 +423,12 @@ class CoalitionEvaluator:
     bitmask: a coalition's utilities, or one member's, cost one BFS per
     member the first time they are asked for and a lookup after that.
 
-    Each BFS runs over ``adj_mask`` and adds, per layer, the number of
-    members at distance d times the score of d, ``_table[d]``, so no
-    per-member distance map is built; it stops once every member is seen.
-    ``bfs_runs`` counts the BFS runs made so far."""
+    Each BFS, ``_bfs``, runs over ``adj_mask`` and adds, per layer, the
+    number of members at distance d times the score of d, ``_table[d]``, so
+    no per-member distance map is built; it stops once every member is seen.
+    It is its own loop rather than a sum over ``bfs_layers``, which builds a
+    list per run: the evaluator runs it once per member of every coalition
+    the solvers measure.  ``bfs_runs`` counts the BFS runs made so far."""
 
     __slots__ = ("s", "G", "bfs_runs", "_table", "_stats", "_utility")
 
@@ -456,7 +457,7 @@ class CoalitionEvaluator:
         key = (i, mask)
         u = self._utility.get(key)
         if u is None:
-            u = self._utility[key] = 0 if mask == 1 << i else self._member(i, mask)
+            u = self._utility[key] = 0 if mask == 1 << i else self._bfs(i, mask)[0]
         return u
 
     def diameter(self, mask: int) -> ExtInt:
@@ -471,45 +472,23 @@ class CoalitionEvaluator:
         if mask.bit_count() == 1:  # a singleton: no BFS
             result = self._stats[mask] = (0, 0, {mask.bit_length() - 1: 0})
             return result, 0
-        # each member's BFS is ``_member``'s loop inline: calling it per
-        # member cuts auto's queries per second on 11-13-agent graphs by ~9%
-        adj, table = self.G.adj_mask, self._table
         utils: dict[int, ExtInt] = {}
         diameter: ExtInt = 0
-        rest = mask
-        while rest:
-            source = rest & -rest
-            rest ^= source
-            self.bfs_runs += 1
-            frontier, unseen = source, mask ^ source
-            total: ExtInt = 0
-            d = 0
-            while unseen:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = nxt & unseen
-                if not frontier:
-                    break
-                unseen ^= frontier
-                d += 1
-                total += frontier.bit_count() * table[d]
-            if unseen:
+        for i in iter_bits(mask):
+            utils[i], eccentricity = self._bfs(i, mask)
+            if eccentricity == NEG_INF:
                 utils = dict.fromkeys(iter_bits(mask), NEG_INF)
                 diameter = NEG_INF
                 break
-            utils[source.bit_length() - 1] = total
-            if d > diameter:
-                diameter = d
+            if eccentricity > diameter:
+                diameter = eccentricity
         result = self._stats[mask] = (sum(utils.values()), min(utils.values()), utils)
         return result, diameter
 
-    def _member(self, i: int, mask: int) -> ExtInt:
-        """Member i's utility in the coalition ``mask`` of two or more
-        members, from one BFS as in ``_measure``; NEG_INF when i misses a
-        member."""
+    def _bfs(self, i: int, mask: int) -> tuple[ExtInt, ExtInt]:
+        """(utility, eccentricity) of member i in the coalition ``mask`` of
+        two or more members, from one BFS; (NEG_INF, NEG_INF) when i misses
+        a member."""
         self.bfs_runs += 1
         adj, table = self.G.adj_mask, self._table
         frontier = 1 << i
@@ -524,11 +503,11 @@ class CoalitionEvaluator:
                 frontier ^= low
             frontier = nxt & unseen
             if not frontier:
-                return NEG_INF
+                return NEG_INF, NEG_INF
             unseen ^= frontier
             d += 1
             total += frontier.bit_count() * table[d]
-        return total
+        return total, d
 
 
 def agent_utility(s: ScoringVector, G: SocialNetwork, outcome: Outcome, i: int) -> ExtInt:

@@ -1,11 +1,13 @@
 """Shared machinery of the dynamic programs over a nice tree decomposition.
 
-twdp and fptdp (``solver_twdp``, ``solver_fptdp``) both walk a nice
-decomposition children first and keep, per node, a table from states to the
-best partial outcome reaching that state.  This module holds what they
-share: the postorder walk, the witness table with its budget counter, the
-open-coalition DP that both run in NS mode, and the self-check every solver
-runs on its answer.
+twdp's solve body, ``solver_twdp.solve_nice``, walks a nice decomposition
+children first and keeps, per node, a table from states to the best partial
+outcome reaching that state; fptdp (``solver_fptdp``) is that body under a
+caller's size cap.  This module holds its parts: the postorder walk, the
+witness table with its budget counter and the open-coalition DP it runs in
+NS mode.  It also holds the self-check that twdp (and so fptdp) and vc run
+on their answers; brute force, the reference the others are tested
+against, runs none.
 
 A witness is one integer, the outcome key of ``SocialNetwork.edge_key``:
 the bits of the edges inside the coalitions built so far.  Ties between
@@ -29,6 +31,7 @@ from .core import (
     Outcome,
     ResourceLimitError,
     cutoff_balls,
+    flood,
     iter_bits,
     validate_outcome,
 )
@@ -156,14 +159,7 @@ def coalition_steps(ev: CoalitionEvaluator, budget: Budget, cap: int):
         part ``part`` inside the coalition."""
         hit = anchored_cache.get((mask, part))
         if hit is None:
-            reached = frontier = part
-            while frontier:
-                nxt = 0
-                for v in iter_bits(frontier):
-                    nxt |= adj[v]
-                frontier = nxt & mask & ~reached
-                reached |= frontier
-            hit = anchored_cache[mask, part] = reached == mask
+            hit = anchored_cache[mask, part] = flood(adj, part, mask) == mask
         return hit
 
     def leaf(node):

@@ -54,9 +54,10 @@ from .core import (
     ScoringVector,
     SocialNetwork,
     SolveResult,
+    bfs_layers,
     check_mode,
     cutoff_balls,
-    iter_bits,
+    flood,
 )
 from .stability import first_deviation
 
@@ -107,22 +108,13 @@ def _pair_rows(s: ScoringVector, G: SocialNetwork) -> PairRows:
     only the distances up to the cutoff are priced (the balls keep the
     farther pairs out of every block); under an open tail every distance
     from the cutoff on scores the last entry, so they share one pair."""
-    adj = G.adj_mask
-    depth = s.cutoff if s.is_closed else G.n
+    depth = s.cutoff if s.is_closed else None
     rows = []
     for v in range(G.n):
         by_score: dict[ExtInt, int] = {}
-        seen = frontier = 1 << v
-        for d in range(1, depth + 1):
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & ~seen
-            if not frontier:
-                break
-            seen |= frontier
+        for d, layer in enumerate(bfs_layers(G.adj_mask, 1 << v, G.full_mask, depth)[1:], 1):
             score = s.score(d)
-            by_score[score] = by_score.get(score, 0) | frontier
+            by_score[score] = by_score.get(score, 0) | layer
         rows.append(tuple((mask, 2 * score) for score, mask in by_score.items() if score))
     return tuple(rows)
 
@@ -224,17 +216,10 @@ class _BestPartition:
             return hit
         ev = self.ev
         G = ev.G
-        adj = G.adj_mask
         low_bit = rem & -rem
         low = low_bit.bit_length() - 1
         # the component of the lowest agent in G[rem]
-        piece = todo = low_bit
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            grown = adj[bit.bit_length() - 1] & rem & ~piece
-            piece |= grown
-            todo |= grown
+        piece = flood(G.adj_mask, low_bit, rem)
         if piece != rem:
             piece_w, piece_key = memo.get(piece) or self.best(piece)
             rest_w, rest_key = memo.get(rem ^ piece) or self.best(rem ^ piece)

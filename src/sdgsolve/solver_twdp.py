@@ -111,7 +111,7 @@ from .core import (
     ScoringVector,
     SocialNetwork,
     SolveResult,
-    ball_distances,
+    bfs_layers,
     iter_bits,
 )
 from .dp import (
@@ -200,7 +200,8 @@ def _compressed_steps(s, G, budget, ir, cap):
         # distances in the full network lower-bound every coalition distance
         near = balls.get(a)
         if near is None:
-            near = balls[a] = ball_distances(G, a, reach)
+            layers = bfs_layers(adj, bit, G.full_mask, reach)
+            near = balls[a] = {v: d for d, layer in enumerate(layers) for v in iter_bits(layer)}
         for (parts_c, prom_c, links_c), group in _grouped(child).items():
             alone = tuple(sorted(parts_c + (bit,)))
             links_alone = _unite(links_c, (bit,)) if fold else ()

@@ -40,6 +40,7 @@ from .core import (
     ScoringVector,
     SocialNetwork,
     SolveResult,
+    bfs_layers,
     check_mode,
     iter_bits,
 )
@@ -130,35 +131,31 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
 def _quotient_distances(G, part, declared):
     """Distance matrix over the part's cover agents (first) and one
     representative per declared class (after); None marks unreachable."""
-    verts = list(part) + [("rep", i) for i in range(len(declared))]
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [set() for _ in verts]
+    # the quotient's adjacency bitmasks over those indices
+    k = len(part)
+    adj = [0] * (k + len(declared))
     for i, u in enumerate(part):
-        for v in part[i + 1 :]:
-            if G.has_edge(u, v):
-                adj[index[u]].add(index[v])
-                adj[index[v]].add(index[u])
-    for i, w in enumerate(declared):
-        r = index[("rep", i)]
-        for u in w:
-            if u in index:
-                adj[r].add(index[u])
-                adj[index[u]].add(r)
-    m = len(verts)
-    dist = [[None] * m for _ in range(m)]
+        for j in range(i + 1, k):
+            if G.has_edge(u, part[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    for r, w in enumerate(declared, k):
+        for j, u in enumerate(part):
+            if u in w:
+                adj[r] |= 1 << j
+                adj[j] |= 1 << r
+    m = len(adj)
+    dist = []
     for src in range(m):
-        dist[src][src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if dist[src][u] is None:
-                        dist[src][u] = d
-                        nxt.append(u)
-            frontier = nxt
+        row = [None] * m
+        for d, layer in enumerate(bfs_layers(adj, 1 << src, (1 << m) - 1)):
+            # the quotients are tiny: a generator per layer would cost more
+            # than the search
+            while layer:
+                low = layer & -layer
+                row[low.bit_length() - 1] = d
+                layer ^= low
+        dist.append(row)
     return dist
 
 

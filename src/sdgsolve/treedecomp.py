@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import SocialNetwork, iter_bits
+from .core import SocialNetwork, bfs_layers, flood, iter_bits
 
 
 @dataclass(frozen=True)
@@ -136,54 +136,40 @@ def validate(G: SocialNetwork, td: TreeDecomposition) -> Union[int, TdViolation]
     if td.n_vertices != G.n:
         return TdViolation("vertex-count", f"decomposition declares {td.n_vertices} vertices, the network has {G.n}")
     k = len(td.bags)
-    holders: list[list[int]] = [[] for _ in range(G.n)]
+    holders = [0] * G.n  # per agent, the bitmask of the bags holding it
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not 0 <= v < G.n:
                 return TdViolation("bag-range", f"bag {i} contains vertex {v} outside 0..{G.n - 1}")
-            holders[v].append(i)
+            holders[v] |= 1 << i
     tree_adj = _bag_tree(td)
     # the tree must actually be a tree over the bags
     if k > 1:
         if len(set(map(lambda e: (min(e), max(e)), td.tree_edges))) != k - 1:
             return TdViolation("tree-shape", f"{len(td.tree_edges)} edges for {k} bags")
-        if len(_reach(tree_adj, [0], None)) != k:
+        if flood(tree_adj, 1, (1 << k) - 1) != (1 << k) - 1:
             return TdViolation("tree-shape", "bag tree is disconnected")
     for v in range(G.n):
         if not holders[v]:
             return TdViolation("vertex-coverage", f"agent {v} appears in no bag")
     bags = td.bags
     for u, v in G.edges:
-        if not any(v in bags[i] for i in holders[u]):
+        if not any(v in bags[i] for i in iter_bits(holders[u])):
             return TdViolation("edge-coverage", f"edge ({u},{v}) not covered by any bag")
     # connected-subtree condition per vertex
     for v in range(G.n):
         held = holders[v]
-        if len(_reach(tree_adj, held[:1], set(held))) != len(held):
+        if flood(tree_adj, held & -held, held) != held:
             return TdViolation("connectivity", f"bags containing agent {v} are not connected")
     return td.width()
 
 
-def _reach(tree_adj, start, within):
-    """Bags reachable from ``start`` over the tree, through bags in
-    ``within`` only (all bags when it is None)."""
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        x = stack.pop()
-        for y in tree_adj[x]:
-            if y not in seen and (within is None or y in within):
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _bag_tree(td: TreeDecomposition) -> list[set[int]]:
-    """Each bag's neighbours in the decomposition's tree."""
-    adj: list[set[int]] = [set() for _ in td.bags]
+def _bag_tree(td: TreeDecomposition) -> list[int]:
+    """Each bag's neighbours in the decomposition's tree, as a bitmask."""
+    adj = [0] * len(td.bags)
     for a, b in td.tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     return adj
 
 
@@ -400,7 +386,7 @@ def make_nice(td: TreeDecomposition, start: int = 0) -> NiceTreeDecomposition:
 
     def frame(node, parent):
         bag = td.bags[node]
-        children = sorted(c for c in adj[node] if c != parent)
+        children = [c for c in iter_bits(adj[node]) if c != parent]
         shared = frozenset().union(*(td.bags[c] & bag for c in children))
         return node, children, shared, []
 
@@ -488,17 +474,14 @@ def join_cost(G: SocialNetwork, td: TreeDecomposition, start: int) -> int:
     shared bag."""
     tree = _bag_tree(td)
     masks = [sum(1 << v for v in bag) for bag in td.bags]
-    parent = {start: None}
-    order = [start]
-    for x in order:
-        for y in tree[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
+    layers = bfs_layers(tree, 1 << start, (1 << len(tree)) - 1) + [0]
+    # rooted at start, a bag's children are its tree neighbours in the next
+    # layer; deepest bags first, so children come before their parent
+    outer = {x: layers[d + 1] for d in range(len(layers) - 1) for x in iter_bits(layers[d])}
     below = list(masks)  # bag -> mask of the agents in its subtree's bags
     cost = 0
-    for x in reversed(order):
-        children = sorted(y for y in tree[x] if y != parent[x])
+    for x in reversed(outer):
+        children = list(iter_bits(tree[x] & outer[x]))
         for c in children:
             below[x] |= below[c]
         if len(children) < 2:

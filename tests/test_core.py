@@ -1,6 +1,7 @@
 """Core types: scoring, distances, utilities, welfare."""
 
 import pickle
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,12 @@ from sdgsolve.core import (
     ScoringVector,
     SocialNetwork,
     agent_utility,
+    bfs_layers,
     coalition_diameter,
     coalition_distance,
     coalition_welfare,
     cutoff_balls,
+    flood,
     social_welfare,
 )
 
@@ -312,3 +315,52 @@ def test_cutoff_balls_hold_the_agents_within_the_cutoff():
     assert cutoff_balls(ScoringVector((1, -1), tail="open"), G) is None
     assert cutoff_balls(ScoringVector((1,)), G) == (0b11, 0b111, 0b1110, 0b11100, 0b11000, 0b100000)
     assert cutoff_balls(ScoringVector((1, 0, -1)), G)[0] == 0b1111
+
+
+def _plain_distances(n, edges, sources, within):
+    """Agent -> distance from the nearest source, by a queue-based BFS over
+    the edge list, along paths whose agents after the source lie in
+    ``within``."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if v in within and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_graph_searches_match_a_plain_bfs(data):
+    # the bitmask searches every solver reads, against a BFS written here;
+    # graphs may be disconnected and sources may lie outside ``within``
+    n = data.draw(st.integers(1, 12))
+    agents = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(agents, agents), max_size=3 * n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    G = SocialNetwork(n, edges)
+    sources = data.draw(st.sets(agents))
+    within = data.draw(st.sets(agents))
+    dist = _plain_distances(n, edges, sources, within)
+    source_mask, within_mask = G.mask_of(sources), G.mask_of(within)
+    for depth in (None, *range(n + 1)):
+        last = max(dist.values(), default=0)
+        if depth is not None:
+            last = min(last, depth)
+        layers = [G.mask_of(v for v, d in dist.items() if d == k) for k in range(last + 1)]
+        assert bfs_layers(G.adj_mask, source_mask, within_mask, depth) == layers
+    assert flood(G.adj_mask, source_mask, within_mask) == G.mask_of(dist)
+    for a in within:
+        assert G.distances_in(within_mask, a) == _plain_distances(n, edges, [a], within)
+    connected = not within or len(_plain_distances(n, edges, [min(within)], within)) == len(within)
+    assert G.is_connected_within(within_mask) is connected
+    everyone = range(n)
+    pieces = {frozenset(_plain_distances(n, edges, [a], everyone)) for a in everyone}
+    assert G.components() == sorted(pieces, key=min)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from sdgsolve import solver_twdp
-from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, ball_distances, iter_bits
+from sdgsolve.core import Outcome, ScoringVector, SocialNetwork, iter_bits
 from sdgsolve.dispatch import solve
 from sdgsolve.dp import Budget, WitnessTable
 from sdgsolve.generators import random_bounded_degree, random_partial_ktree, random_solver_corpus_instance
@@ -358,7 +358,7 @@ def _per_record_steps(s, G, ir, cap):
         table = WitnessTable(budget)
         a = node.agent
         bit = 1 << a
-        near = ball_distances(G, a, reach)
+        near = {v: d for v, d in G.distances_in(G.full_mask, a).items() if d <= reach}
         for (parts_c, prom_c, cells_c, links_c), (w_c, key_c) in child.data.items():
             links = _united(links_c, [bit]) if far else ()
             table.add((tuple(sorted(parts_c + (bit,))), prom_c, cells_c, links), w_c, key_c)
